@@ -70,7 +70,8 @@ TRACED_SLACK_SECONDS = 0.010
 MAX_DISABLED_SPAN_SECONDS = 5e-6
 
 #: Span sites opened per compile (request + pipeline + one per pass +
-#: headroom); used to project total disabled-site cost per compile.
+#: one per layout traversal, 15 under ``paper_default`` + headroom);
+#: used to project total disabled-site cost per compile.
 SPAN_SITES_PER_COMPILE = 32
 
 

@@ -149,7 +149,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
                     "router.profile",
                     None,
                     start=time_mod.time(),
-                    wall_seconds=profiler.kernel_seconds,
+                    wall_seconds=profiler.scoring_seconds,
                     attrs=profiler.to_dict(),
                 )
         trace_tree = render_span_tree(tracer.export())

@@ -10,26 +10,32 @@ circuit is the mirror image of the original's.  SABRE exploits this:
    final mapping of this backward traversal is an initial mapping for
    the original circuit informed by *every* gate, with gates near the
    circuit's beginning weighted most (they were routed last);
-3. route the original circuit from the updated initial mapping and emit
-   that traversal's output.
+3. route the original circuit from the updated initial mapping; the
+   output is the best forward traversal of all trials.
 
 The paper uses 3 traversals (forward-backward-forward) and keeps the
-best of 5 random restarts (§V "Algorithm Configuration").
+best of 5 random restarts (§V "Algorithm Configuration"), so one
+traversal in fifteen is kept.  With the vector scorer, a
+multi-traversal search therefore routes every traversal without
+building its circuit (the router's search mode,
+:meth:`~repro.core.router.SabreRouter.search`) and builds only the
+winner's, by replaying its recorded SWAPs (:class:`BestForward`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.flatdag import FrontierState
+from repro.circuits.flatdag import FlatDag, FrontierState
 from repro.core.heuristic import HeuristicConfig
 from repro.core.layout import Layout
-from repro.core.router import RoutingResult, SabreRouter
+from repro.core.router import RoutingResult, SabreRouter, SearchTrace
 from repro.core.scoring import FlatDistance
 from repro.exceptions import MappingError
 from repro.hardware.coupling import CouplingGraph
+from repro.telemetry.trace import NOOP_SPAN, span
 
 
 @dataclass
@@ -115,63 +121,78 @@ class SabreLayout:
     def run(self, circuit: QuantumCircuit) -> BidirectionalResult:
         """Search initial mappings and return the best routed output.
 
-        Best = fewest SWAPs in the final forward traversal, depth as the
-        tie-break (both paper metrics, in that priority).
+        Best = fewest SWAPs in a forward traversal, depth as the
+        tie-break (both paper metrics, in that priority); see
+        :class:`BestForward`.
 
         The circuit is lowered into its compile-once flat IR exactly
         once per direction (through the engine cache, so a repeat
         compilation of the same circuit pays nothing at all) and every
         one of the ``num_trials x num_traversals`` routing passes
-        shares those two read-only IRs plus one resettable frontier per
-        direction — re-lowering and per-pass allocation both left the
-        trial loop.
+        shares those read-only IRs plus one resettable frontier per
+        direction.
+
+        With the vector scorer and more than one traversal, every
+        traversal runs in search mode (:meth:`SabreRouter.search`): no
+        routed circuit is built and no depth recomputed during the
+        sweep, because :class:`~repro.core.router.SearchTrace` carries
+        the selection key.  Only the winning forward traversal is then
+        replayed into its circuit, byte-identical to emitting it live.
+        A single traversal emits directly — within a trial there is
+        nothing to choose between, and replaying costs more than it
+        saves — and so do the ``fast`` and ``reference`` scorers, which
+        are the differential oracles.
+
+        With a tracer active (:mod:`repro.telemetry.trace`) each
+        traversal records one ``layout.traversal`` span with attrs
+        ``trial``, ``dir``, ``swaps`` and ``depth``.
         """
-        from repro.circuits.depth import circuit_depth
         from repro.engine.cache import get_flat_dag
 
+        router = self.router
+        searching = self.num_traversals > 1 and router.scorer == "vector"
+        route = router.search if searching else router.run
         forward_ir = get_flat_dag(circuit)
-        reverse_ir = get_flat_dag(circuit, direction="reverse")
-        frontiers = (FrontierState(forward_ir), FrontierState(reverse_ir))
-        best: Optional[BidirectionalResult] = None
-        best_key = None
+        forward_frontier = FrontierState(forward_ir)
+        reverse_ir = reverse_frontier = None
+        if self.num_traversals > 1:
+            reverse_ir = get_flat_dag(circuit, direction="reverse")
+            reverse_frontier = FrontierState(reverse_ir)
+        best = BestForward()
         trials: List[TrialRecord] = []
         for trial in range(self.num_trials):
             trial_seed = self.seed + trial
             layout = Layout.random(self.coupling.num_qubits, seed=trial_seed)
             first_pass_swaps = 0
-            result: Optional[RoutingResult] = None
             for traversal in range(self.num_traversals):
                 forward = traversal % 2 == 0
-                # Per-trial tie-break seed: restarts previously shared
-                # the router's base seed, so every trial replayed the
-                # same tie-break sequence and differed only in its
-                # initial mapping — and concurrent trials would have
-                # raced on one stream.  Seeding each run by the trial
-                # keeps trials statistically independent.
-                result = self.router.run(
-                    forward_ir if forward else reverse_ir,
-                    initial_layout=layout,
-                    seed=trial_seed,
-                    frontier=frontiers[0] if forward else frontiers[1],
-                )
+                with span("layout.traversal") as traced:
+                    # Seeding each traversal by its trial gives every
+                    # restart its own tie-break stream, so trials stay
+                    # statistically independent.
+                    result = route(
+                        forward_ir if forward else reverse_ir,
+                        initial_layout=layout,
+                        seed=trial_seed,
+                        frontier=(
+                            forward_frontier if forward else reverse_frontier
+                        ),
+                    )
+                    if traced is not NOOP_SPAN:
+                        traced.set("trial", trial)
+                        traced.set("dir", "forward" if forward else "reverse")
+                        traced.set("swaps", result.num_swaps)
+                        traced.set("depth", result.depth)
                 layout = result.final_layout
                 if traversal == 0:
                     first_pass_swaps = result.num_swaps
-                if not forward:
-                    continue
-                # Every forward traversal routes the real circuit, so
-                # each is a candidate output; keeping the best seen
-                # guarantees the reverse-traversal result is never worse
-                # than the first traversal's (g_op <= g_la, Table II).
-                key = (result.num_swaps, circuit_depth(result.circuit))
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = BidirectionalResult(
-                        routing=result,
-                        initial_layout=result.initial_layout,
-                        best_trial_index=trial,
-                    )
-            assert result is not None
+                if forward:
+                    # Every forward traversal routes the real circuit,
+                    # so each is a candidate output; keeping the best
+                    # seen guarantees the reverse-traversal result is
+                    # never worse than the first traversal's
+                    # (g_op <= g_la, Table II).
+                    best.offer(result, trial)
             trials.append(
                 TrialRecord(
                     seed=trial_seed,
@@ -179,6 +200,68 @@ class SabreLayout:
                     final_swaps=result.num_swaps,
                 )
             )
-        assert best is not None
-        best.trials = trials
-        return best
+        return best.result(router, forward_ir, forward_frontier, trials)
+
+
+class BestForward:
+    """The best forward traversal of one layout search, then its circuit.
+
+    Shared by :meth:`SabreLayout.run` (one instance across all trials)
+    and the lockstep trial ensemble (one per trial).  Candidates are
+    offered in search order and ranked by ``(num_swaps, depth)``; the
+    first of equal keys wins.  A candidate is either an emitted
+    :class:`~repro.core.router.RoutingResult` or a
+    :class:`~repro.core.router.SearchTrace`; :meth:`result` replays a
+    winning trace into the byte-identical circuit, so exactly one
+    circuit is ever built for a search-mode sweep.  Depth is read only
+    once a second candidate arrives, so a search with one forward
+    traversal in total never computes it.
+    """
+
+    __slots__ = ("best", "key", "trial")
+
+    def __init__(self) -> None:
+        self.best: Optional[Union[RoutingResult, SearchTrace]] = None
+        self.key: Optional[Tuple[int, int]] = None
+        self.trial = 0
+
+    def offer(
+        self, candidate: Union[RoutingResult, SearchTrace], trial: int = 0
+    ) -> None:
+        """Keep ``candidate`` if it beats the best so far."""
+        if self.best is None:
+            self.best = candidate
+            self.trial = trial
+            return
+        if self.key is None:
+            self.key = (self.best.num_swaps, self.best.depth)
+        key = (candidate.num_swaps, candidate.depth)
+        if key < self.key:
+            self.best = candidate
+            self.key = key
+            self.trial = trial
+
+    def result(
+        self,
+        router: SabreRouter,
+        forward_ir: FlatDag,
+        frontier: FrontierState,
+        trials: List[TrialRecord],
+    ) -> BidirectionalResult:
+        """The winner as a search result, replayed if it is a trace
+        (``frontier`` is a forward frontier over ``forward_ir``; it is
+        reset here)."""
+        routing = self.best
+        if routing is None:
+            raise MappingError("no forward traversal was offered")
+        if isinstance(routing, SearchTrace):
+            frontier.reset()
+            routing = router._replay(
+                forward_ir, routing.initial_layout.copy(), frontier, routing
+            )
+        return BidirectionalResult(
+            routing=routing,
+            initial_layout=routing.initial_layout,
+            trials=trials,
+            best_trial_index=self.trial,
+        )

@@ -25,7 +25,11 @@ variable, default ``vector``):
   lockstep against one K-row block so a whole fleet of trials shares
   each kernel call.  Narrow fronts are scored by a scalar delta loop
   inside the generator (numpy dispatch would dominate), so small
-  circuits never pay array overhead.
+  circuits never pay array overhead.  The generator also has a
+  *search mode* that builds no circuit (:meth:`SabreRouter.search`,
+  :class:`SearchTrace`): every multi-traversal layout search, solo or
+  ensemble, routes all its traversals that way and replays only the
+  winning forward traversal into a circuit (:meth:`SabreRouter._replay`).
 - ``fast`` — the scalar flat-array delta scorer of
   :mod:`repro.core.scoring`: per-step base sums over ``F``/``E`` plus
   an ``O(deg)`` adjustment of only the terms touching the two swapped
@@ -61,6 +65,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.depth import _DIRECTIVE_NAMES as _DEPTH_SKIP
+from repro.circuits.depth import circuit_depth
 from repro.circuits.flatdag import FlatDag, FrontierState
 from repro.circuits.gates import Gate, remap_gate, swap_gate
 from repro.core.heuristic import (
@@ -117,6 +122,17 @@ class RoutingResult:
     _decomposed: Optional[QuantumCircuit] = field(
         default=None, repr=False, compare=False
     )
+    #: Memoised :attr:`depth`.
+    _depth: Optional[int] = field(default=None, repr=False, compare=False)
+
+    @property
+    def depth(self) -> int:
+        """Depth of :attr:`circuit` with each SWAP as one gate — the
+        layout search's tie-break key, equal to :attr:`SearchTrace.depth`
+        of the same traversal routed in search mode."""
+        if self._depth is None:
+            self._depth = circuit_depth(self.circuit)
+        return self._depth
 
     @property
     def added_gates(self) -> int:
@@ -162,10 +178,11 @@ class RoutingResult:
 class SearchTrace:
     """Record of one no-emission routing traversal (search mode).
 
-    The layout-search phases of the trial ensemble never consume the
-    routed circuits of losing traversals — only each trial's winning
-    forward traversal is turned into a real circuit, by replaying its
-    SWAP decisions (:meth:`SabreRouter._replay`).  A trace therefore
+    A multi-traversal layout search — :class:`~repro.core.bidirectional.
+    SabreLayout` solo, or the trial ensemble — never consumes the
+    routed circuits of losing traversals: only the winning forward
+    traversal is turned into a real circuit, by replaying its SWAP
+    decisions (:meth:`SabreRouter._replay`).  A trace therefore
     carries just the selection key (``num_swaps``, ``depth``), the SWAP
     record that makes the traversal mechanically reproducible, and the
     layout endpoints.
@@ -317,38 +334,12 @@ class SabreRouter:
         routing through one router instance stay independent and
         deterministic.
         """
-        ir = circuit if isinstance(circuit, FlatDag) else FlatDag.from_circuit(circuit)
-        n_physical = self.coupling.num_qubits
-        if ir.num_qubits > n_physical:
-            raise MappingError(
-                f"circuit has {ir.num_qubits} logical qubits but device "
-                f"{self.coupling.name!r} has only {n_physical} physical qubits"
-            )
-        if not ir.routable:
-            for gate in ir.gates:
-                if gate.num_qubits > 2 and not gate.is_directive:
-                    raise MappingError(
-                        f"gate {gate} has {gate.num_qubits} qubits; decompose to "
-                        "the {1q, CNOT} basis before routing"
-                    )
-
-        layout = (initial_layout or Layout.trivial(n_physical)).copy()
-        if layout.num_qubits != n_physical:
-            raise MappingError(
-                f"layout covers {layout.num_qubits} qubits, device has {n_physical}"
-            )
-        rng = random.Random(self.seed if seed is None else seed)
-        if frontier is None:
-            frontier = FrontierState(ir)
-        else:
-            if frontier.dag is not ir:
-                raise MappingError(
-                    "frontier was built over a different circuit IR; "
-                    "build one FrontierState per FlatDag and reuse it"
-                )
-            frontier.reset()
+        ir, layout, rng, frontier = self._prepare(
+            circuit, initial_layout, seed, frontier
+        )
         if self.scorer == "vector":
             return self._drive_solo(ir, layout, rng, frontier)
+        n_physical = self.coupling.num_qubits
         # The reference path regenerates candidates from scratch and
         # rescores in full, so it gets no state to maintain — keeping
         # its timings an honest baseline.
@@ -463,6 +454,75 @@ class SabreRouter:
             num_forced_escapes=num_escapes,
         )
 
+    def search(
+        self,
+        circuit: Union[QuantumCircuit, FlatDag],
+        initial_layout: Optional[Layout] = None,
+        seed: Optional[int] = None,
+        frontier: Optional[FrontierState] = None,
+    ) -> SearchTrace:
+        """Route ``circuit`` in search mode: same decisions, no circuit.
+
+        Arguments and validation are those of :meth:`run`; the
+        traversal makes the identical SWAP decisions (same scoring,
+        same RNG stream, same :attr:`on_winner_set` calls) but returns
+        a :class:`SearchTrace` instead of building a routed circuit.
+        :meth:`_replay` turns the trace into the circuit :meth:`run`
+        would have returned, byte for byte.  Vector scorer only: the
+        ``fast`` and ``reference`` scorers are the differential oracles
+        and keep their single emitting loop.
+        """
+        if self.scorer != "vector":
+            raise MappingError(
+                "search mode needs the vector scorer; this router "
+                f"resolved to {self.scorer!r}"
+            )
+        ir, layout, rng, frontier = self._prepare(
+            circuit, initial_layout, seed, frontier
+        )
+        return self._drive_solo(ir, layout, rng, frontier, emitting=False)
+
+    def _prepare(
+        self,
+        circuit: Union[QuantumCircuit, FlatDag],
+        initial_layout: Optional[Layout],
+        seed: Optional[int],
+        frontier: Optional[FrontierState],
+    ) -> Tuple[FlatDag, Layout, random.Random, FrontierState]:
+        """Validate one traversal's inputs and build its private state:
+        the IR, a layout copy, the tie-break RNG, a reset frontier."""
+        ir = circuit if isinstance(circuit, FlatDag) else FlatDag.from_circuit(circuit)
+        n_physical = self.coupling.num_qubits
+        if ir.num_qubits > n_physical:
+            raise MappingError(
+                f"circuit has {ir.num_qubits} logical qubits but device "
+                f"{self.coupling.name!r} has only {n_physical} physical qubits"
+            )
+        if not ir.routable:
+            for gate in ir.gates:
+                if gate.num_qubits > 2 and not gate.is_directive:
+                    raise MappingError(
+                        f"gate {gate} has {gate.num_qubits} qubits; decompose to "
+                        "the {1q, CNOT} basis before routing"
+                    )
+
+        layout = (initial_layout or Layout.trivial(n_physical)).copy()
+        if layout.num_qubits != n_physical:
+            raise MappingError(
+                f"layout covers {layout.num_qubits} qubits, device has {n_physical}"
+            )
+        rng = random.Random(self.seed if seed is None else seed)
+        if frontier is None:
+            frontier = FrontierState(ir)
+        else:
+            if frontier.dag is not ir:
+                raise MappingError(
+                    "frontier was built over a different circuit IR; "
+                    "build one FrontierState per FlatDag and reuse it"
+                )
+            frontier.reset()
+        return ir, layout, rng, frontier
+
     # ------------------------------------------------------------------
     # Vector path: generator traversal + drivers
     # ------------------------------------------------------------------
@@ -473,8 +533,10 @@ class SabreRouter:
         layout: Layout,
         rng: random.Random,
         frontier: FrontierState,
-    ) -> RoutingResult:
-        """Drive one vector-scorer traversal with a one-row block."""
+        emitting: bool = True,
+    ) -> Union[RoutingResult, SearchTrace]:
+        """Drive one vector-scorer traversal with a one-row block
+        (:meth:`run` emits, :meth:`search` passes ``emitting=False``)."""
         block = VectorBlock(
             self._vdev, self.neighbors, self.config, self._buf_list, rows=1
         )
@@ -484,7 +546,9 @@ class SabreRouter:
             self.config.decay_reset_interval,
             values=block.dv[0],
         )
-        gen = self._route_vector(ir, layout, rng, frontier, block, 0, decay)
+        gen = self._route_vector(
+            ir, layout, rng, frontier, block, 0, decay, emitting=emitting
+        )
         rngs = (rng,)
         profiler = active_router_profiler()
         try:
@@ -541,9 +605,11 @@ class SabreRouter:
         SWAP decisions (same scoring, same RNG stream) but tracks only
         what traversal selection needs — the SWAP count, a per-wire
         ASAP depth mirror of the circuit it would have emitted, and the
-        SWAP record itself — returning a :class:`SearchTrace`.  The
-        trial ensemble routes every search traversal this way and
-        replays only each trial's winner (:meth:`_replay`) into a real,
+        SWAP record itself — returning a :class:`SearchTrace`.  Every
+        multi-traversal layout search routes this way — solo
+        (:meth:`search`, driven by :class:`~repro.core.bidirectional.
+        SabreLayout`) and in the trial ensemble — and replays only the
+        winning forward traversal (:meth:`_replay`) into a real,
         byte-identical circuit.
         """
         initial = layout.copy()
@@ -795,8 +861,8 @@ class SabreRouter:
                     best = block.score_scalar(
                         row, l2p, p2l, decay.values, uses_decay
                     )
-                    profiler.add_kernel(time.perf_counter() - t0)
-                    profiler.record_step(-1, len(best))
+                    profiler.add_scalar(time.perf_counter() - t0)
+                    profiler.record_step(block.scalar_candidates, len(best))
                 if self.on_winner_set is not None:
                     self.on_winner_set([(qa, qb) for qa, qb, _ in best])
                 qa, qb, eidx = (

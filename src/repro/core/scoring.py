@@ -647,6 +647,8 @@ class VectorBlock:
         self._ext_pairs: List[list] = [[] for _ in range(K)]
         self._pfd: List[dict] = [{} for _ in range(K)]
         self._ped: List[dict] = [{} for _ in range(K)]
+        #: Candidate count of the last :meth:`score_scalar` call.
+        self.scalar_candidates = 0
         # --- kernel scratch (written with out= every call) ------------
         # Lane dimension: the kernel compacts each call to the active
         # rows' *candidate* lanes (edges touching a front home), C of
@@ -1406,7 +1408,9 @@ class VectorBlock:
         order, same float operations — so narrow and wide fronts are
         scored interchangeably.  Candidates are regenerated per step
         (the front is tiny); the winner triples carry ``eidx=None``
-        since the kernel's delta buffers were not involved.
+        since the kernel's delta buffers were not involved.  The size of
+        the candidate list is left in :attr:`scalar_candidates` for the
+        router profiler.
         """
         buf = self.buf
         n = self.device.n
@@ -1427,6 +1431,7 @@ class VectorBlock:
                 for nb in neighbors[p]
             }
         )
+        self.scalar_candidates = len(cand)
         sum_f = 0.0
         for a, b in fpairs:
             sum_f += buf[l2p[a] * n + l2p[b]]

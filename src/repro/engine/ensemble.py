@@ -40,7 +40,11 @@ from repro.circuits.decompositions import (
     needs_cx_decomposition,
 )
 from repro.circuits.flatdag import FrontierState
-from repro.core.bidirectional import BidirectionalResult, TrialRecord
+from repro.core.bidirectional import (
+    BestForward,
+    BidirectionalResult,
+    TrialRecord,
+)
 from repro.core.heuristic import DecayArray, HeuristicConfig, resolve_scorer
 from repro.core.router import SabreRouter
 from repro.core.scoring import FlatDistance, VectorBlock
@@ -191,13 +195,13 @@ def ensemble_layout_search(
     gate on :func:`ensemble_eligible` first.
 
     Multi-traversal searches run every traversal in *search mode*
-    (:class:`~repro.core.router.SearchTrace`): no circuits are built
-    during the sweep at all, because only each trial's best forward
-    traversal — by the serial path's ``(num_swaps, depth)`` key — is
-    ever consumed.  That winner is then replayed mechanically from its
-    SWAP record into the byte-identical circuit the traversal would
-    have emitted.  Single-traversal runs emit directly (the one
-    forward traversal *is* the result).
+    (:class:`~repro.core.router.SearchTrace`), exactly as the solo
+    :meth:`SabreLayout.run <repro.core.bidirectional.SabreLayout.run>`
+    does: no circuits are built during the sweep, and each trial's
+    :class:`~repro.core.bidirectional.BestForward` replays only its
+    winner into the byte-identical circuit the traversal would have
+    emitted.  Single-traversal runs emit directly (the one forward
+    traversal *is* the result).
     """
     from repro.core.layout import Layout
     from repro.engine.cache import get_flat_dag, get_flat_dag_pair
@@ -243,9 +247,7 @@ def ensemble_layout_search(
     layouts = [Layout.random(n, seed=s) for s in seeds]
     first_pass_swaps = [0] * K
     final_swaps = [0] * K
-    best: List[Optional[BidirectionalResult]] = [None] * K
-    best_key = [None] * K
-    traces = [None] * K
+    best = [BestForward() for _ in range(K)]
     # A single forward traversal is necessarily each trial's best, so
     # it emits its circuit directly; longer sweeps run every traversal
     # in no-emission search mode and replay only the winners below.
@@ -322,49 +324,23 @@ def ensemble_layout_search(
             if traversal == 0:
                 first_pass_swaps[t] = result.num_swaps
             final_swaps[t] = result.num_swaps
-            if not forward:
-                continue
-            if emitting:
-                best[t] = BidirectionalResult(
-                    routing=result,
-                    initial_layout=result.initial_layout,
-                    best_trial_index=0,
+            if forward:
+                best[t].offer(result)
+    # Each trial's winning forward traversal becomes a real circuit:
+    # emitted already (single traversal) or replayed from its trace,
+    # byte-identical to what the traversal would have built.
+    return [
+        best[t].result(
+            router,
+            forward_ir,
+            frontiers["forward"][t],
+            [
+                TrialRecord(
+                    seed=seeds[t],
+                    first_pass_swaps=first_pass_swaps[t],
+                    final_swaps=final_swaps[t],
                 )
-                continue
-            # The serial path ranks forward traversals by
-            # (num_swaps, circuit_depth); SearchTrace.depth mirrors the
-            # depth of the unbuilt circuit exactly, so the same winner
-            # falls out without any circuit existing yet.
-            key = (result.num_swaps, result.depth)
-            if best_key[t] is None or key < best_key[t]:
-                best_key[t] = key
-                traces[t] = result
-    if not emitting:
-        # Replay each trial's winning forward traversal into a real
-        # circuit — mechanical re-emission of the recorded SWAPs,
-        # byte-identical to what the traversal would have built.
-        fwd = frontiers["forward"]
-        for t in range(K):
-            trace = traces[t]
-            assert trace is not None
-            fwd[t].reset()
-            routing = router._replay(
-                forward_ir, trace.initial_layout.copy(), fwd[t], trace
-            )
-            best[t] = BidirectionalResult(
-                routing=routing,
-                initial_layout=routing.initial_layout,
-                best_trial_index=0,
-            )
-    searches: List[BidirectionalResult] = []
-    for t in range(K):
-        record = TrialRecord(
-            seed=seeds[t],
-            first_pass_swaps=first_pass_swaps[t],
-            final_swaps=final_swaps[t],
+            ],
         )
-        result = best[t]
-        assert result is not None
-        result.trials = [record]
-        searches.append(result)
-    return searches
+        for t in range(K)
+    ]

@@ -344,7 +344,7 @@ def _run_sweep_shard(
                         "router.profile",
                         shard_span.span_id,
                         start=_time.time(),
-                        wall_seconds=profiler.kernel_seconds,
+                        wall_seconds=profiler.scoring_seconds,
                         attrs=profiler.to_dict(),
                     )
             else:

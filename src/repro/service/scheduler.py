@@ -923,7 +923,7 @@ class CoalescingScheduler:
                         "router.profile",
                         exec_span.span_id,
                         start=time.time(),
-                        wall_seconds=profiler.kernel_seconds,
+                        wall_seconds=profiler.scoring_seconds,
                         attrs=profiler.to_dict(),
                     )
                 return result

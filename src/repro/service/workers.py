@@ -249,7 +249,7 @@ def _execute_in_process(compile_fn: Callable, request, circuit, key,
                         "router.profile",
                         compile_span.span_id,
                         start=time.time(),
-                        wall_seconds=profiler.kernel_seconds,
+                        wall_seconds=profiler.scoring_seconds,
                         attrs=profiler.to_dict(),
                     )
             elif trial_jobs is None:

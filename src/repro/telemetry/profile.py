@@ -2,17 +2,19 @@
 
 The router's inner loop runs tens of thousands of steps per circuit;
 per-step spans would drown a trace and the overhead gate.  Instead a
-:class:`RouterProfiler` accumulates three cheap aggregates across a
-routing run:
+:class:`RouterProfiler` accumulates cheap aggregates across a routing
+run:
 
 - **candidate counts** — how many SWAP candidates each search step
   scored (the paper's extended-set/front-layer pressure, per step);
 - **winner-tie sizes** — how many candidates tied for best score
   before the random tie-break (large ties mean the cost function is
   flat and seed-sensitivity is high, cf. Steinberg et al. §IV);
-- **scorer kernel time** — seconds inside the vectorized scoring
-  kernels (``score_rows`` / ``score_scalar``), separating "thinking"
-  from bookkeeping.
+- **scorer time** — seconds inside the vectorized scoring kernel
+  (``score_rows``: ``kernel_seconds``/``kernel_calls``) and, kept
+  apart, inside the narrow-front scalar loop (``score_scalar``:
+  ``scalar_seconds``/``scalar_calls``), separating "thinking" from
+  bookkeeping.  On a 20-qubit device nearly every step is narrow.
 
 Activation mirrors the tracer: thread-local, via
 :func:`profiled_routing`.  The router checks
@@ -39,7 +41,8 @@ class RouterProfiler:
 
     __slots__ = (
         "steps", "candidates_total", "candidates_max", "tie_total",
-        "tie_max", "kernel_seconds", "kernel_calls",
+        "tie_max", "kernel_seconds", "kernel_calls", "scalar_seconds",
+        "scalar_calls",
     )
 
     def __init__(self) -> None:
@@ -50,6 +53,8 @@ class RouterProfiler:
         self.tie_max = 0
         self.kernel_seconds = 0.0
         self.kernel_calls = 0
+        self.scalar_seconds = 0.0
+        self.scalar_calls = 0
 
     # -- hot hooks (router inner loop) --------------------------------
 
@@ -68,9 +73,20 @@ class RouterProfiler:
                 self.tie_max = tie_size
 
     def add_kernel(self, seconds: float) -> None:
-        """Time spent inside one scorer kernel invocation."""
+        """Time spent inside one batched scorer kernel invocation."""
         self.kernel_seconds += seconds
         self.kernel_calls += 1
+
+    def add_scalar(self, seconds: float) -> None:
+        """Time spent inside one narrow-front scalar scoring call."""
+        self.scalar_seconds += seconds
+        self.scalar_calls += 1
+
+    @property
+    def scoring_seconds(self) -> float:
+        """Kernel plus scalar scoring time (a ``router.profile`` span's
+        wall time)."""
+        return self.kernel_seconds + self.scalar_seconds
 
     # -- aggregation ---------------------------------------------------
 
@@ -82,6 +98,8 @@ class RouterProfiler:
         self.tie_max = max(self.tie_max, other.tie_max)
         self.kernel_seconds += other.kernel_seconds
         self.kernel_calls += other.kernel_calls
+        self.scalar_seconds += other.scalar_seconds
+        self.scalar_calls += other.scalar_calls
 
     def merge_dict(self, payload: Dict[str, object]) -> None:
         """Merge a :meth:`to_dict` payload (cross-process batches)."""
@@ -93,6 +111,8 @@ class RouterProfiler:
         other.tie_max = int(payload.get("tie_max", 0))
         other.kernel_seconds = float(payload.get("kernel_seconds", 0.0))
         other.kernel_calls = int(payload.get("kernel_calls", 0))
+        other.scalar_seconds = float(payload.get("scalar_seconds", 0.0))
+        other.scalar_calls = int(payload.get("scalar_calls", 0))
         self.merge(other)
 
     def to_dict(self) -> Dict[str, object]:
@@ -105,6 +125,8 @@ class RouterProfiler:
             "tie_max": self.tie_max,
             "kernel_seconds": round(self.kernel_seconds, 6),
             "kernel_calls": self.kernel_calls,
+            "scalar_seconds": round(self.scalar_seconds, 6),
+            "scalar_calls": self.scalar_calls,
         }
         if self.steps:
             payload["candidates_mean"] = round(
@@ -115,7 +137,11 @@ class RouterProfiler:
 
     @property
     def empty(self) -> bool:
-        return self.steps == 0 and self.kernel_calls == 0
+        return (
+            self.steps == 0
+            and self.kernel_calls == 0
+            and self.scalar_calls == 0
+        )
 
 
 def active_router_profiler() -> Optional[RouterProfiler]:

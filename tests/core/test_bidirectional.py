@@ -101,3 +101,50 @@ class TestSearchBehaviour:
                 circ.cx(a, b)
         result = SabreLayout(grid3x3, num_trials=5, seed=0).run(circ)
         assert result.num_swaps == 0
+
+
+class TestSearchMode:
+    def test_multi_traversal_search_builds_only_the_winner(
+        self, monkeypatch
+    ):
+        """A 3-traversal vector-scorer search routes every traversal in
+        search mode: no traversal's depth is recomputed from a circuit,
+        and the one routed circuit built is the replayed winner."""
+        import repro.circuits.depth as depth_module
+        import repro.core.bidirectional as bidirectional_module
+        import repro.core.router as router_module
+        from repro.bench_circuits import build_benchmark
+        from repro.circuits.decompositions import decompose_to_cx_basis
+        from repro.core import SabreRouter
+        from repro.hardware import ibm_q20_tokyo
+
+        calls = {"depth": 0, "replay": 0, "remap": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        depth = counted("depth", depth_module.circuit_depth)
+        monkeypatch.setattr(depth_module, "circuit_depth", depth)
+        for module in (router_module, bidirectional_module):
+            monkeypatch.setattr(
+                module, "circuit_depth", depth, raising=False
+            )
+        monkeypatch.setattr(
+            router_module, "remap_gate",
+            counted("remap", router_module.remap_gate),
+        )
+        monkeypatch.setattr(
+            SabreRouter, "_replay", counted("replay", SabreRouter._replay)
+        )
+        circuit = decompose_to_cx_basis(build_benchmark("4gt13_92"))
+        result = SabreLayout(
+            ibm_q20_tokyo(), num_traversals=3, num_trials=5, seed=0
+        ).run(circuit)
+        assert calls["depth"] == 0
+        assert calls["replay"] == 1
+        routed = result.routing
+        assert calls["remap"] == routed.circuit.num_gates - routed.num_swaps

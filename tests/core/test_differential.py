@@ -16,6 +16,7 @@ from repro.circuits import random_circuit
 from repro.core import (
     HeuristicConfig,
     Layout,
+    LegacySabreLayout,
     SabreLayout,
     SabreRouter,
     compile_circuit,
@@ -34,6 +35,34 @@ from repro.hardware import (
 MODES = ["basic", "lookahead", "decay"]
 
 SCORERS = ("vector", "fast", "reference")
+
+
+def _directive_circuit():
+    """A 9-qubit circuit threaded with barriers, measures and resets."""
+    from repro.circuits import Gate, QuantumCircuit
+
+    base = random_circuit(9, 90, seed=31, two_qubit_fraction=0.8)
+    circuit = QuantumCircuit(9, "directives")
+    for i, gate in enumerate(base.gates):
+        circuit.append(gate)
+        if i % 20 == 10:
+            circuit.barrier()
+        if i % 25 == 5:
+            circuit.measure(i % 9)
+        if i % 30 == 15:
+            circuit.append(Gate("reset", (i % 9,)))
+    return circuit
+
+
+def _chain_circuit():
+    """A 6-qubit CNOT chain: its interaction graph is a path."""
+    from repro.circuits import QuantumCircuit
+
+    circuit = QuantumCircuit(6, "chain")
+    for _ in range(3):
+        for a in range(5):
+            circuit.cx(a, a + 1)
+    return circuit
 
 
 def _run_all(device, circuit, mode="decay", seed=0, layout_seed=1, **cfg):
@@ -120,22 +149,64 @@ class TestIdenticalRouting:
         _assert_identical(results)
 
     def test_bidirectional_search_identical(self, tokyo):
-        circuit = random_circuit(16, 100, seed=9, two_qubit_fraction=0.7)
-        outputs = {}
-        for scorer in SCORERS:
-            searcher = SabreLayout(
-                tokyo, config=HeuristicConfig(scorer=scorer), seed=0
-            )
-            outputs[scorer] = searcher.run(circuit)
-        for scorer in ("vector", "fast"):
-            assert (
-                outputs[scorer].routing.circuit
-                == outputs["reference"].routing.circuit
-            )
-            assert (
-                outputs[scorer].initial_layout
-                == outputs["reference"].initial_layout
-            )
+        """The whole layout search.  With the vector scorer a
+        multi-traversal sweep routes in search mode and replays one
+        winner; one traversal emits directly.  Both must match the
+        emitting fast and reference scorers and the pre-IR
+        LegacySabreLayout, across traversal counts, the escape hatch
+        and directive circuits."""
+        plain = random_circuit(16, 100, seed=9, two_qubit_fraction=0.7)
+        cases = [
+            (tokyo, plain, "decay", 3, None),
+            (tokyo, plain, "decay", 1, None),
+            (tokyo, plain, "decay", 5, None),
+            (
+                ring_device(8),
+                random_circuit(8, 80, seed=0, two_qubit_fraction=1.0),
+                "basic",
+                3,
+                2,
+            ),
+            (grid_device(3, 3), _directive_circuit(), "decay", 3, None),
+            # Zero-SWAP embeddable chain: forward traversals tie on
+            # (num_swaps, depth), so the first-seen winner rule shows.
+            (tokyo, _chain_circuit(), "decay", 3, None),
+        ]
+        for device, circuit, mode, num_traversals, stall_limit in cases:
+            outputs = {}
+            searchers = [
+                (scorer, SabreLayout) for scorer in SCORERS
+            ] + [("legacy", LegacySabreLayout)]
+            for label, cls in searchers:
+                searcher = cls(
+                    device,
+                    config=HeuristicConfig(
+                        mode=mode,
+                        scorer="fast" if label == "legacy" else label,
+                    ),
+                    num_traversals=num_traversals,
+                    seed=0,
+                )
+                if stall_limit is not None:
+                    searcher.router.stall_limit = stall_limit
+                outputs[label] = searcher.run(circuit)
+            reference = outputs["reference"]
+            if stall_limit is not None:
+                assert reference.routing.num_forced_escapes > 0
+            for label in ("vector", "fast", "legacy"):
+                out = outputs[label]
+                assert out.routing.circuit == reference.routing.circuit
+                assert (
+                    out.routing.swap_positions
+                    == reference.routing.swap_positions
+                )
+                assert (
+                    out.routing.num_forced_escapes
+                    == reference.routing.num_forced_escapes
+                )
+                assert out.initial_layout == reference.initial_layout
+                assert out.best_trial_index == reference.best_trial_index
+                assert out.trials == reference.trials
 
     def test_compile_circuit_identical(self, tokyo):
         circuit = random_circuit(12, 80, seed=21, two_qubit_fraction=0.7)
@@ -178,6 +249,26 @@ class TestWinnerSets:
         assert traces["fast"] == traces["reference"]
         assert traces["vector"] == traces["reference"]
         assert len(traces["reference"]) > 0
+        # The layout search: the vector scorer's search-mode traversals
+        # fire the seam once per step, like the emitting scorers, and
+        # the replay of the winner fires it not at all.
+        searches = {}
+        for scorer in SCORERS:
+            searcher = SabreLayout(
+                tokyo,
+                config=HeuristicConfig(mode=mode, scorer=scorer),
+                num_trials=2,
+                seed=0,
+            )
+            steps = []
+            searcher.router.on_winner_set = lambda best, steps=steps: (
+                steps.append(list(best))
+            )
+            searcher.run(circuit)
+            searches[scorer] = steps
+        assert searches["fast"] == searches["reference"]
+        assert searches["vector"] == searches["reference"]
+        assert len(searches["reference"]) > len(traces["reference"])
 
 
 class TestEnsembleIdentity:

@@ -42,6 +42,18 @@ class TestRecordStep:
         assert prof.kernel_calls == 2
         assert prof.kernel_seconds == 0.75
 
+    def test_add_scalar_kept_apart_from_kernel(self):
+        prof = RouterProfiler()
+        prof.add_kernel(0.25)
+        prof.add_scalar(0.5)
+        assert (prof.kernel_calls, prof.kernel_seconds) == (1, 0.25)
+        assert (prof.scalar_calls, prof.scalar_seconds) == (1, 0.5)
+        assert prof.scoring_seconds == 0.75
+        assert not RouterProfiler().to_dict()["scalar_calls"]
+        merged = RouterProfiler()
+        merged.merge_dict(prof.to_dict())
+        assert merged.to_dict() == prof.to_dict()
+
     def test_empty_property(self):
         prof = RouterProfiler()
         assert prof.empty
@@ -106,3 +118,29 @@ class TestScoping:
             worker.start()
             worker.join()
         assert seen["profiler"] is None
+
+
+class TestRouterIntegration:
+    def test_tokyo_paper_default_counts_candidates(self):
+        """On a 20-qubit device every front is narrow, so every step is
+        scored by the scalar loop; its candidates must still count, and
+        its time must not pass for kernel time."""
+        from repro import compile_circuit
+        from repro.bench_circuits import build_benchmark
+        from repro.hardware import ibm_q20_tokyo
+
+        with profiled_routing() as prof:
+            compile_circuit(
+                build_benchmark("4gt13_92"),
+                ibm_q20_tokyo(),
+                pipeline="paper_default",
+                seed=0,
+            )
+        payload = prof.to_dict()
+        assert payload["steps"] > 0
+        assert payload["candidates_total"] > 0
+        assert payload["candidates_max"] > 0
+        assert payload["scalar_calls"] > 0
+        assert payload["kernel_calls"] == 0
+        assert payload["kernel_seconds"] == 0.0
+        assert prof.scoring_seconds == prof.scalar_seconds > 0.0

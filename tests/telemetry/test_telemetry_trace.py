@@ -209,3 +209,50 @@ class TestRenderTree:
         tree = render_span_tree(spans)
         assert "preset=fast" in tree
         assert "swaps=12" in tree
+
+
+class TestLayoutTraversalSpans:
+    """The layout search records one span per traversal below the
+    layout-search pass (every trial, both directions)."""
+
+    @pytest.mark.parametrize("scorer", ["vector", "fast"])
+    def test_traversals_nest_under_layout_pass(self, scorer):
+        from repro import compile_circuit
+        from repro.bench_circuits import build_benchmark
+        from repro.core import HeuristicConfig
+        from repro.hardware import ibm_q20_tokyo
+
+        tracer = Tracer()
+        with tracing(tracer):
+            result = compile_circuit(
+                build_benchmark("4gt13_92"),
+                ibm_q20_tokyo(),
+                config=HeuristicConfig(scorer=scorer),
+                seed=0,
+                num_trials=2,
+                num_traversals=3,
+            )
+        spans = tracer.export()
+        by_id = {s["span_id"]: s for s in spans}
+        traversals = [s for s in spans if s["name"] == "layout.traversal"]
+        assert len(traversals) == 2 * 3
+        for s in traversals:
+            assert by_id[s["parent_id"]]["name"] == "pass.SabreLayoutPass"
+        attrs = [s["attrs"] for s in traversals]
+        dirs = ["forward", "reverse", "forward"]
+        assert [a["dir"] for a in attrs] == dirs * 2
+        assert [a["trial"] for a in attrs] == [0, 0, 0, 1, 1, 1]
+        kept = min(
+            (a["swaps"], a["depth"]) for a in attrs if a["dir"] == "forward"
+        )
+        assert kept == (result.num_swaps, result.routing.depth)
+        assert "layout.traversal" in render_span_tree(spans)
+
+    def test_untraced_search_records_nothing(self):
+        from repro import compile_circuit
+        from repro.bench_circuits import build_benchmark
+        from repro.hardware import ibm_q20_tokyo
+
+        assert current_tracer() is None
+        compile_circuit(build_benchmark("4gt13_92"), ibm_q20_tokyo(), seed=0)
+        assert current_tracer() is None
