@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
-from typing import List, Set
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -249,7 +249,7 @@ class FrontierState:
     """Resettable execution state over a shared :class:`FlatDag`.
 
     Behaviourally identical to :class:`~repro.circuits.dag.DagFrontier`
-    (the equivalence suite replays random traces on both), with three
+    (the equivalence suite replays random traces on both), with four
     structural differences that matter at scale:
 
     - **Reset, don't reallocate.**  All buffers are sized once in the
@@ -267,6 +267,10 @@ class FrontierState:
       deque; the traversal order (FIFO from the sorted front, ascending
       successor order) matches ``DagFrontier.extended_set`` exactly, so
       look-ahead scores sum in the same float order.
+    - **Each front's extended set is walked once.**
+      :meth:`extended_pairs` memoises the walk by front in
+      :attr:`ext_memo`, which outlives :meth:`reset`: a layout search's
+      restarts revisit the same fronts again and again.
     """
 
     __slots__ = (
@@ -285,9 +289,10 @@ class FrontierState:
         "_queue",
         "track_front_log",
         "front_log",
+        "ext_memo",
     )
 
-    def __init__(self, dag: FlatDag) -> None:
+    def __init__(self, dag: FlatDag, ext_memo: Optional[dict] = None) -> None:
         self.dag = dag
         n = dag.num_nodes
         # ``remaining`` lives in an array('i') so the bulk execute path
@@ -310,6 +315,10 @@ class FrontierState:
         # incremental ready-check; see :meth:`drain_front_log`).
         self.track_front_log = False
         self.front_log: List[int] = []
+        #: Look-ahead memo of :meth:`extended_pairs`: extended-set
+        #: size -> front -> pairs.  Survives :meth:`reset`; frontiers
+        #: over the same dag may share one (the trial ensemble does).
+        self.ext_memo: dict = {} if ext_memo is None else ext_memo
         self._seed_roots()
 
     def reset(self) -> None:
@@ -523,3 +532,30 @@ class FrontierState:
                     queue[tail] = s
                     tail += 1
         return out
+
+    def extended_pairs(self, size: int) -> Tuple[Tuple[int, ...], ...]:
+        """Operand pairs of :meth:`extended_nodes`, memoised per front.
+
+        Once every ready non-routing gate has been drained, the executed
+        set is exactly the complement of the front's descendants, so the
+        walk's result is a function of the front alone: the memo keys it
+        by the ascending front and walks each distinct front once for
+        the life of :attr:`ext_memo` (one layout search).  With
+        non-routing gates still pending the walk runs unmemoised.
+        """
+        pairs = self.dag.pairs
+        if self._ready_other:
+            return tuple([pairs[i] for i in self.extended_nodes(size)])
+        memo = self.ext_memo.get(size)
+        if memo is None:
+            memo = self.ext_memo[size] = {}
+        front = self._front_sorted
+        # Most fronts are one gate: key those by the node id itself,
+        # which costs no tuple per entry (ints never equal tuples).
+        key = front[0] if len(front) == 1 else tuple(front)
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = tuple(
+                [pairs[i] for i in self.extended_nodes(size)]
+            )
+        return hit

@@ -224,6 +224,8 @@ def _cmd_devices(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
+    import signal
+    import threading
     import time
 
     from repro.service import build_server, serve_url, shutdown_service
@@ -290,6 +292,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         execution=args.execution,
     )
+
+    def on_sigterm(signum, frame) -> None:
+        # SIGTERM (what process supervisors and ``Popen.terminate``
+        # send) takes the Ctrl-C path below, so the worker processes
+        # are drained instead of orphaned.  A second SIGTERM during
+        # that drain kills at once.
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        raise KeyboardInterrupt
+
+    # Signal handlers can only be installed from the main thread.
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, on_sigterm) if on_main else None
     try:
         server.serve_forever(poll_interval=0.2)
     except KeyboardInterrupt:
@@ -309,6 +323,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                             file=sys.stderr,
                         )
         shutdown_service(server)
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -130,7 +130,11 @@ class SabreLayout:
         compilation of the same circuit pays nothing at all) and every
         one of the ``num_trials x num_traversals`` routing passes
         shares those read-only IRs plus one resettable frontier per
-        direction.
+        direction.  Each frontier carries its direction's look-ahead
+        memo (:meth:`FrontierState.extended_pairs
+        <repro.circuits.flatdag.FrontierState.extended_pairs>`) across
+        resets, so the restarts, which revisit the same fronts, walk
+        each narrow front's extended set once per search.
 
         With the vector scorer and more than one traversal, every
         traversal runs in search mode (:meth:`SabreRouter.search`): no

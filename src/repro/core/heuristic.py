@@ -203,8 +203,12 @@ class DecayArray:
             self.reset()
 
     def reset(self) -> None:
-        self.values.fill(1.0)
-        self._steps = 0
+        # ``_steps`` counts swaps since the last reset, so zero means
+        # ``values`` is still all ones: the router resets after every
+        # executed gate, most of them with no SWAP in between.
+        if self._steps:
+            self.values.fill(1.0)
+            self._steps = 0
 
 
 def mapped_distance_sum(

@@ -23,13 +23,24 @@ variable, default ``vector``):
   step; solo runs drive it with a one-row block, and the trial
   ensemble (:mod:`repro.engine.ensemble`) drives K generators in
   lockstep against one K-row block so a whole fleet of trials shares
-  each kernel call.  Narrow fronts are scored by a scalar delta loop
+  each kernel call.  Narrow fronts (at most four gates — nearly every
+  refresh on the paper's circuits) are scored by a scalar delta loop
   inside the generator (numpy dispatch would dominate), so small
-  circuits never pay array overhead.  The generator also has a
-  *search mode* that builds no circuit (:meth:`SabreRouter.search`,
-  :class:`SearchTrace`): every multi-traversal layout search, solo or
-  ensemble, routes all its traversals that way and replays only the
-  winning forward traversal into a circuit (:meth:`SabreRouter._replay`).
+  circuits never pay array overhead.  That step redoes no per-front
+  work that does not depend on the layout: the look-ahead set ``E``
+  is a function of the front alone, so the frontier serves it from a
+  front-keyed memo that lives for one layout search
+  (:meth:`~repro.circuits.flatdag.FrontierState.extended_pairs`; the
+  trial ensemble shares one memo per IR direction across its K
+  trials); the partner tables are per-row lists indexed by logical
+  qubit, undone entry by entry at each refresh; and the sorted
+  candidate list is memoised per front-home tuple on the device
+  (:meth:`~repro.core.scoring.VectorDevice.narrow_candidates`).  The
+  generator also has a *search mode* that builds no circuit
+  (:meth:`SabreRouter.search`, :class:`SearchTrace`): every
+  multi-traversal layout search, solo or ensemble, routes all its
+  traversals that way and replays only the winning forward traversal
+  into a circuit (:meth:`SabreRouter._replay`).
 - ``fast`` — the scalar flat-array delta scorer of
   :mod:`repro.core.scoring`: per-step base sums over ``F``/``E`` plus
   an ``O(deg)`` adjustment of only the terms touching the two swapped
@@ -537,9 +548,7 @@ class SabreRouter:
     ) -> Union[RoutingResult, SearchTrace]:
         """Drive one vector-scorer traversal with a one-row block
         (:meth:`run` emits, :meth:`search` passes ``emitting=False``)."""
-        block = VectorBlock(
-            self._vdev, self.neighbors, self.config, self._buf_list, rows=1
-        )
+        block = VectorBlock(self._vdev, self.config, self._buf_list, rows=1)
         decay = DecayArray(
             self.coupling.num_qubits,
             self.config.decay_delta,
@@ -632,6 +641,9 @@ class SabreRouter:
         uses_decay = self.config.uses_decay
         ext_size = self.config.extended_set_size
         narrow = block.narrow
+        scalar_max_front = block.scalar_max_front
+        set_narrow_front = block.set_narrow_front
+        extended_pairs = frontier.extended_pairs
         block.bind_layout(row, l2p)
         record_swap = decay.record_swap
         note_chosen = block.note_chosen
@@ -844,12 +856,26 @@ class SabreRouter:
                 continue
             if front_dirty:
                 front_nodes = frontier.front_list()
-                ext_nodes = (
-                    frontier.extended_nodes(ext_size) if uses_lookahead else []
-                )
-                block.set_front(
-                    row, front_nodes, ext_nodes, qa_np, qb_np, pairs, l2p
-                )
+                if len(front_nodes) <= scalar_max_front:
+                    # Narrow fronts (nearly all refreshes) take their
+                    # look-ahead pairs from the frontier's front-keyed
+                    # memo: each distinct front is walked once per
+                    # layout search, not once per traversal.
+                    set_narrow_front(
+                        row,
+                        [pairs[i] for i in front_nodes],
+                        extended_pairs(ext_size) if uses_lookahead else (),
+                    )
+                else:
+                    block.set_wide_front(
+                        row,
+                        front_nodes,
+                        frontier.extended_nodes(ext_size)
+                        if uses_lookahead
+                        else [],
+                        qa_np,
+                        qb_np,
+                    )
                 front_dirty = False
             if narrow[row]:
                 if profiler is None:

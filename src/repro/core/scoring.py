@@ -45,6 +45,9 @@ _NO_PARTNERS: Tuple[int, ...] = ()
 #: Shared empty index array (vector scorer's "no front/extended set").
 _EMPTY_IDX = np.zeros(0, dtype=np.intp)
 
+#: Size bound of :attr:`VectorDevice.cand_memo` (home tuples held).
+_CAND_MEMO_MAX = 1 << 16
+
 #: Scores within this tolerance are considered tied (random tie-break).
 #: Single source of truth for every scorer (the router imports it).
 SCORE_EPSILON = 1e-9
@@ -511,6 +514,10 @@ class VectorDevice:
             fused so one ``take`` per call replaces four.
         pen_base: ``D[edge] - 1.0`` per edge (the SWAP-cost penalty
             term's layout-independent factor).
+        neighbors: the adjacency lists the device was built from.
+        cand_memo: narrow-front candidate lists for
+            :meth:`VectorBlock.score_scalar`, keyed by the front's home
+            tuple (see :meth:`narrow_candidates`).
     """
 
     __slots__ = (
@@ -526,6 +533,9 @@ class VectorDevice:
         "ep_cat",
         "gcat",
         "pen_base",
+        "neighbors",
+        "cand_memo",
+        "_edge_cands",
     )
 
     def __init__(
@@ -546,6 +556,46 @@ class VectorDevice:
             [self.ep_cat, self.row_s, self.row_o, self.ep_o]
         )
         self.pen_base = self.dist[self.epa * n + self.epb] - 1.0
+        self.neighbors = neighbors
+        self.cand_memo: dict = {}
+        # One shared candidate tuple per edge: memoised lists only
+        # reference these, so each memo entry costs a list, not tuples.
+        self._edge_cands = {
+            (pa, pb): (pa, pb, pa * n, pb * n)
+            for pa, pb in zip(self.epa.tolist(), self.epb.tolist())
+        }
+
+    def narrow_candidates(
+        self, homes: Tuple[int, ...]
+    ) -> List[Tuple[int, int, int, int]]:
+        """Candidate SWAPs of a narrow front, memoised by its homes.
+
+        ``homes`` lists the physical homes of the front's qubits (order
+        and repeats do not matter).  Returns every device edge touching
+        a home as ``(pa, pb, pa * n, pb * n)``, lexicographically sorted
+        — the order all scorers walk.  A compile revisits the same few
+        hundred home tuples thousands of times, so the sorted list is
+        built once per tuple; the memo is dropped wholesale once it
+        holds ``_CAND_MEMO_MAX`` tuples, bounding its size.
+        """
+        memo = self.cand_memo
+        cand = memo.get(homes)
+        if cand is None:
+            if len(memo) >= _CAND_MEMO_MAX:
+                memo.clear()
+            edge_cands = self._edge_cands
+            neighbors = self.neighbors
+            cand = memo[homes] = [
+                edge_cands[edge]
+                for edge in sorted(
+                    {
+                        (p, nb) if p < nb else (nb, p)
+                        for p in homes
+                        for nb in neighbors[p]
+                    }
+                )
+            ]
+        return cand
 
 
 class VectorBlock:
@@ -575,11 +625,19 @@ class VectorBlock:
 
     Scoring modes per front refresh: fronts with at most
     ``scalar_max_front`` gates are scored by a scalar delta loop
-    (python dicts built at :meth:`set_front`; numpy dispatch would
-    dominate) — bit-compatible with the ``fast`` scorer's loop.  Wider
-    fronts use the kernel (:meth:`score_rows`).  Either way the layout
-    mirrors stay current; front-shaped arrays are rebuilt wholesale at
-    each refresh, so stale state can never leak across modes.
+    (:meth:`score_scalar`; numpy dispatch would dominate) —
+    bit-compatible with the ``fast`` scorer's loop.  Its state is
+    installed by :meth:`set_narrow_front` from logical-qubit pairs: the
+    extended pairs usually arrive as the frontier's memoised tuple
+    (walked once per distinct front per layout search), and the
+    partner tables are per-row lists indexed by logical qubit (front
+    partner or ``-1``, extended partners or a shared empty tuple) of
+    which only the entries the previous narrow front touched are reset.
+    Candidate lists come from the device's per-home-tuple memo.  Wider
+    fronts are installed by :meth:`set_wide_front` and use the kernel
+    (:meth:`score_rows`).  Either way the layout mirrors stay current;
+    front-shaped arrays are rebuilt wholesale at each refresh, so stale
+    state can never leak across modes.
 
     Exactness: kernel scores agree with the ``fast`` scorer up to
     float-addition order (same tolerance argument as fast-vs-reference)
@@ -591,14 +649,12 @@ class VectorBlock:
     def __init__(
         self,
         device: VectorDevice,
-        neighbors: Sequence[Sequence[int]],
         config: HeuristicConfig,
         buf: List[float],
         rows: int = 1,
         scalar_max_front: int = 4,
     ) -> None:
         self.device = device
-        self.neighbors = neighbors
         self.config = config
         self.buf = buf
         self.rows = K = rows
@@ -642,11 +698,16 @@ class VectorBlock:
         self._ea = [_EMPTY_IDX] * K
         self._eb = [_EMPTY_IDX] * K
         self._stream: List[np.ndarray] = [_EMPTY_IDX] * K
-        # Narrow-front scalar structures.
-        self._front_pairs: List[list] = [[] for _ in range(K)]
-        self._ext_pairs: List[list] = [[] for _ in range(K)]
-        self._pfd: List[dict] = [{} for _ in range(K)]
-        self._ped: List[dict] = [{} for _ in range(K)]
+        # Narrow-front scalar structures: per-row partner tables indexed
+        # by logical qubit (front partner or -1; extended partners or the
+        # shared empty tuple), undone entry by entry at the next refresh.
+        self._front_pairs: List[Sequence[Tuple[int, int]]] = [()] * K
+        self._ext_pairs: List[Sequence[Tuple[int, int]]] = [()] * K
+        self._pf: List[List[int]] = [[-1] * n for _ in range(K)]
+        self._pe: List[List[Sequence[int]]] = [
+            [_NO_PARTNERS] * n for _ in range(K)
+        ]
+        self._touched: List[List[int]] = [[] for _ in range(K)]
         #: Candidate count of the last :meth:`score_scalar` call.
         self.scalar_candidates = 0
         # --- kernel scratch (written with out= every call) ------------
@@ -728,46 +789,26 @@ class VectorBlock:
         self.ecnt[row].fill(0)
         self._stream[row] = _EMPTY_IDX
         self._streams_dirty = True
-        self.narrow[row] = True
-        self._front_pairs[row] = []
-        self._ext_pairs[row] = []
+        self.set_narrow_front(row, (), ())
 
-    def set_front(
+    def set_wide_front(
         self,
         row: int,
         front_nodes: Sequence[int],
         ext_nodes: Sequence[int],
         qa_np: np.ndarray,
         qb_np: np.ndarray,
-        pairs: Sequence[Tuple[int, int]],
-        l2p: Sequence[int],
     ) -> None:
-        """Rebuild row ``row``'s front/extended structures.
+        """Install a wide front (more than ``scalar_max_front`` gates)
+        in row ``row``: the numpy tables the kernel gathers from.
 
-        ``qa_np``/``qb_np``/``pairs`` come from the trial's FlatDag.
-        Narrow fronts build the scalar dicts; wide fronts build the
-        numpy tables the kernel gathers from.  Called only when a gate
-        executed, so consecutive SWAP selections share everything here.
+        ``front_nodes``/``ext_nodes`` are node ids of the trial's
+        FlatDag, ``qa_np``/``qb_np`` its operand arrays.  Called only
+        when a gate executed, so consecutive SWAP selections share
+        everything here.
         """
         lf = len(front_nodes)
-        narrow = lf <= self.scalar_max_front
-        self.narrow[row] = narrow
-        if narrow:
-            fpairs = [pairs[i] for i in front_nodes]
-            epairs = [pairs[i] for i in ext_nodes]
-            self._front_pairs[row] = fpairs
-            self._ext_pairs[row] = epairs
-            pfd: dict = {}
-            for a, b in fpairs:
-                pfd[a] = b
-                pfd[b] = a
-            self._pfd[row] = pfd
-            ped: dict = {}
-            for a, b in epairs:
-                ped.setdefault(a, []).append(b)
-                ped.setdefault(b, []).append(a)
-            self._ped[row] = ped
-            return
+        self.narrow[row] = False
         dev = self.device
         n = dev.n
         D = dev.dist
@@ -833,11 +874,57 @@ class VectorBlock:
         self._streams_dirty = True
         self.sums_dirty[row] = False
 
+    def set_narrow_front(
+        self,
+        row: int,
+        fpairs: Sequence[Tuple[int, int]],
+        epairs: Sequence[Tuple[int, int]],
+    ) -> None:
+        """Install a narrow front (at most ``scalar_max_front`` gates)
+        given as logical-qubit pairs, for :meth:`score_scalar`.
+
+        ``epairs`` may be a memoised tuple shared across refreshes (the
+        router passes :meth:`FrontierState.extended_pairs
+        <repro.circuits.flatdag.FrontierState.extended_pairs>`); it is
+        only read.  The partner tables are persistent: the entries the
+        previous narrow front installed are undone, then the new ones
+        written — ``O(|F| + |E|)`` per refresh, no allocation of
+        n-sized tables.
+        """
+        self.narrow[row] = True
+        self._front_pairs[row] = fpairs
+        self._ext_pairs[row] = epairs
+        pf = self._pf[row]
+        pe = self._pe[row]
+        touched = self._touched[row]
+        for q in touched:
+            pf[q] = -1
+            pe[q] = _NO_PARTNERS
+        touched.clear()
+        for a, b in fpairs:
+            pf[a] = b
+            pf[b] = a
+            touched.append(a)
+            touched.append(b)
+        for a, b in epairs:
+            other = pe[a]
+            if other is _NO_PARTNERS:
+                pe[a] = [b]
+                touched.append(a)
+            else:
+                other.append(b)  # type: ignore[union-attr]
+            other = pe[b]
+            if other is _NO_PARTNERS:
+                pe[b] = [a]
+                touched.append(b)
+            else:
+                other.append(a)  # type: ignore[union-attr]
+
     def on_swap(self, row: int, qa: int, qb: int, pa: int, pb: int) -> None:
         """Maintain row mirrors after SWAPping ``qa <-> qb``.
 
         ``pa``/``pb`` are the pre-swap homes.  Narrow rows only track
-        the layout (their front tables are dicts keyed by logical
+        the layout (their partner tables are indexed by logical
         qubit, layout-independent); wide rows also fix up the
         front-partner-home table and the home mask — a handful of
         scalar writes, no array traffic.
@@ -1406,31 +1493,25 @@ class VectorBlock:
 
         Mirrors the router's inlined fast loop exactly — same candidate
         order, same float operations — so narrow and wide fronts are
-        scored interchangeably.  Candidates are regenerated per step
-        (the front is tiny); the winner triples carry ``eidx=None``
+        scored interchangeably.  The candidate list comes from the
+        device's per-home-tuple memo (:meth:`VectorDevice.
+        narrow_candidates`); the winner triples carry ``eidx=None``
         since the kernel's delta buffers were not involved.  The size of
         the candidate list is left in :attr:`scalar_candidates` for the
         router profiler.
         """
         buf = self.buf
         n = self.device.n
-        neighbors = self.neighbors
-        config = self.config
         fpairs = self._front_pairs[row]
         epairs = self._ext_pairs[row]
-        pfd = self._pfd[row]
-        ped = self._ped[row]
-        homes = set()
-        for a, b in fpairs:
-            homes.add(l2p[a])
-            homes.add(l2p[b])
-        cand = sorted(
-            {
-                (p, nb) if p < nb else (nb, p)
-                for p in homes
-                for nb in neighbors[p]
-            }
-        )
+        pf = self._pf[row]
+        pe = self._pe[row]
+        if len(fpairs) == 1:
+            a, b = fpairs[0]
+            homes = (l2p[a], l2p[b])
+        else:
+            homes = tuple([l2p[q] for pair in fpairs for q in pair])
+        cand = self.device.narrow_candidates(homes)
         self.scalar_candidates = len(cand)
         sum_f = 0.0
         for a, b in fpairs:
@@ -1448,17 +1529,15 @@ class VectorBlock:
             dvl = decay_values.tolist()
         best_score = float("inf")
         best: List[Tuple[int, int, None]] = []
-        for pa, pb in cand:
+        for pa, pb, row_a, row_b in cand:
             qa = p2l[pa]
             qb = p2l[pb]
-            row_a = pa * n
-            row_b = pb * n
             delta = 0.0
-            other = pfd.get(qa, -1)
+            other = pf[qa]
             if other >= 0 and other != qb:
                 po = l2p[other]
                 delta += buf[row_b + po] - buf[row_a + po]
-            other = pfd.get(qb, -1)
+            other = pf[qb]
             if other >= 0 and other != qa:
                 po = l2p[other]
                 delta += buf[row_a + po] - buf[row_b + po]
@@ -1467,8 +1546,8 @@ class VectorBlock:
             else:
                 score = (sum_f + delta) / len_f
                 if len_e:
-                    pe_a = ped.get(qa, _NO_PARTNERS)
-                    pe_b = ped.get(qb, _NO_PARTNERS)
+                    pe_a = pe[qa]
+                    pe_b = pe[qb]
                     if pe_a or pe_b:
                         delta = 0.0
                         for other in pe_a:

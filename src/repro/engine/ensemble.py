@@ -239,8 +239,7 @@ def ensemble_layout_search(
                 )
     K = len(seeds)
     block = VectorBlock(
-        router._vdev, router.neighbors, router.config, router._buf_list,
-        rows=K,
+        router._vdev, router.config, router._buf_list, rows=K
     )
     config = router.config
     # Per-trial state threaded across traversal phases.
@@ -252,10 +251,20 @@ def ensemble_layout_search(
     # it emits its circuit directly; longer sweeps run every traversal
     # in no-emission search mode and replay only the winners below.
     emitting = num_traversals == 1
+    # One look-ahead memo per IR direction, shared by all K trials'
+    # frontiers: the trials revisit each other's fronts, and a front's
+    # extended set does not depend on the trial.
+    forward_memo: dict = {}
+    reverse_memo: dict = {}
     frontiers = {
-        "forward": [FrontierState(forward_ir) for _ in range(K)],
+        "forward": [
+            FrontierState(forward_ir, ext_memo=forward_memo) for _ in range(K)
+        ],
         "reverse": (
-            [FrontierState(reverse_ir) for _ in range(K)]
+            [
+                FrontierState(reverse_ir, ext_memo=reverse_memo)
+                for _ in range(K)
+            ]
             if reverse_ir is not None
             else []
         ),

@@ -193,6 +193,44 @@ class TestFrontierReset:
         frontier.reset()
         assert trace(frontier) == first
 
+    def test_extended_pairs_memo_matches_walks_across_resets(self):
+        """Random executions over two resets: every memoised look-ahead
+        answer equals a fresh walk, and later passes hit the memo."""
+        circ = random_circuit(7, 120, seed=3, two_qubit_fraction=0.7)
+        ir = FlatDag.from_circuit(circ)
+        frontier = FrontierState(ir)
+        walks = 0
+        for pass_seed in (0, 0, 1):
+            frontier.reset()
+            rng = random.Random(pass_seed)
+            while not frontier.done:
+                frontier.drain_nonrouting()
+                front = frontier.front_list()
+                if not front:
+                    break
+                served = frontier.extended_pairs(6)
+                fresh = tuple(ir.pairs[i] for i in frontier.extended_nodes(6))
+                assert served == fresh
+                frontier.execute_front_gate(rng.choice(front))
+            if pass_seed == 0 and not walks:
+                walks = len(frontier.ext_memo[6])
+        assert len(frontier.ext_memo[6]) > walks > 0
+
+    def test_extended_pairs_unmemoised_with_pending_nonrouting(self):
+        """Ready 1q gates make the executed set more than a function of
+        the front, so the walk runs without touching the memo."""
+        circ = QuantumCircuit(3)
+        circ.cx(0, 1)
+        circ.h(2)
+        circ.cx(1, 2)
+        frontier = FrontierState(FlatDag.from_circuit(circ))
+        # The pending h(2) still blocks cx(1, 2) from the look-ahead.
+        assert frontier.extended_pairs(5) == ()
+        assert frontier.ext_memo == {}
+        frontier.drain_nonrouting()
+        assert frontier.extended_pairs(5) == ((1, 2),)
+        assert frontier.ext_memo == {5: {0: ((1, 2),)}}
+
     def test_double_execute_rejected(self):
         circ = QuantumCircuit(2)
         circ.cx(0, 1)

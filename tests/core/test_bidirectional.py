@@ -148,3 +148,33 @@ class TestSearchMode:
         assert calls["replay"] == 1
         routed = result.routing
         assert calls["remap"] == routed.circuit.num_gates - routed.num_swaps
+
+
+class TestLookaheadMemo:
+    def test_each_narrow_front_walked_once_per_search(self, monkeypatch):
+        """The restarts of one ``paper_default`` layout search revisit
+        the same fronts; each distinct narrow front's extended set is
+        walked exactly once per search, not once per traversal."""
+        from collections import Counter
+
+        from repro.bench_circuits import build_benchmark
+        from repro.circuits.flatdag import FrontierState
+        from repro.core import compile_circuit
+        from repro.hardware import ibm_q20_tokyo
+
+        walks = Counter()
+        original = FrontierState.extended_nodes
+
+        def counted(self, size):
+            front = tuple(self.front_list())
+            if len(front) <= 4:
+                walks[(id(self.dag), front)] += 1
+            return original(self, size)
+
+        monkeypatch.setattr(FrontierState, "extended_nodes", counted)
+        result = compile_circuit(
+            build_benchmark("rd84_142"), ibm_q20_tokyo(), seed=0
+        )
+        assert result.num_swaps > 0
+        assert len(walks) > 100
+        assert max(walks.values()) == 1

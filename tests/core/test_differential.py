@@ -441,3 +441,153 @@ class TestScorerSelection:
             line5, config=HeuristicConfig(scorer="fast"), distance=asym
         )
         assert router.scorer == "reference"
+
+
+@pytest.fixture
+def memo_audit(monkeypatch):
+    """Check every memoised look-ahead set and narrow candidate list
+    against a fresh computation at the moment it is served."""
+    from repro.circuits.flatdag import FrontierState
+    from repro.core.scoring import VectorDevice
+
+    audit = {"refreshes": 0, "hits": 0, "memos": {}, "frontiers": {}}
+    pairs_of = FrontierState.extended_pairs
+    cands_of = VectorDevice.narrow_candidates
+
+    def memo_entries(frontier):
+        return sum(len(memo) for memo in frontier.ext_memo.values())
+
+    def checked_pairs(self, size):
+        audit["refreshes"] += 1
+        audit["memos"].setdefault(id(self.dag), set()).add(id(self.ext_memo))
+        audit["frontiers"].setdefault(id(self.dag), set()).add(id(self))
+        entries = memo_entries(self)
+        served = pairs_of(self, size)
+        audit["hits"] += memo_entries(self) == entries
+        fresh = tuple(self.dag.pairs[i] for i in self.extended_nodes(size))
+        assert served == fresh
+        return served
+
+    def checked_cands(self, homes):
+        served = cands_of(self, homes)
+        fresh = sorted(
+            {
+                (p, nb) if p < nb else (nb, p)
+                for p in homes
+                for nb in self.neighbors[p]
+            }
+        )
+        assert [(pa, pb) for pa, pb, _, _ in served] == fresh
+        assert all(
+            ra == pa * self.n and rb == pb * self.n
+            for pa, pb, ra, rb in served
+        )
+        return served
+
+    monkeypatch.setattr(FrontierState, "extended_pairs", checked_pairs)
+    monkeypatch.setattr(VectorDevice, "narrow_candidates", checked_cands)
+    return audit
+
+
+class TestLookaheadMemo:
+    """The vector router's front-keyed look-ahead memo (one per layout
+    search and IR direction) must serve exactly the extended set a
+    fresh walk finds at every refresh, and routing must stay
+    byte-identical to the unmemoised ``fast`` scorer."""
+
+    @staticmethod
+    def _search(device, circuit, scorer, stall_limit=None, **kwargs):
+        searcher = SabreLayout(
+            device,
+            config=HeuristicConfig(scorer=scorer),
+            num_traversals=3,
+            num_trials=5,
+            seed=0,
+            **kwargs,
+        )
+        if stall_limit is not None:
+            searcher.router.stall_limit = stall_limit
+        return searcher.run(circuit)
+
+    def _assert_search_identical(self, device, circuit, **kwargs):
+        vector = self._search(device, circuit, "vector", **kwargs)
+        fast = self._search(device, circuit, "fast", **kwargs)
+        assert vector.routing.circuit == fast.routing.circuit
+        assert vector.routing.swap_positions == fast.routing.swap_positions
+        assert vector.trials == fast.trials
+        return vector
+
+    def test_directive_circuit(self, memo_audit):
+        """Measures, barriers and resets are drained before every
+        refresh, so the memo still keys on the front alone."""
+        self._assert_search_identical(grid_device(3, 3), _directive_circuit())
+        assert memo_audit["hits"] > 0
+        assert memo_audit["refreshes"] > memo_audit["hits"]
+
+    def test_escape_hatch(self, memo_audit):
+        """Escape-hatch SWAPs re-request the same front's look-ahead."""
+        result = self._assert_search_identical(
+            ring_device(8),
+            random_circuit(8, 80, seed=0, two_qubit_fraction=1.0),
+            stall_limit=2,
+        )
+        assert result.routing.num_forced_escapes > 0
+        assert memo_audit["hits"] > 0
+
+    def test_route_reset_route_warm_memo(self, tokyo, memo_audit):
+        """A reset frontier keeps its memo; the second traversal over
+        it, served largely from the memo, matches a fresh frontier's."""
+        from repro.circuits.flatdag import FlatDag, FrontierState
+
+        circuit = random_circuit(16, 160, seed=4, two_qubit_fraction=0.8)
+        ir = FlatDag.from_circuit(circuit)
+        router = SabreRouter(tokyo, config=HeuristicConfig(scorer="vector"))
+        oracle = SabreRouter(tokyo, config=HeuristicConfig(scorer="fast"))
+        frontier = FrontierState(ir)
+        for layout_seed in (1, 1, 2):
+            layout = Layout.random(tokyo.num_qubits, seed=layout_seed)
+            hits = memo_audit["hits"]
+            warm = router.run(
+                ir, initial_layout=layout, seed=3, frontier=frontier
+            )
+            expected = oracle.run(ir, initial_layout=layout, seed=3)
+            assert warm.circuit == expected.circuit
+            assert warm.swap_positions == expected.swap_positions
+            assert warm.final_layout == expected.final_layout
+        assert memo_audit["hits"] > hits
+        assert len(frontier.ext_memo) > 0
+
+    def test_ensemble_shares_one_memo_per_direction(self, memo_audit):
+        """All K trials' frontiers over one IR share a single memo."""
+        device = grid_device(4, 4)
+        circuit = random_circuit(16, 150, seed=23, two_qubit_fraction=0.8)
+        seeds = [5, 6, 7]
+        outcomes = {
+            executor: run_trials(
+                circuit,
+                device,
+                seeds=seeds,
+                config=HeuristicConfig(scorer=scorer),
+                num_traversals=3,
+                executor=executor,
+            )
+            for scorer, executor in (("vector", "ensemble"), ("fast", "serial"))
+        }
+        ens, ser = outcomes["ensemble"], outcomes["serial"]
+        assert ens.trial_swaps == ser.trial_swaps
+        for a, b in zip(ens.trials, ser.trials):
+            assert a.result.routing.circuit == b.result.routing.circuit
+        assert len(memo_audit["memos"]) == 2  # forward + reverse IR
+        for dag_id, memos in memo_audit["memos"].items():
+            assert len(memos) == 1
+            assert len(memo_audit["frontiers"][dag_id]) == len(seeds)
+        assert memo_audit["hits"] > 0
+
+    def test_two_devices_in_one_process(self, tokyo, memo_audit):
+        """Candidate memos are per device: routing on two 20-qubit
+        devices, interleaved, matches each device's oracle."""
+        grid = grid_device(4, 5)
+        circuit = random_circuit(20, 150, seed=8, two_qubit_fraction=0.8)
+        for device in (tokyo, grid, tokyo, grid):
+            self._assert_search_identical(device, circuit)
+        assert memo_audit["hits"] > 0

@@ -165,3 +165,43 @@ class TestIncrementalCandidates:
             grid3x3, circuit, layout, HeuristicConfig()
         )
         assert state.candidates() == router._swap_candidates(frontier, layout)
+
+
+class TestNarrowCandidateMemo:
+    def _device(self, coupling):
+        from repro.core.scoring import VectorDevice
+
+        flat = FlatDistance.from_matrix(distance_matrix(coupling))
+        neighbors = [coupling.neighbors(q) for q in range(coupling.num_qubits)]
+        return VectorDevice(flat, neighbors), neighbors
+
+    def test_matches_fresh_candidates_per_device(self, tokyo):
+        """Same home tuple, two 20-qubit devices: each device answers
+        from its own adjacency."""
+        grid = grid_device(4, 5)
+        rng = random.Random(2)
+        devices = [self._device(tokyo), self._device(grid)]
+        for _ in range(200):
+            homes = tuple(rng.sample(range(20), rng.choice((2, 4))))
+            for vdev, neighbors in devices:
+                fresh = sorted(
+                    {
+                        (p, nb) if p < nb else (nb, p)
+                        for p in homes
+                        for nb in neighbors[p]
+                    }
+                )
+                for _ in range(2):  # cold, then memoised
+                    served = vdev.narrow_candidates(homes)
+                    assert served == [
+                        (pa, pb, pa * 20, pb * 20) for pa, pb in fresh
+                    ]
+
+    def test_memo_size_is_bounded(self, tokyo, monkeypatch):
+        import repro.core.scoring as scoring
+
+        monkeypatch.setattr(scoring, "_CAND_MEMO_MAX", 8)
+        vdev, _ = self._device(tokyo)
+        for pa in range(20):
+            vdev.narrow_candidates((pa, (pa + 1) % 20))
+            assert len(vdev.cand_memo) <= 8

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import sys
 
 import pytest
 
@@ -289,3 +290,85 @@ class TestServeAndSubmit:
         )
         assert code == 1
         assert "submit failed" in capsys.readouterr().err
+
+
+def _descendants(pid):
+    """Live descendant PIDs of ``pid``, from ``/proc`` (Linux only)."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Field 4 (ppid) follows the parenthesised command name.
+        parents[int(entry)] = int(stat.rsplit(")", 1)[1].split()[1])
+    found, frontier = set(), {pid}
+    while frontier:
+        frontier = {c for c, p in parents.items() if p in frontier} - found
+        found |= frontier
+    return {p for p in found if _alive(p)}
+
+
+def _alive(pid):
+    """True while ``pid`` runs (an unreaped zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc"
+)
+def test_serve_sigterm_stops_process_workers(tmp_path):
+    """SIGTERM drains a ``--execution process`` server like Ctrl-C: the
+    server exits and none of its worker processes outlive it."""
+    import signal
+    import subprocess
+    import time
+
+    from repro.service.client import ServiceClient, find_free_port
+
+    port = find_free_port()
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--port", str(port), "--workers", "2",
+            "--execution", "process",
+            "--store-dir", str(tmp_path / "store"),
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    children = set()
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{port}", timeout=60)
+        client.wait_until_healthy(timeout=30)
+        qasm = (
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
+            "cx q[0],q[1];\ncx q[1],q[2];\ncx q[0],q[2];\n"
+        )
+        assert client.compile(qasm)["state"] == "done"
+        children = _descendants(process.pid)
+        assert children, "the process tier should have started a worker"
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=30) == 0
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and any(map(_alive, children)):
+            time.sleep(0.05)
+        survivors = [pid for pid in children if _alive(pid)]
+        assert survivors == []
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10)
+        for pid in children:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
