@@ -68,8 +68,15 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 import pytest
 
-from repro.bench_circuits import approximate_qft, ising_model, mct_ladder, qft
+from repro.bench_circuits import (
+    approximate_qft,
+    build_benchmark,
+    ising_model,
+    mct_ladder,
+    qft,
+)
 from repro.circuits import QuantumCircuit, random_circuit
+from repro.circuits.decompositions import decompose_to_cx_basis
 from repro.core import (
     HeuristicConfig,
     Layout,
@@ -195,11 +202,18 @@ FULL_LAYOUT_CASES = [
     LayoutCase("layout_rand600_tokyo", ibm_q20_tokyo, _rand(20, 600)),
 ]
 
-#: Layout smoke cases: one structured, one stress, both sub-second.
+#: Layout smoke cases: one structured, one stress, and one Table II
+#: reversible-logic row whose gates are mostly single-qubit (the share
+#: the layout search's folded frontier skips), all seconds-long.
 SMOKE_LAYOUT_CASES = [
     LayoutCase("layout_qft16_tokyo", ibm_q20_tokyo, lambda: qft(16)),
     LayoutCase(
         "layout_ising20x8_tokyo", ibm_q20_tokyo, lambda: ising_model(20, 8)
+    ),
+    LayoutCase(
+        "layout_sym6_145_tokyo",
+        ibm_q20_tokyo,
+        lambda: decompose_to_cx_basis(build_benchmark("sym6_145")),
     ),
 ]
 

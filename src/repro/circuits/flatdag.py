@@ -30,38 +30,51 @@ This module is the amortised alternative:
   extended set walks preallocated int lists (epoch-stamped visited
   marks, a flat ring queue) instead of building a dict and deque per
   call, and the sorted front layer is maintained incrementally instead
-  of re-sorted.
+  of re-sorted.  A *folded* frontier (the layout search's) executes
+  only multi-qubit nodes and carries each single-qubit chain along
+  with the node before it (:meth:`FlatDag.folded`).
 
 Equivalence with the object DAG is a test invariant: structure matches
-:class:`~repro.circuits.dag.CircuitDag` node-for-node, and the frontier
-replays :class:`~repro.circuits.dag.DagFrontier` decision-for-decision
-(same front layers, same extended-set order), which is what keeps
-routed circuits byte-identical to the per-run-lowering code path.
+:class:`~repro.circuits.dag.CircuitDag` node-for-node, and the unfolded
+frontier replays :class:`~repro.circuits.dag.DagFrontier`
+decision-for-decision (same front layers, same extended-set order),
+which is what keeps routed circuits byte-identical to the
+per-run-lowering code path.  The folded frontier matches it at every
+look-ahead refresh (same front, same extended set).
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, insort
-from typing import List, Optional, Set, Tuple
+from typing import List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.depth import _DIRECTIVE_NAMES as _DEPTH_SKIP
 from repro.exceptions import CircuitError
 
-#: Below this many gates a ready batch is executed with the scalar
-#: per-gate loop even when numpy is in play — same results either way
-#: (the bulk path reproduces the scalar decrement/release order), the
-#: threshold only dodges array-dispatch overhead on narrow fronts.
-_BULK_MIN_GATES = 8
 
+class FoldedTables(NamedTuple):
+    """The tables of a folded :class:`FrontierState`, built by
+    :meth:`FlatDag.folded`; entries of single-qubit nodes are unused.
 
-def _intc_view(buf: array) -> np.ndarray:
-    """Zero-copy numpy view of an ``array('i')`` (empty-safe)."""
-    if not len(buf):
-        return np.zeros(0, dtype=np.intc)
-    return np.frombuffer(buf, dtype=np.intc)
+    ``succs``: per node, the successors reached directly or through a
+    single-qubit chain, one entry per path.  ``fill``: initial remaining
+    counts (full-DAG predecessors, root chains excluded).  ``roots``:
+    multi-qubit nodes whose count starts at zero.  ``total``: how many
+    multi-qubit nodes there are.  ``tails``: per node and operand, the
+    depth-counted gates of the chain after it.  ``root_depth``: the
+    same for each logical qubit's root chain.
+    """
+
+    succs: Tuple[Tuple[int, ...], ...]
+    fill: List[int]
+    roots: Tuple[int, ...]
+    total: int
+    tails: Tuple[Tuple[int, ...], ...]
+    root_depth: Tuple[int, ...]
 
 
 class FlatDag:
@@ -121,11 +134,9 @@ class FlatDag:
         "routable",
         "qubit_a_np",
         "qubit_b_np",
-        "succ_off_np",
-        "succ_np",
-        "_indegree_arr",
         "_zero_bytes",
         "_zero_ints",
+        "_fold",
     )
 
     def __init__(self, circuit: QuantumCircuit) -> None:
@@ -203,22 +214,73 @@ class FlatDag:
         self.pred_off = pred_off
         self.pred = array("i", [p for lst in pred_lists for p in lst])
 
-        # Numpy mirrors for the router's batched paths: per-node operand
-        # arrays drive the vectorised ready scan, the CSR successor
-        # views (``succ_np`` zero-copy over the array('i') storage,
-        # offsets widened to intp for index arithmetic) drive the bulk
-        # pred-count decrement.  Shared read-only like everything else
-        # on a FlatDag.
+        # Numpy operand mirrors for the vector scorer's wide-front
+        # tables.  Shared read-only like everything else on a FlatDag.
         self.qubit_a_np = np.array(qubit_a, dtype=np.intp)
         self.qubit_b_np = np.array(qubit_b, dtype=np.intp)
-        self.succ_off_np = _intc_view(self.succ_off).astype(np.intp)
-        self.succ_np = _intc_view(self.succ)
-        self._indegree_arr = array("i", indegree)
 
         # Shared zero-fill sources for O(n) frontier resets: slice
         # assignment from these never allocates per reset.
         self._zero_bytes = bytes(num_nodes)
         self._zero_ints = [0] * num_nodes
+        self._fold: Optional[FoldedTables] = None
+
+    def __getstate__(self):
+        # The folded tables are a per-process cache, rebuilt on first
+        # search: keep them out of what pickles to pool workers.
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_fold"] = None
+        return None, state
+
+    def folded(self) -> FoldedTables:
+        """The folded frontier's tables, built on first call and shared
+        (racing first calls build equal tables; either one is kept).
+
+        Multi-qubit nodes (two-qubit gates and barriers) are the only
+        nodes a folded frontier executes; every single-qubit gate,
+        ``measure`` included, is folded into the node heading its wire's
+        chain, or into its wire's root chain.
+        """
+        if self._fold is not None:
+            return self._fold
+        n = self.num_nodes
+        pairs = self.pairs
+        succs = self.succs
+        multi = [len(qs) >= 2 for qs in pairs]
+        # ``end[i]``: the multi-qubit node a dependency on ``i`` resolves
+        # to (``i`` itself, or the node ending its single-qubit chain; -1
+        # at the wire's end); ``depth[i]``: depth-counted gates from a
+        # single-qubit ``i`` to the end of its chain.
+        end = [i if multi[i] else -1 for i in range(n)]
+        depth = [0] * n
+        for i in range(n - 1, -1, -1):
+            if not multi[i]:
+                depth[i] = int(self.gates[i].name not in _DEPTH_SKIP)
+                for s in succs[i]:  # a 1q gate has at most one
+                    end[i] = end[s]
+                    depth[i] += depth[s]
+        fill = list(self.indegree)
+        root_depth = [0] * self.num_qubits
+        fsuccs: List[Tuple[int, ...]] = [()] * n
+        tails: List[Tuple[int, ...]] = [()] * n
+        interned: dict = {}
+        for i in range(n):
+            if multi[i]:
+                out = tuple([end[s] for s in succs[i] if end[s] >= 0])
+                fsuccs[i] = succs[i] if out == succs[i] else out
+                on_wire = {pairs[s][0]: depth[s] for s in succs[i] if depth[s]}
+                tail = tuple([on_wire.get(q, 0) for q in pairs[i]])
+                tails[i] = interned.setdefault(tail, tail)
+            elif not fill[i]:  # the head of a root chain
+                root_depth[pairs[i][0]] = depth[i]
+                if end[i] >= 0:
+                    fill[end[i]] -= 1
+        roots = tuple(i for i in range(n) if multi[i] and not fill[i])
+        self._fold = FoldedTables(
+            tuple(fsuccs), fill, roots, sum(multi), tuple(tails),
+            tuple(root_depth),
+        )
+        return self._fold
 
     @classmethod
     def from_circuit(cls, circuit: QuantumCircuit) -> "FlatDag":
@@ -248,9 +310,10 @@ class FlatDag:
 class FrontierState:
     """Resettable execution state over a shared :class:`FlatDag`.
 
-    Behaviourally identical to :class:`~repro.circuits.dag.DagFrontier`
-    (the equivalence suite replays random traces on both), with four
-    structural differences that matter at scale:
+    Unfolded (the default), it is behaviourally identical to
+    :class:`~repro.circuits.dag.DagFrontier` (the equivalence suite
+    replays random traces on both), with four structural differences
+    that matter at scale:
 
     - **Reset, don't reallocate.**  All buffers are sized once in the
       constructor; :meth:`reset` refills them by slice assignment from
@@ -271,12 +334,22 @@ class FrontierState:
       :meth:`extended_pairs` memoises the walk by front in
       :attr:`ext_memo`, which outlives :meth:`reset`: a layout search's
       restarts revisit the same fronts again and again.
+
+    **Folded** (``folded=True``; search mode only, as it emits no
+    single-qubit gate), it executes only multi-qubit nodes, each with
+    the single-qubit chains after it (:attr:`fold` holds the depth they
+    add), so :meth:`drain_nonrouting` returns only barriers.  Counts in
+    ``remaining`` equal an unfolded frontier's after each drain, so the
+    full-DAG :meth:`extended_nodes` walk serves the same look-ahead set
+    in the same order under the same memo keys.
     """
 
     __slots__ = (
         "dag",
+        "fold",
+        "_succs",
+        "_total",
         "remaining",
-        "_remaining_np",
         "executed",
         "front",
         "_front_sorted",
@@ -292,15 +365,19 @@ class FrontierState:
         "ext_memo",
     )
 
-    def __init__(self, dag: FlatDag, ext_memo: Optional[dict] = None) -> None:
+    def __init__(
+        self,
+        dag: FlatDag,
+        ext_memo: Optional[dict] = None,
+        folded: bool = False,
+    ) -> None:
         self.dag = dag
         n = dag.num_nodes
-        # ``remaining`` lives in an array('i') so the bulk execute path
-        # can decrement through ``_remaining_np`` — a zero-copy numpy
-        # view of the *same* memory (no sync step; scalar and bulk
-        # writes see each other immediately).
-        self.remaining = array("i", dag.indegree)
-        self._remaining_np = _intc_view(self.remaining)
+        #: The folded tables, or None for an unfolded frontier.
+        self.fold: Optional[FoldedTables] = dag.folded() if folded else None
+        self._succs = self.fold.succs if folded else dag.succs
+        self._total = self.fold.total if folded else n
+        self.remaining = list(self.fold.fill if folded else dag.indegree)
         self.executed = bytearray(n)
         self.front: Set[int] = set()
         self._front_sorted: List[int] = []
@@ -329,7 +406,8 @@ class FrontierState:
         fresh frontiers (a property test pins this down).
         """
         dag = self.dag
-        self.remaining[:] = dag._indegree_arr
+        fold = self.fold
+        self.remaining[:] = dag.indegree if fold is None else fold.fill
         self.executed[:] = dag._zero_bytes
         self.front.clear()
         self._front_sorted.clear()
@@ -342,7 +420,7 @@ class FrontierState:
         self._seed_roots()
 
     def _seed_roots(self) -> None:
-        for index in self.dag.roots:
+        for index in self.dag.roots if self.fold is None else self.fold.roots:
             self._classify(index)
 
     def _classify(self, index: int) -> None:
@@ -358,8 +436,9 @@ class FrontierState:
 
     @property
     def done(self) -> bool:
-        """True when every gate has been executed."""
-        return self.num_executed == self.dag.num_nodes
+        """True when every gate (folded: every multi-qubit node) has
+        been executed."""
+        return self.num_executed == self._total
 
     def drain_front_log(self) -> List[int]:
         """Return (and forget) front insertions since the last drain.
@@ -371,11 +450,9 @@ class FrontierState:
         whole front every iteration is redundant.
         """
         log = self.front_log
-        if not log:
-            return log
-        drained = log[:]
-        log.clear()
-        return drained
+        if log:
+            self.front_log = []
+        return log
 
     def front_list(self) -> List[int]:
         """The front layer, ascending — cached, never re-sorted.
@@ -406,13 +483,9 @@ class FrontierState:
 
     def execute_front_gate(self, index: int) -> None:
         """Execute a two-qubit gate currently in the front layer."""
-        front = self.front
-        if index not in front:
+        if index not in self.front:
             raise CircuitError(f"node {index} is not in the front layer")
-        front.remove(index)
-        fs = self._front_sorted
-        del fs[bisect_left(fs, index)]
-        self._execute(index)
+        self.execute_front_batch([index])
 
     def execute_front_batch(self, indices: List[int]) -> None:
         """Execute several front-layer gates (router inner loop).
@@ -420,60 +493,26 @@ class FrontierState:
         ``indices`` must be ascending and all currently in the front —
         exactly what the router's ready scan produces (it filters
         :meth:`front_list`), so the per-gate membership bookkeeping of
-        :meth:`execute_front_gate` is hoisted out of the hot path.
-
-        Wide batches take the bulk numpy path: one gather over the CSR
-        successor arrays, one ``np.subtract.at`` pred-count decrement,
-        and released nodes classified in the exact order the scalar
-        loop would have (a node releases when its count hits zero, i.e.
-        at its *last* occurrence in the batch's successor stream).
+        :meth:`execute_front_gate` is hoisted out of the hot path, and
+        so is :meth:`_execute`'s body (nearly every batch is one gate).
         """
         front = self.front
         fs = self._front_sorted
-        if len(indices) >= _BULK_MIN_GATES:
-            executed = self.executed
-            for index in indices:
-                front.remove(index)
-                if executed[index]:
-                    raise CircuitError(f"node {index} already executed")
-                executed[index] = 1
-            if len(indices) == len(fs):
-                fs.clear()
-            else:
-                dropped = set(indices)
-                fs[:] = [x for x in fs if x not in dropped]
-            self.num_executed += len(indices)
-            dag = self.dag
-            off = dag.succ_off_np
-            idx = np.fromiter(indices, dtype=np.intp, count=len(indices))
-            starts = off[idx]
-            counts = off[idx + 1] - starts
-            total = int(counts.sum())
-            if not total:
-                return
-            # CSR expansion of the batch's successor stream (gate order,
-            # ascending successors within a gate — the scalar order).
-            reps = np.repeat(np.arange(len(idx)), counts)
-            shift = np.cumsum(counts) - counts
-            pos = np.arange(total) - shift[reps] + starts[reps]
-            sucs = dag.succ_np[pos]
-            rem = self._remaining_np
-            np.subtract.at(rem, sucs, 1)
-            rel = sucs[rem[sucs] == 0]
-            if len(rel):
-                # Dedup to last occurrence, keeping stream order: the
-                # scalar loop classifies a node at the decrement that
-                # zeroes its count, which is its last occurrence.
-                uniq, first_in_rev = np.unique(rel[::-1], return_index=True)
-                classify = self._classify
-                for s in uniq[np.argsort(-first_in_rev)].tolist():
-                    classify(s)
-            return
-        execute = self._execute
+        executed = self.executed
+        remaining = self.remaining
+        succs = self._succs
         for index in indices:
             front.remove(index)
             del fs[bisect_left(fs, index)]
-            execute(index)
+            if executed[index]:
+                raise CircuitError(f"node {index} already executed")
+            executed[index] = 1
+            for s in succs[index]:
+                r = remaining[s] - 1
+                remaining[s] = r
+                if r == 0:
+                    self._classify(s)
+        self.num_executed += len(indices)
 
     def _execute(self, index: int) -> None:
         if self.executed[index]:
@@ -481,7 +520,7 @@ class FrontierState:
         self.executed[index] = 1
         self.num_executed += 1
         remaining = self.remaining
-        for s in self.dag.succs[index]:
+        for s in self._succs[index]:
             r = remaining[s] - 1
             remaining[s] = r
             if r == 0:

@@ -48,6 +48,7 @@ from repro.circuits.depth import circuit_depth
 from repro.circuits.transforms import optimize_circuit
 from repro.circuits.visualization import draw_circuit, draw_coupling
 from repro.core.heuristic import HeuristicConfig
+from repro.exceptions import ReproError
 from repro.hardware.devices import DEVICE_BUILDERS, device_catalog, get_device
 from repro.hardware.noise import IBM_Q20_TOKYO_NOISE, NoiseModel
 from repro.pipeline import (
@@ -714,7 +715,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }[argv[0]]
         return module.main(argv[1:])
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ReproError, OSError) as exc:
+        # Bad input (malformed QASM, a missing file, a circuit too wide
+        # for the device) is the user's to fix: one line, and argparse's
+        # exit status for input errors, instead of a traceback.
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -140,8 +140,10 @@ class SabreLayout:
         traversal runs in search mode (:meth:`SabreRouter.search`): no
         routed circuit is built and no depth recomputed during the
         sweep, because :class:`~repro.core.router.SearchTrace` carries
-        the selection key.  Only the winning forward traversal is then
-        replayed into its circuit, byte-identical to emitting it live.
+        the selection key, and both frontiers are folded, so no
+        single-qubit gate is executed one by one until the replay.
+        Only the winning forward traversal is then replayed into its
+        circuit, byte-identical to emitting it live.
         A single traversal emits directly — within a trial there is
         nothing to choose between, and replaying costs more than it
         saves — and so do the ``fast`` and ``reference`` scorers, which
@@ -157,11 +159,11 @@ class SabreLayout:
         searching = self.num_traversals > 1 and router.scorer == "vector"
         route = router.search if searching else router.run
         forward_ir = get_flat_dag(circuit)
-        forward_frontier = FrontierState(forward_ir)
+        forward_frontier = FrontierState(forward_ir, folded=searching)
         reverse_ir = reverse_frontier = None
         if self.num_traversals > 1:
             reverse_ir = get_flat_dag(circuit, direction="reverse")
-            reverse_frontier = FrontierState(reverse_ir)
+            reverse_frontier = FrontierState(reverse_ir, folded=searching)
         best = BestForward()
         trials: List[TrialRecord] = []
         for trial in range(self.num_trials):
@@ -204,7 +206,7 @@ class SabreLayout:
                     final_swaps=result.num_swaps,
                 )
             )
-        return best.result(router, forward_ir, forward_frontier, trials)
+        return best.result(router, forward_ir, trials)
 
 
 class BestForward:
@@ -249,19 +251,20 @@ class BestForward:
         self,
         router: SabreRouter,
         forward_ir: FlatDag,
-        frontier: FrontierState,
         trials: List[TrialRecord],
     ) -> BidirectionalResult:
-        """The winner as a search result, replayed if it is a trace
-        (``frontier`` is a forward frontier over ``forward_ir``; it is
-        reset here)."""
+        """The winner as a search result, replayed if it is a trace.
+        The replay emits every single-qubit gate in its drain order, so
+        it runs on a fresh unfolded frontier over ``forward_ir``."""
         routing = self.best
         if routing is None:
             raise MappingError("no forward traversal was offered")
         if isinstance(routing, SearchTrace):
-            frontier.reset()
             routing = router._replay(
-                forward_ir, routing.initial_layout.copy(), frontier, routing
+                forward_ir,
+                routing.initial_layout.copy(),
+                FrontierState(forward_ir),
+                routing,
             )
         return BidirectionalResult(
             routing=routing,

@@ -40,7 +40,13 @@ variable, default ``vector``):
   (:meth:`SabreRouter.search`, :class:`SearchTrace`): every
   multi-traversal layout search, solo or ensemble, routes all its
   traversals that way and replays only the winning forward traversal
-  into a circuit (:meth:`SabreRouter._replay`).
+  into a circuit (:meth:`SabreRouter._replay`).  Search mode runs over
+  a *folded* frontier that executes two-qubit gates and barriers only
+  — SABRE's heuristic never looks at a single-qubit gate — and adds
+  each single-qubit chain to the depth counters as one precomputed
+  tail (:meth:`~repro.circuits.flatdag.FlatDag.folded`); the replay and
+  every emitting traversal keep the unfolded frontier, which emits
+  single-qubit gates in their drain order.
 - ``fast`` — the scalar flat-array delta scorer of
   :mod:`repro.core.scoring`: per-step base sums over ``F``/``E`` plus
   an ``O(deg)`` adjustment of only the terms touching the two swapped
@@ -75,7 +81,6 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.depth import _DIRECTIVE_NAMES as _DEPTH_SKIP
 from repro.circuits.depth import circuit_depth
 from repro.circuits.flatdag import FlatDag, FrontierState
 from repro.circuits.gates import Gate, remap_gate, swap_gate
@@ -489,7 +494,7 @@ class SabreRouter:
                 f"resolved to {self.scorer!r}"
             )
         ir, layout, rng, frontier = self._prepare(
-            circuit, initial_layout, seed, frontier
+            circuit, initial_layout, seed, frontier, folded=True
         )
         return self._drive_solo(ir, layout, rng, frontier, emitting=False)
 
@@ -499,9 +504,11 @@ class SabreRouter:
         initial_layout: Optional[Layout],
         seed: Optional[int],
         frontier: Optional[FrontierState],
+        folded: bool = False,
     ) -> Tuple[FlatDag, Layout, random.Random, FrontierState]:
         """Validate one traversal's inputs and build its private state:
-        the IR, a layout copy, the tie-break RNG, a reset frontier."""
+        the IR, a layout copy, the tie-break RNG, a reset frontier
+        (folded for search mode, unfolded for emitting traversals)."""
         ir = circuit if isinstance(circuit, FlatDag) else FlatDag.from_circuit(circuit)
         n_physical = self.coupling.num_qubits
         if ir.num_qubits > n_physical:
@@ -524,12 +531,18 @@ class SabreRouter:
             )
         rng = random.Random(self.seed if seed is None else seed)
         if frontier is None:
-            frontier = FrontierState(ir)
+            frontier = FrontierState(ir, folded=folded)
         else:
             if frontier.dag is not ir:
                 raise MappingError(
                     "frontier was built over a different circuit IR; "
                     "build one FrontierState per FlatDag and reuse it"
+                )
+            if (frontier.fold is not None) != folded:
+                raise MappingError(
+                    "search mode needs a folded frontier and emitting "
+                    "traversals an unfolded one; build it with "
+                    f"FrontierState(ir, folded={folded})"
                 )
             frontier.reset()
         return ir, layout, rng, frontier
@@ -620,6 +633,15 @@ class SabreRouter:
         SabreLayout`) and in the trial ensemble — and replays only the
         winning forward traversal (:meth:`_replay`) into a real,
         byte-identical circuit.
+
+        Search mode needs a folded ``frontier``, which never executes a
+        single-qubit gate: the depth mirror adds each logical qubit's
+        root chain once at the start and, whenever a node executes, the
+        depth tail of the chain after it on each of its wires, at the
+        physical wire the chain would have been emitted on (the layout
+        cannot change between a node and its chain, which the unfolded
+        frontier drains before the next SWAP).  ``flush`` then only
+        sees barriers, which take no depth step of their own.
         """
         initial = layout.copy()
         num_escapes = 0
@@ -725,7 +747,14 @@ class SabreRouter:
             # Search mode: per-wire ASAP counters stand in for the
             # circuit (``circuit_depth`` over the same gate stream),
             # and the decision record makes the traversal replayable.
+            # The frontier is folded: each executed node's single-qubit
+            # chains land on its wires as one depth tail apiece, and
+            # the root chains land once, here.
+            tails = frontier.fold.tails
             wire = [0] * self.coupling.num_qubits
+            for q, d in enumerate(frontier.fold.root_depth):
+                if d:
+                    wire[l2p[q]] += d
             rec: List[Tuple[int, int]] = []
             rec_push = rec.append
             escapes: List[Tuple[int, int]] = []
@@ -773,17 +802,11 @@ class SabreRouter:
                     check.append(g2)
 
             def flush() -> None:
+                # Only barriers drain here (no depth step of their own).
                 for index in drain_nonrouting():
-                    g = gates[index]
-                    if g.name in _DEPTH_SKIP:
-                        continue
-                    qs = g.qubits
-                    if len(qs) == 1:
-                        wire[l2p[qs[0]]] += 1
-                    elif qs:
-                        end = max(wire[l2p[q]] for q in qs) + 1
-                        for q in qs:
-                            wire[l2p[q]] = end
+                    for q, t in zip(pairs[index], tails[index]):
+                        if t:
+                            wire[l2p[q]] += t
 
         flush()
         frontier.track_front_log = True
@@ -827,8 +850,9 @@ class SabreRouter:
                         wa = wire[pa]
                         wb = wire[pb]
                         end = (wa if wa >= wb else wb) + 1
-                        wire[pa] = end
-                        wire[pb] = end
+                        ta, tb = tails[index]
+                        wire[pa] = end + ta
+                        wire[pb] = end + tb
                         del fgate[qa]
                         del fgate[qb]
                 flush()

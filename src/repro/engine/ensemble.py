@@ -253,16 +253,19 @@ def ensemble_layout_search(
     emitting = num_traversals == 1
     # One look-ahead memo per IR direction, shared by all K trials'
     # frontiers: the trials revisit each other's fronts, and a front's
-    # extended set does not depend on the trial.
+    # extended set does not depend on the trial.  Search-mode sweeps
+    # run on folded frontiers (two-qubit gates and barriers only).
     forward_memo: dict = {}
     reverse_memo: dict = {}
+    folded = not emitting
     frontiers = {
         "forward": [
-            FrontierState(forward_ir, ext_memo=forward_memo) for _ in range(K)
+            FrontierState(forward_ir, ext_memo=forward_memo, folded=folded)
+            for _ in range(K)
         ],
         "reverse": (
             [
-                FrontierState(reverse_ir, ext_memo=reverse_memo)
+                FrontierState(reverse_ir, ext_memo=reverse_memo, folded=folded)
                 for _ in range(K)
             ]
             if reverse_ir is not None
@@ -342,7 +345,6 @@ def ensemble_layout_search(
         best[t].result(
             router,
             forward_ir,
-            frontiers["forward"][t],
             [
                 TrialRecord(
                     seed=seeds[t],

@@ -238,3 +238,54 @@ class TestFrontierReset:
         frontier.execute_front_gate(0)
         with pytest.raises(CircuitError, match="not in the front layer"):
             frontier.execute_front_gate(0)
+
+
+def _fold_circuit() -> QuantumCircuit:
+    circ = QuantumCircuit(3, "fold", 3)
+    circ.h(0)  # 0: q0's root chain
+    circ.measure(0, 0)  # 1: q0's root chain, no depth step
+    circ.cx(0, 1)  # 2
+    circ.t(0)  # 3: the chain after 2 on q0
+    circ.cx(0, 1)  # 4: after 2 directly (q1) and through 3 (q0)
+    circ.x(2)  # 5: q2's root chain
+    circ.barrier(1, 2)  # 6
+    circ.h(2)  # 7: the chain after 6 on q2, ending the wire
+    circ.s(2)  # 8
+    return circ
+
+
+class TestFoldedTables:
+    def test_tables(self):
+        fold = FlatDag.from_circuit(_fold_circuit()).folded()
+        assert fold.succs[2] == (4, 4)  # one entry per dependency path
+        assert fold.succs[4] == (6,)
+        assert fold.succs[6] == ()
+        assert [fold.fill[i] for i in (2, 4, 6)] == [0, 2, 1]
+        assert fold.roots == (2,)
+        assert fold.total == 3
+        assert [fold.tails[i] for i in (2, 4, 6)] == [(1, 0), (0, 0), (0, 2)]
+        assert fold.root_depth == (1, 0, 1)
+
+    def test_folded_frontier_executes_multi_qubit_nodes_only(self):
+        ir = FlatDag.from_circuit(_fold_circuit())
+        frontier = FrontierState(ir, folded=True)
+        for _ in range(2):
+            assert frontier.drain_nonrouting() == []
+            assert frontier.front_list() == [2]
+            assert frontier.extended_nodes(5) == [4]
+            frontier.execute_front_batch([2])
+            assert frontier.front_list() == [4]
+            frontier.execute_front_batch([4])
+            assert frontier.drain_nonrouting() == [6]
+            assert frontier.done
+            assert list(frontier.executed) == [0, 0, 1, 0, 1, 0, 1, 0, 0]
+            frontier.reset()
+
+    def test_built_once_and_kept_out_of_pickles(self):
+        ir = FlatDag.from_circuit(_fold_circuit())
+        fold = ir.folded()
+        assert ir.folded() is fold
+        clone = pickle.loads(pickle.dumps(ir))
+        assert clone._fold is None
+        assert ir.folded() is fold
+        assert clone.folded() == fold

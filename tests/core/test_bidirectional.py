@@ -178,3 +178,59 @@ class TestLookaheadMemo:
         assert result.num_swaps > 0
         assert len(walks) > 100
         assert max(walks.values()) == 1
+
+
+class TestFoldedSearch:
+    def test_search_traversals_execute_no_single_qubit_node(
+        self, monkeypatch
+    ):
+        """Every search traversal of a ``paper_default`` layout search
+        runs on a folded frontier: single-qubit gates ride along with
+        the node heading their chain and are executed one by one only
+        in the final replay, which emits them."""
+        from collections import Counter
+
+        from repro.bench_circuits import build_benchmark
+        from repro.circuits.flatdag import FrontierState
+        from repro.core import SabreRouter, compile_circuit
+        from repro.hardware import ibm_q20_tokyo
+
+        phase = ["other"]
+        single = Counter()
+        calls = Counter()
+        execute = FrontierState._execute
+
+        def counted(self, index):
+            if len(self.dag.pairs[index]) == 1:
+                single[phase[0]] += 1
+            return execute(self, index)
+
+        def in_phase(name, fn):
+            def wrapper(*args, **kwargs):
+                phase[0] = name
+                calls[name] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phase[0] = "other"
+
+            return wrapper
+
+        monkeypatch.setattr(FrontierState, "_execute", counted)
+        monkeypatch.setattr(
+            SabreRouter, "search", in_phase("search", SabreRouter.search)
+        )
+        monkeypatch.setattr(
+            SabreRouter, "_replay", in_phase("replay", SabreRouter._replay)
+        )
+        result = compile_circuit(
+            build_benchmark("rd84_142"), ibm_q20_tokyo(), seed=0
+        )
+        singles = sum(
+            1 for gate in result.original_circuit if gate.num_qubits == 1
+        )
+        assert singles > 0
+        assert calls == {"search": 15, "replay": 1}
+        assert single["search"] == 0
+        assert single["replay"] == singles
+

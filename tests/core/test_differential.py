@@ -28,6 +28,7 @@ from repro.extensions.noise_aware import noise_weighted_distance
 from repro.hardware import (
     NoiseModel,
     grid_device,
+    ibm_q20_tokyo,
     line_device,
     ring_device,
 )
@@ -591,3 +592,150 @@ class TestLookaheadMemo:
         for device in (tokyo, grid, tokyo, grid):
             self._assert_search_identical(device, circuit)
         assert memo_audit["hits"] > 0
+
+
+def _fold_circuits(n):
+    """Circuits whose single-qubit structure the folded search frontier
+    must reproduce: single-qubit chains at the start, middle and end of
+    wires, mid-circuit measures and resets, 1-qubit, 2-qubit and
+    full-width barriers, plus the empty and 1q-only circuits."""
+    import random
+
+    from repro.circuits import Gate, QuantumCircuit
+
+    rng = random.Random(1414)
+    circuits = [
+        QuantumCircuit(n, "empty", n),
+        random_circuit(n, 40, seed=7, two_qubit_fraction=0.0),
+    ]
+    for k in range(4):
+        base = random_circuit(n, 70, seed=100 + k, two_qubit_fraction=0.35)
+        circuit = QuantumCircuit(n, f"folded{k}", n)
+        for gate in base.gates:
+            circuit.append(gate)
+            x = rng.random()
+            if x < 0.05:
+                circuit.barrier()
+            elif x < 0.10:
+                circuit.barrier(rng.randrange(n))
+            elif x < 0.13:
+                circuit.barrier(*rng.sample(range(n), 2))
+            elif x < 0.21:
+                q = rng.randrange(n)
+                circuit.measure(q, q)
+            elif x < 0.24:
+                circuit.append(Gate("reset", (rng.randrange(n),)))
+        circuits.append(circuit)
+    return circuits
+
+
+FOLD_DEVICES = {
+    "tokyo": ibm_q20_tokyo,
+    "grid": lambda: grid_device(3, 4),
+    "line": lambda: line_device(8),
+}
+
+
+class TestFoldedSearch:
+    """Search mode runs on a folded frontier (two-qubit gates and
+    barriers only; single-qubit chains ride along as depth tails).  Its
+    trace, replayed on an unfolded frontier, must equal the emitting
+    traversal byte for byte, and its depth must equal ``circuit_depth``
+    of that circuit."""
+
+    @pytest.mark.parametrize("stall_limit", [None, 2])
+    @pytest.mark.parametrize("device_name", sorted(FOLD_DEVICES))
+    def test_search_replay_equals_run(self, device_name, stall_limit):
+        from repro.circuits.depth import circuit_depth
+        from repro.circuits.flatdag import FlatDag, FrontierState
+
+        device = FOLD_DEVICES[device_name]()
+        router = SabreRouter(device, config=HeuristicConfig(scorer="vector"))
+        if stall_limit is not None:
+            router.stall_limit = stall_limit
+        escapes = 0
+        for circuit in _fold_circuits(min(device.num_qubits, 8)):
+            ir = FlatDag.from_circuit(circuit)
+            folded = FrontierState(ir, folded=True)
+            for layout_seed in (1, 2):
+                layout = Layout.random(device.num_qubits, seed=layout_seed)
+                trace = router.search(
+                    ir, initial_layout=layout, seed=3, frontier=folded
+                )
+                replayed = router._replay(
+                    ir, layout.copy(), FrontierState(ir), trace
+                )
+                emitted = router.run(ir, initial_layout=layout, seed=3)
+                assert replayed.circuit == emitted.circuit
+                assert replayed.swap_positions == emitted.swap_positions
+                assert replayed.final_layout == emitted.final_layout
+                assert trace.final_layout == emitted.final_layout
+                assert trace.num_swaps == emitted.num_swaps
+                assert trace.depth == circuit_depth(emitted.circuit)
+                escapes += trace.num_forced_escapes
+        if stall_limit is not None:
+            assert escapes > 0
+
+    def test_frontier_mode_must_match_traversal_mode(self, line5):
+        from repro.circuits.flatdag import FlatDag, FrontierState
+
+        router = SabreRouter(line5, config=HeuristicConfig(scorer="vector"))
+        ir = FlatDag.from_circuit(_fold_circuits(5)[2])
+        with pytest.raises(MappingError, match="folded"):
+            router.search(ir, frontier=FrontierState(ir))
+        with pytest.raises(MappingError, match="folded"):
+            router.run(ir, frontier=FrontierState(ir, folded=True))
+
+    @pytest.mark.parametrize("device_name", sorted(FOLD_DEVICES))
+    def test_ensemble_traces_replay_to_their_depth(
+        self, device_name, monkeypatch
+    ):
+        """A K=3 lockstep ensemble sweeps on folded frontiers: every
+        forward trace it ranks replays to a circuit of the traced depth,
+        and each trial's winner equals the emitting ``fast`` serial
+        trial's."""
+        from repro.circuits.depth import circuit_depth
+        from repro.circuits.flatdag import FrontierState
+        from repro.core.bidirectional import BestForward
+        from repro.core.router import SearchTrace
+        from repro.engine.cache import get_flat_dag
+
+        device = FOLD_DEVICES[device_name]()
+        offered = []
+        offer = BestForward.offer
+
+        def recording(self, candidate, trial=0):
+            offered.append(candidate)
+            return offer(self, candidate, trial)
+
+        monkeypatch.setattr(BestForward, "offer", recording)
+        seeds = [4, 5, 6]
+        router = SabreRouter(device, config=HeuristicConfig(scorer="vector"))
+        for circuit in _fold_circuits(min(device.num_qubits, 8)):
+            offered.clear()
+            outcomes = {
+                executor: run_trials(
+                    circuit,
+                    device,
+                    seeds=seeds,
+                    config=HeuristicConfig(scorer=scorer),
+                    num_traversals=3,
+                    executor=executor,
+                )
+                for scorer, executor in (
+                    ("vector", "ensemble"),
+                    ("fast", "serial"),
+                )
+            }
+            ens, ser = outcomes["ensemble"], outcomes["serial"]
+            assert ens.trial_swaps == ser.trial_swaps
+            for a, b in zip(ens.trials, ser.trials):
+                assert a.result.routing.circuit == b.result.routing.circuit
+            traces = [c for c in offered if isinstance(c, SearchTrace)]
+            assert len(traces) == 2 * len(seeds)
+            ir = get_flat_dag(circuit)
+            for trace in traces:
+                replayed = router._replay(
+                    ir, trace.initial_layout.copy(), FrontierState(ir), trace
+                )
+                assert trace.depth == circuit_depth(replayed.circuit)

@@ -215,6 +215,47 @@ class TestOtherCommands:
             main([])
 
 
+class TestBadInput:
+    """Bad input fails with one ``repro <cmd>: error:`` line on stderr
+    and exit status 2 (argparse's own input-error status), never with
+    a traceback."""
+
+    @staticmethod
+    def _assert_clean_error(capsys, code, command, fragment):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith(f"repro {command}: error: ")
+        assert fragment in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["map", "draw"])
+    def test_malformed_qasm(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.qasm"
+        path.write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncx q[0], q[5];\n'
+        )
+        code = main([command, str(path)])
+        self._assert_clean_error(
+            capsys, code, command, "index 5 out of range for qreg q[2]"
+        )
+
+    @pytest.mark.parametrize("command", ["map", "draw"])
+    def test_missing_input_file(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere.qasm")
+        code = main([command, missing])
+        self._assert_clean_error(capsys, code, command, "nowhere.qasm")
+
+    def test_circuit_wider_than_device(self, tmp_path, capsys):
+        path = tmp_path / "wide.qasm"
+        body = "".join(f"cx q[{i}], q[{i + 1}];\n" for i in range(24))
+        path.write_text(
+            'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[25];\n' + body
+        )
+        code = main(["map", str(path), "--device", "ibm_q20_tokyo"])
+        self._assert_clean_error(capsys, code, "map", "25")
+
+
 class TestDevicesCommand:
     def test_listing_columns(self, capsys):
         assert main(["devices"]) == 0
