@@ -3,9 +3,8 @@
 Three benchmark families, one report (``BENCH_router.json``):
 
 - **Scorer cases** — one routing traversal (``SabreRouter.run``) per
-  case under the batched numpy ``vector`` scorer and the scalar
-  ``fast`` delta scorer, each against the paper-literal ``reference``
-  scorer (the PR-2 win, still gated).
+  case under the production ``vector`` scorer against the
+  paper-literal ``reference`` scorer.
 - **Layout cases** — a full ``SabreLayout`` trial sweep (bidirectional
   traversals x random restarts, the way users actually compile) under
   the compile-once shared-IR path vs the frozen pre-IR baseline
@@ -18,8 +17,9 @@ Three benchmark families, one report (``BENCH_router.json``):
   (:func:`repro.engine.run_trials`) under the trial-major lockstep
   ensemble executor (``executor="ensemble"``, vector scorer) and the
   two-worker hybrid executor (sharded ensembles over the ship-once
-  pool) vs the serial executor with the ``fast`` scorer — K full
-  routing sweeps every way, same seeds, same winner.  This is the
+  pool) vs the serial executor, the production path for one trial at
+  a time (vector scorer) — K full routing sweeps every way, same
+  seeds, same winner.  This is the
   regime the batched kernel exists for: one kernel dispatch scores
   every stuck trial, so the dispatch cost amortises across the
   ensemble and the advantage grows with device size.  The hybrid
@@ -49,8 +49,9 @@ Three ways to run it:
 
 The regression gate compares *speedup ratios* (two code paths on the
 same machine, same process), not absolute wall-clock, so it is stable
-across runner hardware: a >25% drop in any case's speedup (scorer or
-layout) against the checked-in baseline fails the run.
+across runner hardware: a >25% drop in any layout or trials case's
+speedup, or a >35% drop in a scorer case's vector speedup, against the
+checked-in baseline fails the run.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ from repro.hardware import CouplingGraph, grid_device, ibm_q20_tokyo
 #: Allowed relative drop in a case's speedup before the gate fails.
 REGRESSION_TOLERANCE = 0.25
 
-#: The vector column gates with extra headroom: its smoke-sized cases
-#: sit near the numpy dispatch floor, where run-to-run noise on shared
-#: runners swings the ratio harder than the scalar comparisons.
+#: The scorer cases' vector column gates with extra headroom: its
+#: smoke-sized cases sit near the numpy dispatch floor, where
+#: run-to-run noise on shared runners swings the ratio harder than the
+#: end-to-end comparisons.
 VECTOR_REGRESSION_TOLERANCE = 0.35
 
 #: Layout seed shared by every case (fixed => deterministic swaps).
@@ -112,7 +114,7 @@ class Case:
     circuit_builder: Callable[[], QuantumCircuit]
     repeats: int
     #: Cases tagged deep form the "deep-circuit scaling bench" — the
-    #: regime the delta scorer exists for (large device, long circuit).
+    #: regime the delta scoring exists for (large device, long circuit).
     deep: bool = False
 
 
@@ -224,8 +226,8 @@ class TrialsCase:
 
     The ensemble runs all K seeded trials in lockstep through one
     K-row vector kernel; the serial side routes them one at a time
-    with the scalar ``fast`` scorer.  Same seeds, byte-identical
-    per-trial circuits, same winner.
+    with the same scorer.  Same seeds, byte-identical per-trial
+    circuits, same winner.
     """
 
     name: str
@@ -297,27 +299,21 @@ def _time_router(
 
 
 def run_case(case: Case) -> dict:
-    """Measure one case under all three scorers and check identity."""
+    """Measure one case under both scorers and check identity."""
     device = case.device_builder()
     circuit = case.circuit_builder()
     layout = Layout.random(device.num_qubits, seed=LAYOUT_SEED)
     ref_seconds, ref = _time_router(
         device, circuit, "reference", layout, case.repeats
     )
-    fast_seconds, fast = _time_router(
-        device, circuit, "fast", layout, case.repeats
-    )
     vector_seconds, vector = _time_router(
         device, circuit, "vector", layout, case.repeats
     )
-    assert ref is not None and fast is not None and vector is not None
+    assert ref is not None and vector is not None
     identical = (
-        fast.circuit == ref.circuit
-        and fast.swap_positions == ref.swap_positions
-        and fast.final_layout == ref.final_layout
-        and vector.circuit == fast.circuit
-        and vector.swap_positions == fast.swap_positions
-        and vector.final_layout == fast.final_layout
+        vector.circuit == ref.circuit
+        and vector.swap_positions == ref.swap_positions
+        and vector.final_layout == ref.final_layout
     )
     return {
         "name": case.name,
@@ -326,17 +322,15 @@ def run_case(case: Case) -> dict:
         "num_gates": circuit.num_gates,
         "deep": case.deep,
         "reference_seconds": round(ref_seconds, 6),
-        "fast_seconds": round(fast_seconds, 6),
         "vector_seconds": round(vector_seconds, 6),
-        "speedup": round(ref_seconds / fast_seconds, 3),
         "vector_speedup": round(ref_seconds / vector_seconds, 3),
-        "num_swaps": fast.num_swaps,
+        "num_swaps": vector.num_swaps,
         "identical": identical,
     }
 
 
 def run_trials_case(case: TrialsCase) -> dict:
-    """Measure one best-of-K sweep: ensemble and hybrid vs serial-fast.
+    """Measure one best-of-K sweep: ensemble and hybrid vs serial.
 
     The engine cache is cleared and re-warmed (one throwaway trial)
     before each timed run so both sides measure routing, not lowering.
@@ -346,12 +340,12 @@ def run_trials_case(case: TrialsCase) -> dict:
     seeds = list(range(101, 101 + case.num_trials))
     timings = {}
     outputs = {}
-    for label, scorer, executor, jobs in (
-        ("serial_fast", "fast", "serial", None),
-        ("ensemble", "vector", "ensemble", None),
-        ("hybrid", "vector", "hybrid", case.hybrid_jobs),
+    for label, executor, jobs in (
+        ("serial_vector", "serial", None),
+        ("ensemble", "ensemble", None),
+        ("hybrid", "hybrid", case.hybrid_jobs),
     ):
-        config = HeuristicConfig(scorer=scorer)
+        config = HeuristicConfig(scorer="vector")
         best = math.inf
         for _ in range(case.repeats):
             clear_cache()
@@ -375,7 +369,7 @@ def run_trials_case(case: TrialsCase) -> dict:
             )
             best = min(best, time.perf_counter() - start)
         timings[label] = best
-    ens, ser, hyb = outputs["ensemble"], outputs["serial_fast"], outputs["hybrid"]
+    ens, ser, hyb = outputs["ensemble"], outputs["serial_vector"], outputs["hybrid"]
     identical = (
         ens.trial_swaps == ser.trial_swaps
         and ens.winner_index == ser.winner_index
@@ -397,16 +391,16 @@ def run_trials_case(case: TrialsCase) -> dict:
         "num_gates": circuit.num_gates,
         "num_trials": case.num_trials,
         "num_traversals": case.num_traversals,
-        "serial_fast_seconds": round(timings["serial_fast"], 6),
+        "serial_vector_seconds": round(timings["serial_vector"], 6),
         "ensemble_seconds": round(timings["ensemble"], 6),
         "hybrid_seconds": round(timings["hybrid"], 6),
         "hybrid_jobs": case.hybrid_jobs,
         "hybrid_executor": hyb.executor,
-        "speedup": round(timings["serial_fast"] / timings["ensemble"], 3),
+        "speedup": round(timings["serial_vector"] / timings["ensemble"], 3),
         # Identity-checked but deliberately NOT named "speedup"/
         # "vector_speedup": check_regression gates only those keys, and
         # the hybrid ratio depends on the runner's core count.
-        "hybrid_speedup": round(timings["serial_fast"] / timings["hybrid"], 3),
+        "hybrid_speedup": round(timings["serial_vector"] / timings["hybrid"], 3),
         "num_swaps": ens.best_result.num_swaps,
         "identical": identical,
     }
@@ -488,10 +482,8 @@ def run_suite(
         results.append(row)
         print(
             f"  {row['name']:26s} ref={row['reference_seconds'] * 1000:9.1f}ms"
-            f"  fast={row['fast_seconds'] * 1000:8.1f}ms"
             f"  vector={row['vector_seconds'] * 1000:8.1f}ms"
-            f"  speedup=x{row['speedup']:<5.2f}"
-            f"  vector=x{row['vector_speedup']:<5.2f}"
+            f"  speedup=x{row['vector_speedup']:<5.2f}"
             f"  identical={row['identical']}"
         )
     print("layout sweeps: shared-IR vs legacy per-run-DAG")
@@ -505,13 +497,13 @@ def run_suite(
             f"  speedup=x{row['speedup']:<5.2f}"
             f"  identical={row['identical']}"
         )
-    print("trials sweeps: ensemble + hybrid (vector) vs serial (fast)")
+    print("trials sweeps: ensemble + hybrid vs serial (all vector)")
     trials_results = []
     for trials_case in trials_cases:
         row = run_trials_case(trials_case)
         trials_results.append(row)
         print(
-            f"  {row['name']:26s} serial={row['serial_fast_seconds'] * 1000:7.1f}ms"
+            f"  {row['name']:26s} serial={row['serial_vector_seconds'] * 1000:7.1f}ms"
             f"  ensemble={row['ensemble_seconds'] * 1000:8.1f}ms"
             f"  hybrid={row['hybrid_seconds'] * 1000:8.1f}ms"
             f" (j{row['hybrid_jobs']})"
@@ -519,16 +511,11 @@ def run_suite(
             f"  hybrid=x{row['hybrid_speedup']:<5.2f}"
             f"  identical={row['identical']}"
         )
-    speedups = [row["speedup"] for row in results]
     vector_speedups = [row["vector_speedup"] for row in results]
     layout_speedups = [row["speedup"] for row in layout_results]
     trials_speedups = [row["speedup"] for row in trials_results]
     deep = [row for row in results if row["deep"]]
     summary = {
-        "geomean_speedup": _geomean(speedups),
-        "min_speedup": min(speedups),
-        "max_speedup": max(speedups),
-        "deep_min_speedup": min(row["speedup"] for row in deep) if deep else None,
         "geomean_vector_speedup": _geomean(vector_speedups),
         "deep_vector_geomean": (
             _geomean([row["vector_speedup"] for row in deep]) if deep else None
@@ -550,7 +537,7 @@ def run_suite(
         ),
     }
     return {
-        "schema": 4,
+        "schema": 5,
         "bench": "router_perf",
         "smoke": smoke,
         "layout_seed": LAYOUT_SEED,
@@ -566,8 +553,9 @@ def run_suite(
 def check_regression(report: dict, baseline_path: str) -> List[str]:
     """Compare per-case speedups against a checked-in baseline.
 
-    Covers both families: scorer cases (fast vs reference) and layout
-    cases (shared-IR vs legacy).  Returns a list of failure messages
+    Covers all three families: scorer cases (vector vs reference),
+    layout cases (shared-IR vs legacy) and trials cases (ensemble vs
+    serial).  Returns a list of failure messages
     (empty = pass).  Ratios are machine-relative, so the gate transfers
     across hardware; the tolerance absorbs runner noise.
     """
@@ -619,7 +607,7 @@ def check_regression(report: dict, baseline_path: str) -> List[str]:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scorer", ["vector", "fast", "reference"])
+@pytest.mark.parametrize("scorer", ["vector", "reference"])
 def test_router_scorers_qft20(benchmark, tokyo, scorer):
     circuit = qft(20)
     layout = Layout.random(tokyo.num_qubits, seed=LAYOUT_SEED)
@@ -650,7 +638,7 @@ def test_layout_sweep_qft16(benchmark, tokyo, path):
     benchmark.extra_info.update({"path": path, "swaps": result.num_swaps})
 
 
-@pytest.mark.parametrize("scorer", ["vector", "fast", "reference"])
+@pytest.mark.parametrize("scorer", ["vector", "reference"])
 def test_router_scorers_deep_grid(benchmark, scorer):
     device = grid_device(10, 10)
     circuit = random_circuit(100, 5000, seed=6, two_qubit_fraction=0.8)
@@ -698,13 +686,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     layout_cases = SMOKE_LAYOUT_CASES if args.smoke else FULL_LAYOUT_CASES
     trials_cases = SMOKE_TRIALS_CASES if args.smoke else FULL_TRIALS_CASES
     label = "smoke" if args.smoke else "full"
-    print(f"router perf ({label}): vector/fast scorers vs reference scorer")
+    print(f"router perf ({label}): vector scorer vs reference scorer")
     report = run_suite(cases, layout_cases, trials_cases, smoke=args.smoke)
     summary = report["summary"]
     print(
-        f"  scorer geomean x{summary['geomean_speedup']:.2f} "
-        f"(deep-case min x{summary['deep_min_speedup']:.2f}), "
-        f"vector geomean x{summary['geomean_vector_speedup']:.2f}, "
+        f"  vector geomean x{summary['geomean_vector_speedup']:.2f}, "
         f"layout geomean x{summary['geomean_layout_speedup']:.2f}, "
         f"trials geomean x{summary['geomean_trials_speedup']:.2f}, "
         f"all identical: {summary['all_identical']}"

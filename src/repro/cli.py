@@ -487,10 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     map_p.add_argument(
         "--scorer",
-        default="auto",
-        choices=("auto", "vector", "fast", "reference"),
-        help="candidate-SWAP scoring implementation (auto reads "
-        "$REPRO_SCORER, defaulting to the batched numpy vector scorer)",
+        default="vector",
+        choices=("vector", "reference"),
+        help="candidate-SWAP scoring implementation: the production "
+        "vector scorer (default) or the paper-literal reference scorer, "
+        "the differential oracle; both route identically",
     )
     map_p.add_argument(
         "--executor",

@@ -15,8 +15,8 @@ Public pieces:
 """
 
 from repro.core.layout import Layout
-from repro.core.heuristic import HeuristicConfig, DecayTracker, resolve_scorer
-from repro.core.scoring import FlatDistance, RouterState
+from repro.core.heuristic import HeuristicConfig, DecayTracker
+from repro.core.scoring import FlatDistance
 from repro.core.router import SabreRouter, RoutingResult
 from repro.core.bidirectional import SabreLayout
 from repro.core.legacy import LegacyDagRouter, LegacySabreLayout
@@ -29,9 +29,7 @@ __all__ = [
     "Layout",
     "HeuristicConfig",
     "DecayTracker",
-    "resolve_scorer",
     "FlatDistance",
-    "RouterState",
     "SabreRouter",
     "RoutingResult",
     "SabreLayout",

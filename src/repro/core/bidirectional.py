@@ -146,8 +146,8 @@ class SabreLayout:
         circuit, byte-identical to emitting it live.
         A single traversal emits directly — within a trial there is
         nothing to choose between, and replaying costs more than it
-        saves — and so do the ``fast`` and ``reference`` scorers, which
-        are the differential oracles.
+        saves — and so does the ``reference`` scorer, the differential
+        oracle.
 
         With a tracer active (:mod:`repro.telemetry.trace`) each
         traversal records one ``layout.traversal`` span with attrs

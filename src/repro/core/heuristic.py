@@ -11,11 +11,18 @@ Three stacked designs, selectable via :class:`HeuristicConfig.mode`:
   ``max(decay(q1), decay(q2))`` of the candidate SWAP's qubits, which
   steers search toward non-overlapping (parallel) SWAPs and exposes the
   gate-count/depth trade-off of Fig. 8.
+
+Every candidate SWAP is scored with that one cost function, computed by
+one of two implementations (:attr:`HeuristicConfig.scorer`): the
+production ``"vector"`` scorer of :mod:`repro.core.scoring`, or the
+paper-literal :func:`score_layout` (``"reference"``), kept as the
+differential oracle and as the fallback for asymmetric distance
+matrices.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -27,11 +34,8 @@ from repro.exceptions import MappingError
 #: Valid heuristic modes, weakest to strongest.
 MODES = ("basic", "lookahead", "decay")
 
-#: Concrete scorer implementations (see :func:`resolve_scorer`).
-SCORERS = ("vector", "fast", "reference")
-
-#: Environment knob consulted when ``HeuristicConfig.scorer == "auto"``.
-SCORER_ENV_VAR = "REPRO_SCORER"
+#: Scorer implementations, production first (:attr:`HeuristicConfig.scorer`).
+SCORERS = ("vector", "reference")
 
 
 @dataclass(frozen=True)
@@ -56,16 +60,13 @@ class HeuristicConfig:
             the term vanishes; with a noise-weighted matrix it makes
             the router pay for executing 3 CNOTs on a noisy coupler
             (see :mod:`repro.extensions.noise_aware`).
-        scorer: candidate-SWAP scoring implementation.  ``"vector"``
-            scores every candidate of a step in one batched numpy
-            kernel over the flat distance buffer; ``"fast"`` is the
-            scalar flat-array delta scorer (:mod:`repro.core.scoring`,
-            ``O(deg)`` per candidate); ``"reference"`` recomputes the
-            full Eq. 2 sum per candidate exactly as written in the
-            paper.  All three produce identical routed circuits (the
-            differential suite enforces it).  The default ``"auto"``
-            reads the ``REPRO_SCORER`` environment variable and falls
-            back to ``"vector"``.
+        scorer: candidate-SWAP scoring implementation.  The default
+            ``"vector"`` scores narrow fronts with a scalar ``O(deg)``
+            delta loop and wider ones in one batched numpy kernel over
+            the flat distance buffer (:mod:`repro.core.scoring`);
+            ``"reference"`` recomputes the full Eq. 2 sum per candidate
+            exactly as written in the paper.  Both produce identical
+            routed circuits (the differential suite enforces it).
     """
 
     mode: str = "decay"
@@ -74,13 +75,17 @@ class HeuristicConfig:
     decay_delta: float = 0.001
     decay_reset_interval: int = 5
     swap_cost_penalty: float = 0.0
-    scorer: str = "auto"
+    scorer: str = "vector"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise MappingError(
                 f"unknown heuristic mode {self.mode!r}; choose from {MODES}"
             )
+        for name in ("extended_set_weight", "decay_delta", "swap_cost_penalty"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise MappingError(f"{name} must be a finite number, got {value!r}")
         if self.extended_set_size < 0:
             raise MappingError("extended_set_size must be >= 0")
         if not 0.0 <= self.extended_set_weight < 1.0:
@@ -93,10 +98,9 @@ class HeuristicConfig:
             raise MappingError("decay_reset_interval must be >= 1")
         if self.swap_cost_penalty < 0.0:
             raise MappingError("swap_cost_penalty must be >= 0")
-        if self.scorer not in ("auto",) + SCORERS:
+        if self.scorer not in SCORERS:
             raise MappingError(
-                f"unknown scorer {self.scorer!r}; choose from "
-                f"{('auto',) + SCORERS}"
+                f"unknown scorer {self.scorer!r}; choose from {SCORERS}"
             )
 
     @property
@@ -106,23 +110,6 @@ class HeuristicConfig:
     @property
     def uses_decay(self) -> bool:
         return self.mode == "decay"
-
-
-def resolve_scorer(value: str) -> str:
-    """Resolve a scorer name to a concrete implementation.
-
-    ``"auto"`` consults the ``REPRO_SCORER`` environment variable
-    (read at resolution time, so tests and profiling sessions can flip
-    it per process) and defaults to ``"vector"``.
-    """
-    if value == "auto":
-        value = os.environ.get(SCORER_ENV_VAR, "").strip().lower() or "vector"
-    if value not in SCORERS:
-        raise MappingError(
-            f"unknown scorer {value!r}; choose from {SCORERS} "
-            f"(or 'auto' / ${SCORER_ENV_VAR})"
-        )
-    return value
 
 
 class DecayTracker:

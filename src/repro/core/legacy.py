@@ -11,14 +11,19 @@ validated ``Gate.remapped`` copies.  This module preserves that loop
 - **Differential oracle** — the shared-IR/reset path must route
   byte-identical circuits to per-run-DAG construction for every
   heuristic mode and scorer; ``tests/core/test_flatdag_differential.py``
-  pins the two paths against each other.
+  pins the two paths against each other.  It is the only routing
+  oracle that shares no :class:`~repro.circuits.flatdag.FlatDag` or
+  :class:`~repro.circuits.flatdag.FrontierState` code with production.
 - **Perf baseline** — ``benchmarks/bench_router_perf.py`` times
   end-to-end :class:`LegacySabreLayout` trial sweeps against the
   shared-IR :class:`~repro.core.bidirectional.SabreLayout` so the
   speedup the IR buys is measured where users feel it.
 
-Like the ``reference`` scorer, this code is deliberately *not* kept
-fast — it is kept *faithful*.  The one behavioural deviation from the
+Whatever :attr:`HeuristicConfig.scorer` says, candidates are scored
+with the paper-literal reference formula
+(:func:`~repro.core.heuristic.score_layout`).  Like the ``reference``
+scorer, this code is deliberately *not* kept fast — it is kept
+*faithful*.  The one behavioural deviation from the
 pre-IR code: the livelock escape's closest-gate selection iterates the
 front in ascending node order (the old code iterated a set, whose
 order on distance ties was an accident of hashing), so both paths
@@ -42,16 +47,15 @@ from repro.core.bidirectional import (
 from repro.core.heuristic import DecayTracker, score_layout
 from repro.core.layout import Layout
 from repro.core.router import _SCORE_EPSILON, RoutingResult, SabreRouter
-from repro.core.scoring import RouterState
 from repro.exceptions import MappingError
 
 
 class LegacyDagRouter(SabreRouter):
     """The pre-IR :class:`SabreRouter`: lower-per-run, object frontier.
 
-    Scoring internals (``RouterState``, candidate maintenance, decay,
-    tie-breaking) are shared with the production router, so any output
-    difference between the two isolates the IR/frontier rework.
+    Scoring (the reference formula, decay, tie-breaking) matches the
+    production router's reference path, so any output difference
+    between the two isolates the IR/frontier rework.
     """
 
     def run(
@@ -90,12 +94,6 @@ class LegacyDagRouter(SabreRouter):
         decay = DecayTracker(
             n_physical, self.config.decay_delta, self.config.decay_reset_interval
         )
-        fast = self.scorer == "fast"
-        state = (
-            RouterState(self.flat_dist, self.neighbors, self.config)
-            if fast
-            else None
-        )
 
         out = QuantumCircuit(
             n_physical, f"{circuit.name}_routed", max(circuit.num_clbits, 1)
@@ -117,7 +115,7 @@ class LegacyDagRouter(SabreRouter):
                 front_dirty = True
                 continue
             if stall >= self.stall_limit:
-                self._dag_escape(dag_frontier, layout, out, swap_positions, state)
+                self._dag_escape(dag_frontier, layout, out, swap_positions)
                 num_escapes += 1
                 stall = 0
                 decay.reset()
@@ -133,16 +131,10 @@ class LegacyDagRouter(SabreRouter):
                     if self.config.uses_lookahead
                     else []
                 )
-                if fast:
-                    state.set_front(
-                        [gate.qubits for gate in front_gates],
-                        [gate.qubits for gate in extended],
-                        layout.l2p,
-                    )
                 front_dirty = False
             self._dag_insert_best_swap(
                 dag_frontier, layout, out, swap_positions, decay, rng,
-                front_gates, extended, state,
+                front_gates, extended,
             )
             stall += 1
 
@@ -208,7 +200,6 @@ class LegacyDagRouter(SabreRouter):
         rng: random.Random,
         front_gates: List[Gate],
         extended: List[Gate],
-        state: Optional[RouterState],
     ) -> None:
         p2l = layout.p2l
         l2p = layout.l2p
@@ -217,81 +208,21 @@ class LegacyDagRouter(SabreRouter):
         penalty = config.swap_cost_penalty
         best_score = float("inf")
         best: List[Tuple[int, int]] = []
-        if state is not None:
-            buf = state.buf
-            n = state.n
-            state.begin_step(l2p)
-            partner_f = state.partner_f
-            partners_e = state.partners_e
-            sum_f = state.sum_f
-            sum_e = state.sum_e
-            len_f = len(state.front_pairs)
-            len_e = len(state.ext_pairs)
-            weight = config.extended_set_weight
-            basic = config.mode == "basic"
-            decay_values = decay.values
-            ext_const = weight * (sum_e + 0.0) / len_e if len_e else 0.0
-            for pa, pb in state.candidates():
-                qa = p2l[pa]
-                qb = p2l[pb]
-                row_a = pa * n
-                row_b = pb * n
-                delta = 0.0
-                other = partner_f[qa]
-                if other >= 0 and other != qb:
-                    po = l2p[other]
-                    delta += buf[row_b + po] - buf[row_a + po]
-                other = partner_f[qb]
-                if other >= 0 and other != qa:
-                    po = l2p[other]
-                    delta += buf[row_a + po] - buf[row_b + po]
-                if basic:
-                    score = sum_f + delta
-                else:
-                    score = (sum_f + delta) / len_f
-                    if len_e:
-                        pe_a = partners_e[qa]
-                        pe_b = partners_e[qb]
-                        if pe_a or pe_b:
-                            delta = 0.0
-                            for other in pe_a:
-                                if other != qb:
-                                    po = l2p[other]
-                                    delta += buf[row_b + po] - buf[row_a + po]
-                            for other in pe_b:
-                                if other != qa:
-                                    po = l2p[other]
-                                    delta += buf[row_a + po] - buf[row_b + po]
-                            score += weight * (sum_e + delta) / len_e
-                        else:
-                            score += ext_const
-                if uses_decay:
-                    da = decay_values[qa]
-                    db = decay_values[qb]
-                    score *= da if da >= db else db
-                if penalty:
-                    score += penalty * (buf[pa * n + pb] - 1.0)
-                if score < best_score - _SCORE_EPSILON:
-                    best_score = score
-                    best = [(qa, qb)]
-                elif score <= best_score + _SCORE_EPSILON:
-                    best.append((qa, qb))
-        else:
-            dist = self.dist
-            for pa, pb in self._dag_swap_candidates(frontier, layout):
-                qa, qb = p2l[pa], p2l[pb]
-                layout.swap_logical(qa, qb)
-                score = score_layout(front_gates, extended, l2p, dist, config)
-                layout.swap_logical(qa, qb)
-                if uses_decay:
-                    score *= decay.factor(qa, qb)
-                if penalty:
-                    score += penalty * (dist[pa][pb] - 1.0)
-                if score < best_score - _SCORE_EPSILON:
-                    best_score = score
-                    best = [(qa, qb)]
-                elif score <= best_score + _SCORE_EPSILON:
-                    best.append((qa, qb))
+        dist = self.dist
+        for pa, pb in self._dag_swap_candidates(frontier, layout):
+            qa, qb = p2l[pa], p2l[pb]
+            layout.swap_logical(qa, qb)
+            score = score_layout(front_gates, extended, l2p, dist, config)
+            layout.swap_logical(qa, qb)
+            if uses_decay:
+                score *= decay.factor(qa, qb)
+            if penalty:
+                score += penalty * (dist[pa][pb] - 1.0)
+            if score < best_score - _SCORE_EPSILON:
+                best_score = score
+                best = [(qa, qb)]
+            elif score <= best_score + _SCORE_EPSILON:
+                best.append((qa, qb))
         if not best:
             raise MappingError(
                 "no SWAP candidates found; is the coupling graph connected?"
@@ -299,7 +230,7 @@ class LegacyDagRouter(SabreRouter):
         if self.on_winner_set is not None:
             self.on_winner_set(best)
         qa, qb = best[0] if len(best) == 1 else rng.choice(best)
-        self._dag_apply_swap(qa, qb, layout, out, swap_positions, state)
+        self._dag_apply_swap(qa, qb, layout, out, swap_positions)
         decay.record_swap(qa, qb)
 
     def _dag_apply_swap(
@@ -309,15 +240,11 @@ class LegacyDagRouter(SabreRouter):
         layout: Layout,
         out: QuantumCircuit,
         swap_positions: List[int],
-        state: Optional[RouterState],
     ) -> None:
         l2p = layout.l2p
-        pa, pb = l2p[qa], l2p[qb]
         swap_positions.append(out.num_gates)
-        out.append(Gate("swap", (pa, pb)))
+        out.append(Gate("swap", (l2p[qa], l2p[qb])))
         layout.swap_logical(qa, qb)
-        if state is not None:
-            state.on_swap_applied(qa, qb, pa, pb)
 
     def _dag_escape(
         self,
@@ -325,7 +252,6 @@ class LegacyDagRouter(SabreRouter):
         layout: Layout,
         out: QuantumCircuit,
         swap_positions: List[int],
-        state: Optional[RouterState],
     ) -> int:
         l2p = layout.l2p
         buf = self.flat_dist.buf
@@ -345,7 +271,7 @@ class LegacyDagRouter(SabreRouter):
         swaps = 0
         for hop in path[1:-1]:
             qb = layout.logical(hop)
-            self._dag_apply_swap(a, qb, layout, out, swap_positions, state)
+            self._dag_apply_swap(a, qb, layout, out, swap_positions)
             swaps += 1
         return swaps
 

@@ -11,14 +11,14 @@ SWAPs that associate with at least one qubit in the front layer are the
 candidate SWAPs"), i.e. ``O(N)`` candidates instead of the ``O(exp(N))``
 mapping combinations of the A* baseline.
 
-Candidate scoring has three interchangeable implementations (selected
-via :attr:`HeuristicConfig.scorer` or the ``REPRO_SCORER`` environment
-variable, default ``vector``):
+Candidate scoring has two interchangeable implementations, selected by
+:attr:`HeuristicConfig.scorer`:
 
-- ``vector`` — batched numpy kernel (:class:`~repro.core.scoring.
-  VectorBlock`): every step scores *all* device edges with a fixed
-  sequence of array ops over device-constant index tables, masking
-  non-candidates to ``+inf``.  The routing loop runs as a generator
+- ``vector`` (the default, and the production path) — batched numpy
+  kernel (:class:`~repro.core.scoring.VectorBlock`): every step scores
+  *all* device edges with a fixed sequence of array ops over
+  device-constant index tables, masking non-candidates to ``+inf``.
+  The routing loop runs as a generator
   (:meth:`SabreRouter._route_vector`) that yields at each scoring
   step; solo runs drive it with a one-row block, and the trial
   ensemble (:mod:`repro.engine.ensemble`) drives K generators in
@@ -47,14 +47,14 @@ variable, default ``vector``):
   tail (:meth:`~repro.circuits.flatdag.FlatDag.folded`); the replay and
   every emitting traversal keep the unfolded frontier, which emits
   single-qubit gates in their drain order.
-- ``fast`` — the scalar flat-array delta scorer of
-  :mod:`repro.core.scoring`: per-step base sums over ``F``/``E`` plus
-  an ``O(deg)`` adjustment of only the terms touching the two swapped
-  qubits.
-- ``reference`` — the paper-literal path: temporarily apply the SWAP and
-  recompute the full Eq. 2 sum (:func:`repro.core.heuristic.score_layout`).
+- ``reference`` — the paper-literal path, run by the scalar loop of
+  :meth:`SabreRouter.run`: regenerate the candidates from scratch,
+  temporarily apply each SWAP and recompute the full Eq. 2 sum
+  (:func:`repro.core.heuristic.score_layout`).  It is the differential
+  oracle, and the fallback for asymmetric distance matrices, where the
+  vector scorer's delta arithmetic would not be exact.
 
-All three walk the same sorted candidate order and therefore produce
+Both walk the same sorted candidate order and therefore produce
 identical winner sets, identical tie-breaks, and identical routed
 circuits for identical seeds — the differential test suite enforces
 this.
@@ -88,14 +88,12 @@ from repro.core.heuristic import (
     DecayArray,
     DecayTracker,
     HeuristicConfig,
-    resolve_scorer,
     score_layout,
 )
 from repro.core.layout import Layout
 from repro.core.scoring import (
     SCORE_EPSILON,
     FlatDistance,
-    RouterState,
     VectorBlock,
     VectorDevice,
 )
@@ -269,11 +267,11 @@ class SabreRouter:
             )
         # The nested view is only needed by the reference scorer and
         # external readers; the `dist` property rebuilds it lazily from
-        # the flat buffer, so the fast path never pays the O(N^2) copy.
+        # the flat buffer, so the vector path never pays the O(N^2) copy.
         self._dist_nested: Optional[List[List[float]]] = None
-        self.scorer = resolve_scorer(self.config.scorer)
-        if self.scorer in ("fast", "vector") and not self.flat_dist.symmetric:
-            # The delta scorers skip gates between the two swapped
+        self.scorer = self.config.scorer
+        if self.scorer == "vector" and not self.flat_dist.symmetric:
+            # The vector scorer skips gates between the two swapped
             # qubits, which is only exact for symmetric matrices (all
             # in-repo matrices are).  Fall back rather than mis-score.
             self.scorer = "reference"
@@ -281,7 +279,7 @@ class SabreRouter:
             coupling.neighbors(q) for q in range(coupling.num_qubits)
         ]
         #: Listified distance buffer shared (read-only) by every run's
-        #: RouterState, so repeated runs skip the O(N^2) conversion.
+        #: VectorBlock, so repeated runs skip the O(N^2) conversion.
         self._buf_list: List[float] = self.flat_dist.buf.tolist()
         #: Adjacency as sets for the O(1) executability test in the
         #: main loop (bypasses CouplingGraph's bounds-checked API).
@@ -345,10 +343,9 @@ class SabreRouter:
         same IR; it is reset (O(n) array refill, no reallocation) at
         the start of the run — the layout search passes one per
         traversal direction.  When omitted, every run builds a private
-        frontier, RNG, and :class:`~repro.core.scoring.RouterState` —
-        no mutable state is shared between runs, so concurrent trials
-        routing through one router instance stay independent and
-        deterministic.
+        frontier, RNG, and scoring state — no mutable state is shared
+        between runs, so concurrent trials routing through one router
+        instance stay independent and deterministic.
         """
         ir, layout, rng, frontier = self._prepare(
             circuit, initial_layout, seed, frontier
@@ -357,22 +354,11 @@ class SabreRouter:
             return self._drive_solo(ir, layout, rng, frontier)
         n_physical = self.coupling.num_qubits
         # The reference path regenerates candidates from scratch and
-        # rescores in full, so it gets no state to maintain — keeping
-        # its timings an honest baseline.
+        # rescores in full, so it keeps no scoring state between steps.
         decay = DecayTracker(
             n_physical,
             self.config.decay_delta,
             self.config.decay_reset_interval,
-        )
-        state: Optional[RouterState] = (
-            RouterState(
-                self.flat_dist,
-                self.neighbors,
-                self.config,
-                buf=self._buf_list,
-            )
-            if self.scorer == "fast"
-            else None
         )
 
         out = QuantumCircuit(
@@ -389,7 +375,6 @@ class SabreRouter:
         l2p = layout.l2p
         emit = out.append_unchecked
         gates = ir.gates
-        pairs = ir.pairs
         qubit_a = ir.qubit_a
         qubit_b = ir.qubit_b
         adjacency = self._adjacency
@@ -397,8 +382,6 @@ class SabreRouter:
         ext_size = self.config.extended_set_size
 
         self._emit_ready(frontier, l2p, emit)
-        front_nodes: List[int] = []
-        ext_nodes: List[int] = []
         front_gates: List[Gate] = []
         extended: List[Gate] = []
         front_dirty = True
@@ -428,7 +411,7 @@ class SabreRouter:
                     frontier,
                     layout,
                     lambda qa, qb: self._apply_swap(
-                        qa, qb, layout, out, swap_positions, state
+                        qa, qb, layout, out, swap_positions
                     ),
                 )
                 num_escapes += 1
@@ -437,27 +420,18 @@ class SabreRouter:
                 front_dirty = True
                 continue
             if front_dirty:
-                # F and E only change when a gate executes, so the pair
-                # lists, per-qubit term indices, and candidate edge set
-                # are shared across consecutive SWAP selections; SWAPs
-                # in between update the candidate set incrementally.
-                front_nodes = frontier.front_list()
-                ext_nodes = (
-                    frontier.extended_nodes(ext_size) if uses_lookahead else []
+                # F and E only change when a gate executes, so the gate
+                # lists are shared across consecutive SWAP selections.
+                front_gates = [gates[i] for i in frontier.front_list()]
+                extended = (
+                    [gates[i] for i in frontier.extended_nodes(ext_size)]
+                    if uses_lookahead
+                    else []
                 )
-                if state is not None:
-                    state.set_front(
-                        [pairs[i] for i in front_nodes],
-                        [pairs[i] for i in ext_nodes],
-                        l2p,
-                    )
-                else:
-                    front_gates = [gates[i] for i in front_nodes]
-                    extended = [gates[i] for i in ext_nodes]
                 front_dirty = False
             self._insert_best_swap(
                 frontier, layout, out, swap_positions, decay, rng,
-                front_gates, extended, state, profiler,
+                front_gates, extended, profiler,
             )
             stall += 1
 
@@ -485,8 +459,8 @@ class SabreRouter:
         a :class:`SearchTrace` instead of building a routed circuit.
         :meth:`_replay` turns the trace into the circuit :meth:`run`
         would have returned, byte for byte.  Vector scorer only: the
-        ``fast`` and ``reference`` scorers are the differential oracles
-        and keep their single emitting loop.
+        ``reference`` scorer is the differential oracle and keeps its
+        single emitting loop.
         """
         if self.scorer != "vector":
             raise MappingError(
@@ -1099,9 +1073,10 @@ class SabreRouter:
         the "low priority" qubit set cannot unblock the front layer, so
         only edges touching ``pi(q)`` for ``q`` in a front gate qualify.
 
-        From-scratch reference implementation; the main loop maintains
-        the same set incrementally in its :class:`RouterState` (the
-        candidate-cache tests assert both always agree).
+        From-scratch reference implementation; the vector scorer memoises
+        the same lists per front-home tuple
+        (:meth:`~repro.core.scoring.VectorDevice.narrow_candidates`; the
+        candidate-order tests assert both always agree).
         """
         l2p = layout.l2p
         qubit_a = frontier.dag.qubit_a
@@ -1124,10 +1099,14 @@ class SabreRouter:
         rng: random.Random,
         front_gates: List[Gate],
         extended: List[Gate],
-        state: Optional[RouterState],
         profiler=None,
     ) -> None:
-        """Score all candidate SWAPs and apply the best one (lines 17-25)."""
+        """Score all candidate SWAPs and apply the best one (lines 17-25).
+
+        The reference path: from-scratch candidate generation plus a
+        full Eq. 2 rescoring per candidate — the differential-testing
+        oracle and the bench baseline.
+        """
         p2l = layout.p2l
         l2p = layout.l2p
         config = self.config
@@ -1135,94 +1114,22 @@ class SabreRouter:
         penalty = config.swap_cost_penalty
         best_score = float("inf")
         best: List[Tuple[int, int]] = []
-        if state is not None:
-            buf = state.buf
-            n = state.n
-            # Inlined RouterState.swap_score: this loop runs a hundred
-            # thousand times per deep traversal, so every attribute
-            # lookup and method call stripped here is measurable.
-            state.begin_step(l2p)
-            partner_f = state.partner_f
-            partners_e = state.partners_e
-            sum_f = state.sum_f
-            sum_e = state.sum_e
-            len_f = len(state.front_pairs)
-            len_e = len(state.ext_pairs)
-            weight = config.extended_set_weight
-            basic = config.mode == "basic"
-            decay_values = decay.values
-            # When neither swapped qubit touches E, the extended term is
-            # the same constant for every such candidate (delta_e == 0.0
-            # keeps the float arithmetic identical to the general form).
-            ext_const = weight * (sum_e + 0.0) / len_e if len_e else 0.0
-            cands = state.candidates()
-            for pa, pb in cands:
-                qa = p2l[pa]
-                qb = p2l[pb]
-                row_a = pa * n
-                row_b = pb * n
-                delta = 0.0
-                other = partner_f[qa]
-                if other >= 0 and other != qb:
-                    po = l2p[other]
-                    delta += buf[row_b + po] - buf[row_a + po]
-                other = partner_f[qb]
-                if other >= 0 and other != qa:
-                    po = l2p[other]
-                    delta += buf[row_a + po] - buf[row_b + po]
-                if basic:
-                    score = sum_f + delta
-                else:
-                    score = (sum_f + delta) / len_f
-                    if len_e:
-                        pe_a = partners_e[qa]
-                        pe_b = partners_e[qb]
-                        if pe_a or pe_b:
-                            delta = 0.0
-                            for other in pe_a:
-                                if other != qb:
-                                    po = l2p[other]
-                                    delta += buf[row_b + po] - buf[row_a + po]
-                            for other in pe_b:
-                                if other != qa:
-                                    po = l2p[other]
-                                    delta += buf[row_a + po] - buf[row_b + po]
-                            score += weight * (sum_e + delta) / len_e
-                        else:
-                            score += ext_const
-                if uses_decay:
-                    da = decay_values[qa]
-                    db = decay_values[qb]
-                    score *= da if da >= db else db
-                if penalty:
-                    # Noise-aware extension: pay for the SWAP's own edge.
-                    score += penalty * (buf[pa * n + pb] - 1.0)
-                if score < best_score - _SCORE_EPSILON:
-                    best_score = score
-                    best = [(qa, qb)]
-                elif score <= best_score + _SCORE_EPSILON:
-                    best.append((qa, qb))
-        else:
-            # Reference path: the seed implementation, preserved verbatim
-            # — from-scratch candidate generation plus a full Eq. 2
-            # rescoring per candidate.  This is the bench baseline and
-            # the differential-testing oracle.
-            dist = self.dist
-            cands = self._swap_candidates(frontier, layout)
-            for pa, pb in cands:
-                qa, qb = p2l[pa], p2l[pb]
-                layout.swap_logical(qa, qb)
-                score = score_layout(front_gates, extended, l2p, dist, config)
-                layout.swap_logical(qa, qb)
-                if uses_decay:
-                    score *= decay.factor(qa, qb)
-                if penalty:
-                    score += penalty * (dist[pa][pb] - 1.0)
-                if score < best_score - _SCORE_EPSILON:
-                    best_score = score
-                    best = [(qa, qb)]
-                elif score <= best_score + _SCORE_EPSILON:
-                    best.append((qa, qb))
+        dist = self.dist
+        cands = self._swap_candidates(frontier, layout)
+        for pa, pb in cands:
+            qa, qb = p2l[pa], p2l[pb]
+            layout.swap_logical(qa, qb)
+            score = score_layout(front_gates, extended, l2p, dist, config)
+            layout.swap_logical(qa, qb)
+            if uses_decay:
+                score *= decay.factor(qa, qb)
+            if penalty:
+                score += penalty * (dist[pa][pb] - 1.0)
+            if score < best_score - _SCORE_EPSILON:
+                best_score = score
+                best = [(qa, qb)]
+            elif score <= best_score + _SCORE_EPSILON:
+                best.append((qa, qb))
         if not best:
             raise MappingError(
                 "no SWAP candidates found; is the coupling graph connected?"
@@ -1232,7 +1139,7 @@ class SabreRouter:
         if self.on_winner_set is not None:
             self.on_winner_set(best)
         qa, qb = best[0] if len(best) == 1 else rng.choice(best)
-        self._apply_swap(qa, qb, layout, out, swap_positions, state)
+        self._apply_swap(qa, qb, layout, out, swap_positions)
         decay.record_swap(qa, qb)
 
     def _apply_swap(
@@ -1242,16 +1149,12 @@ class SabreRouter:
         layout: Layout,
         out: QuantumCircuit,
         swap_positions: List[int],
-        state: Optional[RouterState],
     ) -> None:
-        """Emit a physical SWAP gate and update mapping + router state."""
+        """Emit a physical SWAP gate and update the mapping."""
         l2p = layout.l2p
-        pa, pb = l2p[qa], l2p[qb]
         swap_positions.append(out.num_gates)
-        out.append_unchecked(swap_gate(pa, pb))
+        out.append_unchecked(swap_gate(l2p[qa], l2p[qb]))
         layout.swap_logical(qa, qb)
-        if state is not None:
-            state.on_swap_applied(qa, qb, pa, pb)
 
     def _escape(
         self,

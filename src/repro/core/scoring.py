@@ -1,4 +1,4 @@
-"""Flat-array router state and O(deg) delta scoring for SABRE's hot loop.
+"""Flat distance buffer and the batched ``vector`` scorer for SABRE's hot loop.
 
 The reference scorer (:func:`repro.core.heuristic.score_layout`) rescores
 the *entire* front layer ``F`` and extended set ``E`` for every candidate
@@ -11,18 +11,20 @@ exploits that:
   ``array('d')`` buffer (``D[a][b] == buf[a * n + b]``), removing a level
   of pointer chasing from every distance lookup and making the matrix
   cheap to cache, copy, and ship to worker processes.
-- :class:`RouterState` holds the per-traversal mutable state: the front
-  and extended gate pairs, a per-qubit -> gate-term index, per-step base
-  sums for ``F`` and ``E``, and the candidate SWAP edge set (maintained
-  incrementally as the layout changes).  A candidate SWAP on physical
-  edge ``(pa, pb)`` is then scored in ``O(deg_F + deg_E)`` — the handful
-  of terms whose qubits actually move — instead of ``O(|F| + |E|)``.
+- :class:`VectorDevice` holds the device-constant edge tables and the
+  per-front-home candidate memo.
+- :class:`VectorBlock` holds ``K`` trials' scoring state.  Narrow fronts
+  are scored by a scalar ``O(deg_F + deg_E)`` delta loop
+  (:meth:`VectorBlock.score_scalar`) that adjusts only the terms whose
+  qubits actually move; wider fronts by one batched numpy kernel call
+  per step (:meth:`VectorBlock.score_rows`).
 
 Exactness: a gate *between* the two swapped qubits keeps its distance
-(``D`` is symmetric for every matrix this project produces), so its term
-is skipped entirely.  All remaining terms are adjusted by the difference
-of two matrix entries.  Sums therefore agree with the reference scorer
-up to float-addition ordering, which the differential suite
+(``D`` is symmetric for every matrix this project produces; the router
+falls back to the reference scorer otherwise), so its term is skipped
+entirely.  All remaining terms are adjusted by the difference of two
+matrix entries.  Sums therefore agree with the reference scorer up to
+float-addition ordering, which the differential suite
 (``tests/core/test_differential.py``) pins down to identical winner sets
 and identical routed circuits.
 """
@@ -30,9 +32,8 @@ and identical routed circuits.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, insort
 from itertools import chain
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,9 +62,9 @@ def device_edge_arrays(
 
     The vector scorer derives each step's candidate list by masking
     this fixed edge list with the front-home mask — the lexicographic
-    order matches :meth:`RouterState.candidates` exactly, so winner
-    indices (and hence tie-break RNG draws) line up with the scalar
-    scorers.  Built once per router and shared read-only by every run.
+    order matches :meth:`SabreRouter._swap_candidates` exactly, so
+    winner indices (and hence tie-break RNG draws) line up with the
+    reference scorer.  Built once per router and shared read-only by every run.
     """
     pairs = sorted(
         {
@@ -88,8 +89,8 @@ class FlatDistance:
         buf: the flat row-major buffer, length ``n * n``.
         symmetric: True when ``D[a][b] == D[b][a]`` everywhere.  Every
             matrix built by :mod:`repro.hardware.distance` is symmetric;
-            the flag exists so the fast scorer can refuse (fall back to
-            the reference scorer) on exotic asymmetric inputs.
+            the flag exists so the vector scorer can refuse (fall back
+            to the reference scorer) on exotic asymmetric inputs.
     """
 
     __slots__ = ("n", "buf", "symmetric", "_np")
@@ -178,312 +179,6 @@ class FlatDistance:
         return f"FlatDistance(n={self.n}, symmetric={self.symmetric})"
 
 
-class RouterState:
-    """Per-traversal routing state: term indices, base sums, candidates.
-
-    One instance per :meth:`SabreRouter.run` call (never shared across
-    concurrent runs).  The router drives it through four events:
-
-    - :meth:`set_front` whenever a gate executed (``F``/``E`` changed);
-    - :meth:`begin_step` before scoring a step's candidates;
-    - :meth:`swap_score` once per candidate SWAP;
-    - :meth:`on_swap_applied` after a SWAP mutates the layout (keeps
-      the candidate edge set in sync without a from-scratch rebuild).
-    """
-
-    __slots__ = (
-        "n",
-        "buf",
-        "neighbors",
-        "config",
-        "front_pairs",
-        "ext_pairs",
-        "partner_f",
-        "partners_e",
-        "front_qubits",
-        "front_homes",
-        "cand_set",
-        "cand_list",
-        "sum_f",
-        "sum_e",
-        "_weight",
-        "_prev_f",
-        "_prev_e",
-    )
-
-    def __init__(
-        self,
-        flat: FlatDistance,
-        neighbors: Sequence[Sequence[int]],
-        config: HeuristicConfig,
-        buf: Optional[List[float]] = None,
-    ) -> None:
-        self.n = flat.n
-        # A plain list of (pre-boxed) floats: array('d') would box a
-        # fresh float object on every read, and this buffer is read a
-        # few hundred thousand times per deep traversal.  Callers that
-        # route many times against one device pass the listified buffer
-        # in (it is read-only here), hoisting the O(N^2) conversion out
-        # of the per-run path.
-        self.buf: List[float] = flat.buf.tolist() if buf is None else buf
-        self.neighbors = neighbors
-        self.config = config
-        self._weight = config.extended_set_weight
-        self.front_pairs: List[Tuple[int, int]] = []
-        self.ext_pairs: List[Tuple[int, int]] = []
-        # Per-qubit gate-term indices as flat lists (index = logical
-        # qubit): list indexing beats dict lookups in the candidate
-        # loop.  Front gates are vertex-disjoint (two ready gates can
-        # never share a qubit), so each qubit has at most ONE front
-        # partner — a scalar with -1 for "none", no inner loop needed.
-        # Extended-set gates can repeat qubits, so those stay lists
-        # (untouched qubits share one immutable empty tuple).
-        self.partner_f: List[int] = [-1] * self.n
-        self.partners_e: List[Sequence[int]] = [_NO_PARTNERS] * self.n
-        #: Qubits whose table entries the *current* front installed —
-        #: what the next set_front must undo (persistent-table scheme).
-        self._prev_f: List[int] = []
-        self._prev_e: List[int] = []
-        self.front_qubits: Set[int] = set()
-        self.front_homes: Set[int] = set()
-        self.cand_set: Set[Tuple[int, int]] = set()
-        self.cand_list: List[Tuple[int, int]] = []
-        self.sum_f = 0.0
-        self.sum_e = 0.0
-
-    # ------------------------------------------------------------------
-    # Front-layer events
-    # ------------------------------------------------------------------
-
-    def set_front(
-        self,
-        front_pairs: Sequence[Tuple[int, int]],
-        ext_pairs: Sequence[Tuple[int, int]],
-        l2p: Sequence[int],
-    ) -> None:
-        """Rebuild pair lists, per-qubit term indices, and candidates.
-
-        Takes the front layer ``F`` and extended set ``E`` as plain
-        logical-qubit pairs (a gate's ``.qubits`` tuple, or the shared
-        ``pairs[i]`` tuples of a :class:`~repro.circuits.flatdag.FlatDag`)
-        so gate objects never enter the scoring state.  Called only
-        when a gate executed (the front layer changed) — consecutive
-        SWAP selections reuse everything built here.
-
-        The per-qubit tables are *persistent*: entries touched by the
-        previous front are undone (``_prev_f``/``_prev_e``) instead of
-        reallocating two n-sized tables per refresh — a refresh happens
-        for every executed gate, and the tables only ever have
-        ``O(|F| + |E|)`` live entries.
-        """
-        # Undo the previous front/extended entries, then install the
-        # new ones.  Net cost per refresh: O(|F_prev| + |F_new|).
-        partner_f = self.partner_f
-        for q in self._prev_f:
-            partner_f[q] = -1
-        partners_e = self.partners_e
-        for q in self._prev_e:
-            partners_e[q] = _NO_PARTNERS
-        self.front_pairs = front_pairs = list(front_pairs)
-        self.ext_pairs = ext_pairs = list(ext_pairs)
-        front_qubits: Set[int] = set()
-        prev_f: List[int] = []
-        for a, b in front_pairs:
-            if partner_f[a] != -1 or partner_f[b] != -1:
-                # Leave the tables coherent before failing.
-                for q in prev_f:
-                    partner_f[q] = -1
-                self._prev_f = []
-                self._prev_e = []
-                raise MappingError(
-                    "front layer gates must be vertex-disjoint; got a qubit "
-                    "in two ready gates"
-                )
-            partner_f[a] = b
-            partner_f[b] = a
-            prev_f.append(a)
-            prev_f.append(b)
-            front_qubits.add(a)
-            front_qubits.add(b)
-        self._prev_f = prev_f
-        prev_e: List[int] = []
-        for a, b in ext_pairs:
-            pe = partners_e[a]
-            if pe is _NO_PARTNERS:
-                partners_e[a] = [b]
-                prev_e.append(a)
-            else:
-                pe.append(b)  # type: ignore[union-attr]
-            pe = partners_e[b]
-            if pe is _NO_PARTNERS:
-                partners_e[b] = [a]
-                prev_e.append(b)
-            else:
-                pe.append(a)  # type: ignore[union-attr]
-        self._prev_e = prev_e
-        old_qubits = self.front_qubits
-        self.front_qubits = front_qubits
-        # Candidate maintenance by front diff: qubits that left the
-        # front take their homes' edges out (unless another front home
-        # keeps an edge alive), qubits that entered bring theirs in.
-        # A refresh typically swaps a handful of qubits while the
-        # from-scratch rebuild walks every front home; the rebuild
-        # stays available as the oracle this must always agree with
-        # (distinct logical qubits occupy distinct homes, so removed
-        # and added home sets never overlap).
-        homes = self.front_homes
-        cand = self.cand_set
-        cand_list = self.cand_list
-        neighbors = self.neighbors
-        removed = old_qubits - front_qubits
-        added = front_qubits - old_qubits
-        removed_homes = [l2p[q] for q in removed]
-        added_homes = [l2p[q] for q in added]
-        for h in removed_homes:
-            homes.discard(h)
-        for h in added_homes:
-            homes.add(h)
-        for h in removed_homes:
-            for nb in neighbors[h]:
-                if nb not in homes:
-                    edge = (h, nb) if h < nb else (nb, h)
-                    if edge in cand:
-                        cand.discard(edge)
-                        del cand_list[bisect_left(cand_list, edge)]
-        for h in added_homes:
-            for nb in neighbors[h]:
-                edge = (h, nb) if h < nb else (nb, h)
-                if edge not in cand:
-                    cand.add(edge)
-                    insort(cand_list, edge)
-
-    def rebuild_candidates(self, l2p: Sequence[int]) -> None:
-        """From-scratch candidate edge set: edges touching a front home.
-
-        This is the §IV-C1 search-space reduction; incremental updates
-        (:meth:`on_swap_applied`) must always agree with this rebuild —
-        the invariant the candidate-cache tests pin down.
-        """
-        homes = {l2p[q] for q in self.front_qubits}
-        self.front_homes = homes
-        cand: Set[Tuple[int, int]] = set()
-        neighbors = self.neighbors
-        for p in homes:
-            for nb in neighbors[p]:
-                cand.add((p, nb) if p < nb else (nb, p))
-        self.cand_set = cand
-        self.cand_list = sorted(cand)
-
-    def candidates(self) -> List[Tuple[int, int]]:
-        """Sorted candidate edges — deterministic iteration order, so
-        tie-break sets (and hence ``rng.choice``) match the reference
-        from-scratch path exactly.  Maintained incrementally (a sorted
-        list kept in lock-step with :attr:`cand_set`), so no per-step
-        sort.  Callers iterate only; they must not mutate the list."""
-        return self.cand_list
-
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
-
-    def begin_step(self, l2p: Sequence[int]) -> None:
-        """Recompute the step's base sums over ``F`` and ``E``.
-
-        Once per SWAP selection (``O(|F| + |E|)``), in the same gate
-        order as the reference scorer so float rounding tracks it as
-        closely as possible.  Recomputing per step (rather than carrying
-        sums across steps) keeps errors from accumulating over long
-        SWAP chains.
-        """
-        buf = self.buf
-        n = self.n
-        total = 0.0
-        for a, b in self.front_pairs:
-            total += buf[l2p[a] * n + l2p[b]]
-        self.sum_f = total
-        total = 0.0
-        for a, b in self.ext_pairs:
-            total += buf[l2p[a] * n + l2p[b]]
-        self.sum_e = total
-
-    def swap_score(
-        self, qa: int, qb: int, pa: int, pb: int, l2p: Sequence[int]
-    ) -> float:
-        """Distance part of the heuristic after SWAPping ``qa <-> qb``.
-
-        ``pa``/``pb`` are the current homes of ``qa``/``qb``.  Only the
-        terms whose gates touch the swapped qubits are adjusted; gates
-        between ``qa`` and ``qb`` themselves keep their (symmetric)
-        distance and are skipped.  Decay and the SWAP-cost penalty are
-        applied by the router — they depend on the SWAP, not the layout.
-        """
-        buf = self.buf
-        n = self.n
-        row_a = pa * n
-        row_b = pb * n
-        delta_f = 0.0
-        other = self.partner_f[qa]
-        if other >= 0 and other != qb:
-            po = l2p[other]
-            delta_f += buf[row_b + po] - buf[row_a + po]
-        other = self.partner_f[qb]
-        if other >= 0 and other != qa:
-            po = l2p[other]
-            delta_f += buf[row_a + po] - buf[row_b + po]
-        if self.config.mode == "basic":
-            return self.sum_f + delta_f
-        score = (self.sum_f + delta_f) / len(self.front_pairs)
-        if self.ext_pairs:
-            delta_e = 0.0
-            for other in self.partners_e[qa]:
-                if other != qb:
-                    po = l2p[other]
-                    delta_e += buf[row_b + po] - buf[row_a + po]
-            for other in self.partners_e[qb]:
-                if other != qa:
-                    po = l2p[other]
-                    delta_e += buf[row_a + po] - buf[row_b + po]
-            score += self._weight * (self.sum_e + delta_e) / len(self.ext_pairs)
-        return score
-
-    # ------------------------------------------------------------------
-    # Layout events
-    # ------------------------------------------------------------------
-
-    def on_swap_applied(self, qa: int, qb: int, pa: int, pb: int) -> None:
-        """Incrementally maintain the candidate set after a SWAP.
-
-        ``pa``/``pb`` are the homes of ``qa``/``qb`` *before* the swap.
-        At most one front-layer home moves (front qubits occupy distinct
-        homes), so the update touches only the two endpoints' edges —
-        ``O(deg)`` instead of rebuilding from every front qubit.
-        """
-        a_front = qa in self.front_qubits
-        b_front = qb in self.front_qubits
-        if a_front == b_front:
-            # Both in the front layer: their homes trade places and the
-            # union of incident edges is unchanged.  Neither in the
-            # front layer: no front home moved.
-            return
-        moved_from, moved_to = (pa, pb) if a_front else (pb, pa)
-        homes = self.front_homes
-        homes.discard(moved_from)
-        homes.add(moved_to)
-        cand = self.cand_set
-        cand_list = self.cand_list
-        for nb in self.neighbors[moved_from]:
-            if nb not in homes:
-                edge = (moved_from, nb) if moved_from < nb else (nb, moved_from)
-                if edge in cand:
-                    cand.discard(edge)
-                    del cand_list[bisect_left(cand_list, edge)]
-        for nb in self.neighbors[moved_to]:
-            edge = (moved_to, nb) if moved_to < nb else (nb, moved_to)
-            if edge not in cand:
-                cand.add(edge)
-                insort(cand_list, edge)
-
-
 class VectorDevice:
     """Device-constant arrays for the batched ``vector`` scorer.
 
@@ -501,9 +196,9 @@ class VectorDevice:
         num_edges: ``E``, undirected device edges (sorted, ``pa < pb``).
         dist: the flat ``(n*n,)`` float64 distance buffer.
         epa / epb: edge endpoint arrays, lexicographically sorted — the
-            same order as :meth:`RouterState.candidates`, so winner
-            indices (hence tie-break RNG draws) line up with the scalar
-            scorers.
+            same order as :meth:`SabreRouter._swap_candidates`, so
+            winner indices (hence tie-break RNG draws) line up with the
+            reference scorer.
         ep_s / ep_o: stacked "self" / "other" endpoints, ``(2E,)``.
         row_s / row_o: premultiplied row offsets (``ep * n``).
         ep_cat: ``(4E,)`` fused gather index into a ``[l2p | PF]``
@@ -625,8 +320,7 @@ class VectorBlock:
 
     Scoring modes per front refresh: fronts with at most
     ``scalar_max_front`` gates are scored by a scalar delta loop
-    (:meth:`score_scalar`; numpy dispatch would dominate) —
-    bit-compatible with the ``fast`` scorer's loop.  Its state is
+    (:meth:`score_scalar`; numpy dispatch would dominate).  Its state is
     installed by :meth:`set_narrow_front` from logical-qubit pairs: the
     extended pairs usually arrive as the frontier's memoised tuple
     (walked once per distinct front per layout search), and the
@@ -639,9 +333,9 @@ class VectorBlock:
     front-shaped arrays are rebuilt wholesale at each refresh, so stale
     state can never leak across modes.
 
-    Exactness: kernel scores agree with the ``fast`` scorer up to
-    float-addition order (same tolerance argument as fast-vs-reference)
-    and winner sets are recovered by the epsilon-gap rule of
+    Exactness: kernel scores agree with :meth:`score_scalar` and the
+    reference scorer up to float-addition order (see the module
+    docstring) and winner sets are recovered by the epsilon-gap rule of
     :meth:`_winners`, with an exact sequential replay on the rare
     boundary case — the differential suite pins all of it down.
     """
@@ -1069,7 +763,7 @@ class VectorBlock:
         actn = act * n
         # Candidate lanes: an edge qualifies iff either endpoint is a
         # front-layer home.  nonzero() is row-major, so lanes arrive
-        # grouped by row in ascending edge order — the scalar scorers'
+        # grouped by row in ascending edge order — the scalar loops'
         # candidate order, which keeps tie-break RNG draws aligned.
         gidx = self._actn[:A]
         np.add(dev.ep_s[None, :], actn[:, None], out=gidx)
@@ -1478,7 +1172,7 @@ class VectorBlock:
         )
 
     # ------------------------------------------------------------------
-    # Narrow-front scalar scoring (bit-compatible with the fast loop)
+    # Narrow-front scalar scoring
     # ------------------------------------------------------------------
 
     def score_scalar(
@@ -1491,14 +1185,14 @@ class VectorBlock:
     ) -> List[Tuple[int, int, None]]:
         """Scalar delta scoring for a narrow front (see class docstring).
 
-        Mirrors the router's inlined fast loop exactly — same candidate
-        order, same float operations — so narrow and wide fronts are
-        scored interchangeably.  The candidate list comes from the
-        device's per-home-tuple memo (:meth:`VectorDevice.
-        narrow_candidates`); the winner triples carry ``eidx=None``
-        since the kernel's delta buffers were not involved.  The size of
-        the candidate list is left in :attr:`scalar_candidates` for the
-        router profiler.
+        Walks the same candidate order as the kernel and the reference
+        scorer, adjusting the step's base sums by per-candidate deltas,
+        so narrow and wide fronts are scored interchangeably.  The
+        candidate list comes from the device's per-home-tuple memo
+        (:meth:`VectorDevice.narrow_candidates`); the winner triples
+        carry ``eidx=None`` since the kernel's delta buffers were not
+        involved.  The size of the candidate list is left in
+        :attr:`scalar_candidates` for the router profiler.
         """
         buf = self.buf
         n = self.device.n

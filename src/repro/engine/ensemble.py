@@ -45,7 +45,7 @@ from repro.core.bidirectional import (
     BidirectionalResult,
     TrialRecord,
 )
-from repro.core.heuristic import DecayArray, HeuristicConfig, resolve_scorer
+from repro.core.heuristic import DecayArray, HeuristicConfig
 from repro.core.router import SabreRouter
 from repro.core.scoring import FlatDistance, VectorBlock
 from repro.exceptions import MappingError, ReproError
@@ -72,9 +72,9 @@ def ensemble_eligible(
     Three requirements, each checked against the serial executor's
     actual behaviour:
 
-    - the scorer must resolve to ``"vector"`` (the lockstep driver is
-      the vector generator protocol; ``fast``/``reference`` trials
-      have no kernel to share);
+    - the scorer must be ``"vector"`` (the lockstep driver is the
+      vector generator protocol; ``reference`` trials have no kernel
+      to share);
     - the distance matrix must be symmetric (otherwise the router
       itself falls back to the reference scorer, see
       :class:`~repro.core.router.SabreRouter`);
@@ -84,7 +84,7 @@ def ensemble_eligible(
       or rewrite the distance/config (``NoiseAwareDistance``) would
       diverge from what the ensemble precomputes.
     """
-    if resolve_scorer((config or HeuristicConfig()).scorer) != "vector":
+    if (config or HeuristicConfig()).scorer != "vector":
         return False
     if distance is not None:
         flat = (

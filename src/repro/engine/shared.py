@@ -258,7 +258,7 @@ def _attach_distance(handle: _DistanceHandle):
     Shared-memory blocks attach zero-copy: the worker's ``FlatDistance``
     wraps a ``memoryview`` of the parent's table cast to doubles —
     ``len``, indexing, and ``numpy.frombuffer`` all work on it, so both
-    the vector and fast scorers consume it unchanged.
+    scorers consume it unchanged.
     """
     if handle.shm_name is not None:
         from multiprocessing import shared_memory

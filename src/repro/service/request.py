@@ -173,6 +173,9 @@ class CompileRequest:
             raise RequestError(
                 f"unknown heuristic mode {mode!r}; available: {sorted(MODES)}"
             )
+        # Runs every HeuristicConfig check (ranges, finiteness) up front,
+        # so a bad knob is rejected before anything is queued.
+        self.heuristic_config()
 
     # ------------------------------------------------------------------
     # Content addressing

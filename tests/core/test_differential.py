@@ -1,9 +1,10 @@
-"""Differential suite: vector / fast scorers vs reference scorer.
+"""Differential suite: the vector scorer vs the reference scorer.
 
-Both optimized paths — the scalar fast delta scorer (flat-array delta
-scoring, incremental candidate cache) and the batched numpy vector
-scorer — must be *observationally identical* to the paper-literal
-reference path: same per-step winner sets, same tie-break draws, and
+The production path — the vector scorer (a scalar delta loop for
+narrow fronts, a batched numpy kernel for wide ones, memoised
+candidate lists and look-ahead sets) — must be *observationally
+identical* to the paper-literal reference path: same per-step winner
+sets, same tie-break draws, and
 therefore bit-for-bit identical routed circuits for identical seeds —
 across all heuristic modes, the noise-aware penalty path, and the
 livelock escape hatch.  The trial-major lockstep ensemble executor
@@ -21,7 +22,7 @@ from repro.core import (
     SabreRouter,
     compile_circuit,
 )
-from repro.core.heuristic import SCORER_ENV_VAR, resolve_scorer
+from repro.core.heuristic import SCORERS
 from repro.engine import run_trials
 from repro.exceptions import MappingError
 from repro.extensions.noise_aware import noise_weighted_distance
@@ -34,8 +35,6 @@ from repro.hardware import (
 )
 
 MODES = ["basic", "lookahead", "decay"]
-
-SCORERS = ("vector", "fast", "reference")
 
 
 def _directive_circuit():
@@ -81,13 +80,12 @@ def _run_all(device, circuit, mode="decay", seed=0, layout_seed=1, **cfg):
 
 def _assert_identical(results):
     reference = results["reference"]
-    for scorer in ("vector", "fast"):
-        result = results[scorer]
-        assert result.circuit == reference.circuit
-        assert result.swap_positions == reference.swap_positions
-        assert result.initial_layout == reference.initial_layout
-        assert result.final_layout == reference.final_layout
-        assert result.num_forced_escapes == reference.num_forced_escapes
+    result = results["vector"]
+    assert result.circuit == reference.circuit
+    assert result.swap_positions == reference.swap_positions
+    assert result.initial_layout == reference.initial_layout
+    assert result.final_layout == reference.final_layout
+    assert result.num_forced_escapes == reference.num_forced_escapes
 
 
 class TestIdenticalRouting:
@@ -153,9 +151,9 @@ class TestIdenticalRouting:
         """The whole layout search.  With the vector scorer a
         multi-traversal sweep routes in search mode and replays one
         winner; one traversal emits directly.  Both must match the
-        emitting fast and reference scorers and the pre-IR
-        LegacySabreLayout, across traversal counts, the escape hatch
-        and directive circuits."""
+        emitting reference scorer and the pre-IR LegacySabreLayout,
+        across traversal counts, the escape hatch and directive
+        circuits."""
         plain = random_circuit(16, 100, seed=9, two_qubit_fraction=0.7)
         cases = [
             (tokyo, plain, "decay", 3, None),
@@ -183,7 +181,7 @@ class TestIdenticalRouting:
                     device,
                     config=HeuristicConfig(
                         mode=mode,
-                        scorer="fast" if label == "legacy" else label,
+                        scorer="reference" if label == "legacy" else label,
                     ),
                     num_traversals=num_traversals,
                     seed=0,
@@ -194,7 +192,7 @@ class TestIdenticalRouting:
             reference = outputs["reference"]
             if stall_limit is not None:
                 assert reference.routing.num_forced_escapes > 0
-            for label in ("vector", "fast", "legacy"):
+            for label in ("vector", "legacy"):
                 out = outputs[label]
                 assert out.routing.circuit == reference.routing.circuit
                 assert (
@@ -221,12 +219,11 @@ class TestIdenticalRouting:
             )
             for scorer in SCORERS
         }
-        for scorer in ("vector", "fast"):
-            assert (
-                results[scorer].routing.circuit
-                == results["reference"].routing.circuit
-            )
-            assert results[scorer].num_swaps == results["reference"].num_swaps
+        assert (
+            results["vector"].routing.circuit
+            == results["reference"].routing.circuit
+        )
+        assert results["vector"].num_swaps == results["reference"].num_swaps
 
 
 class TestWinnerSets:
@@ -247,7 +244,6 @@ class TestWinnerSets:
             )
             router.run(circuit, initial_layout=layout)
             traces[scorer] = steps
-        assert traces["fast"] == traces["reference"]
         assert traces["vector"] == traces["reference"]
         assert len(traces["reference"]) > 0
         # The layout search: the vector scorer's search-mode traversals
@@ -267,7 +263,6 @@ class TestWinnerSets:
             )
             searcher.run(circuit)
             searches[scorer] = steps
-        assert searches["fast"] == searches["reference"]
         assert searches["vector"] == searches["reference"]
         assert len(searches["reference"]) > len(traces["reference"])
 
@@ -287,7 +282,7 @@ class TestEnsembleIdentity:
         outcomes = {}
         for scorer, executor in (
             ("vector", "ensemble"),
-            ("fast", "serial"),
+            ("reference", "serial"),
         ):
             outcomes[executor] = run_trials(
                 circuit,
@@ -305,11 +300,11 @@ class TestEnsembleIdentity:
             assert a.result.initial_layout == b.result.initial_layout
 
     @pytest.mark.parametrize("num_traversals", [1, 3])
-    @pytest.mark.parametrize("scorer", ["vector", "fast"])
+    @pytest.mark.parametrize("scorer", SCORERS)
     def test_hybrid_per_seed_identity(self, scorer, num_traversals):
         """The sharded hybrid executor vs serial, across scorers: the
-        vector scorer shards run lockstep ensembles, the fast scorer
-        (ensemble-ineligible) shards run per-seed serial trials — both
+        vector scorer shards run lockstep ensembles, the reference
+        scorer (ensemble-ineligible) shards run per-seed serial trials — both
         against ship-once worker state, both byte-identical."""
         device = grid_device(4, 4)
         circuit = random_circuit(16, 120, seed=29, two_qubit_fraction=0.8)
@@ -355,7 +350,7 @@ class TestEnsembleIdentity:
         )
         ser = run_trials(
             circuit, device, seeds=seeds,
-            config=HeuristicConfig(scorer="fast"),
+            config=HeuristicConfig(scorer="reference"),
             num_traversals=3, executor="serial",
         )
         assert hyb.trial_swaps == ser.trial_swaps
@@ -391,7 +386,7 @@ class TestEnsembleIdentity:
             circuit,
             device,
             seeds=seeds,
-            config=HeuristicConfig(scorer="fast"),
+            config=HeuristicConfig(scorer="reference"),
             num_traversals=3,
             executor="serial",
         )
@@ -401,37 +396,22 @@ class TestEnsembleIdentity:
 
 
 class TestScorerSelection:
-    def test_env_knob_reference(self, monkeypatch, line5):
-        monkeypatch.setenv(SCORER_ENV_VAR, "reference")
-        router = SabreRouter(line5, config=HeuristicConfig(scorer="auto"))
-        assert router.scorer == "reference"
-
-    def test_env_knob_default_vector(self, monkeypatch, line5):
-        monkeypatch.delenv(SCORER_ENV_VAR, raising=False)
-        router = SabreRouter(line5)
-        assert router.scorer == "vector"
-
-    def test_env_knob_fast(self, monkeypatch, line5):
-        monkeypatch.setenv(SCORER_ENV_VAR, "fast")
-        router = SabreRouter(line5, config=HeuristicConfig(scorer="auto"))
-        assert router.scorer == "fast"
-
-    def test_explicit_config_beats_env(self, monkeypatch, line5):
-        monkeypatch.setenv(SCORER_ENV_VAR, "reference")
-        router = SabreRouter(line5, config=HeuristicConfig(scorer="fast"))
-        assert router.scorer == "fast"
+    def test_two_scorers_default_vector(self, line5):
+        assert SCORERS == ("vector", "reference")
+        assert HeuristicConfig().scorer == "vector"
+        assert SabreRouter(line5).scorer == "vector"
 
     def test_invalid_scorer_rejected(self):
         with pytest.raises(MappingError, match="scorer"):
             HeuristicConfig(scorer="warp")
 
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(SCORER_ENV_VAR, "warp")
+    @pytest.mark.parametrize("name", ["auto", "fast"])
+    def test_retired_scorer_names_rejected(self, name):
         with pytest.raises(MappingError, match="scorer"):
-            resolve_scorer("auto")
+            HeuristicConfig(scorer=name)
 
     def test_asymmetric_matrix_falls_back(self, line5):
-        """The delta scorer assumes D symmetric; asymmetric input must
+        """The vector scorer assumes D symmetric; asymmetric input must
         silently use the reference scorer instead of mis-scoring."""
         asym = [[0.0] * 5 for _ in range(5)]
         for i in range(5):
@@ -439,7 +419,7 @@ class TestScorerSelection:
                 if i != j:
                     asym[i][j] = abs(i - j) + (0.25 if i > j else 0.0)
         router = SabreRouter(
-            line5, config=HeuristicConfig(scorer="fast"), distance=asym
+            line5, config=HeuristicConfig(scorer="vector"), distance=asym
         )
         assert router.scorer == "reference"
 
@@ -494,7 +474,7 @@ class TestLookaheadMemo:
     """The vector router's front-keyed look-ahead memo (one per layout
     search and IR direction) must serve exactly the extended set a
     fresh walk finds at every refresh, and routing must stay
-    byte-identical to the unmemoised ``fast`` scorer."""
+    byte-identical to the unmemoised reference scorer."""
 
     @staticmethod
     def _search(device, circuit, scorer, stall_limit=None, **kwargs):
@@ -512,10 +492,12 @@ class TestLookaheadMemo:
 
     def _assert_search_identical(self, device, circuit, **kwargs):
         vector = self._search(device, circuit, "vector", **kwargs)
-        fast = self._search(device, circuit, "fast", **kwargs)
-        assert vector.routing.circuit == fast.routing.circuit
-        assert vector.routing.swap_positions == fast.routing.swap_positions
-        assert vector.trials == fast.trials
+        reference = self._search(device, circuit, "reference", **kwargs)
+        assert vector.routing.circuit == reference.routing.circuit
+        assert (
+            vector.routing.swap_positions == reference.routing.swap_positions
+        )
+        assert vector.trials == reference.trials
         return vector
 
     def test_directive_circuit(self, memo_audit):
@@ -543,7 +525,7 @@ class TestLookaheadMemo:
         circuit = random_circuit(16, 160, seed=4, two_qubit_fraction=0.8)
         ir = FlatDag.from_circuit(circuit)
         router = SabreRouter(tokyo, config=HeuristicConfig(scorer="vector"))
-        oracle = SabreRouter(tokyo, config=HeuristicConfig(scorer="fast"))
+        oracle = SabreRouter(tokyo, config=HeuristicConfig(scorer="reference"))
         frontier = FrontierState(ir)
         for layout_seed in (1, 1, 2):
             layout = Layout.random(tokyo.num_qubits, seed=layout_seed)
@@ -572,7 +554,10 @@ class TestLookaheadMemo:
                 num_traversals=3,
                 executor=executor,
             )
-            for scorer, executor in (("vector", "ensemble"), ("fast", "serial"))
+            for scorer, executor in (
+                ("vector", "ensemble"),
+                ("reference", "serial"),
+            )
         }
         ens, ser = outcomes["ensemble"], outcomes["serial"]
         assert ens.trial_swaps == ser.trial_swaps
@@ -692,7 +677,7 @@ class TestFoldedSearch:
     ):
         """A K=3 lockstep ensemble sweeps on folded frontiers: every
         forward trace it ranks replays to a circuit of the traced depth,
-        and each trial's winner equals the emitting ``fast`` serial
+        and each trial's winner equals the emitting ``reference`` serial
         trial's."""
         from repro.circuits.depth import circuit_depth
         from repro.circuits.flatdag import FrontierState
@@ -724,7 +709,7 @@ class TestFoldedSearch:
                 )
                 for scorer, executor in (
                     ("vector", "ensemble"),
-                    ("fast", "serial"),
+                    ("reference", "serial"),
                 )
             }
             ens, ser = outcomes["ensemble"], outcomes["serial"]

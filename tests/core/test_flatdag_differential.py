@@ -27,7 +27,7 @@ from repro.extensions.noise_aware import noise_weighted_distance
 from repro.hardware import NoiseModel, grid_device, line_device, ring_device
 
 MODES = ["basic", "lookahead", "decay"]
-SCORERS = ["fast", "reference"]
+SCORERS = ["vector", "reference"]
 
 
 def _assert_identical(a, b):

@@ -45,6 +45,14 @@ class TestHeuristicConfig:
         with pytest.raises(MappingError):
             HeuristicConfig(extended_set_size=-1)
 
+    @pytest.mark.parametrize(
+        "field", ["extended_set_weight", "decay_delta", "swap_cost_penalty"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(MappingError, match=f"{field} must be a finite"):
+            HeuristicConfig(**{field: value})
+
     def test_reset_interval_positive(self):
         with pytest.raises(MappingError):
             HeuristicConfig(decay_reset_interval=0)

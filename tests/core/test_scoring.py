@@ -1,14 +1,17 @@
-"""Unit tests for the flat-array delta-scoring state (repro.core.scoring)."""
+"""Unit tests for the flat distance buffer and the vector scorer's
+scalar delta loop and candidate memo (repro.core.scoring)."""
 
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit, random_circuit
-from repro.circuits.dag import CircuitDag, DagFrontier
-from repro.core import FlatDistance, HeuristicConfig, Layout, RouterState, SabreRouter
+from repro.circuits.flatdag import FlatDag, FrontierState
+from repro.core import FlatDistance, HeuristicConfig, Layout, SabreRouter
 from repro.core.heuristic import score_layout
+from repro.core.scoring import SCORE_EPSILON, VectorBlock, VectorDevice
 from repro.exceptions import MappingError
 from repro.hardware import distance_matrix, grid_device, line_device
 
@@ -58,31 +61,47 @@ class TestFlatDistance:
         assert flat.buf[0] != 99.0
 
 
-def _state_for(device, circuit, layout, config):
-    """Build a RouterState reflecting ``circuit``'s initial front layer."""
+def _front_of(circuit):
+    """A frontier holding ``circuit``'s initial front layer."""
+    frontier = FrontierState(FlatDag.from_circuit(circuit))
+    frontier.drain_nonrouting()
+    return frontier
+
+
+def _narrow_block(device, frontier, layout, config):
+    """A one-row VectorBlock holding ``frontier``'s front layer as a
+    narrow front (the scalar delta loop's state); also returns the
+    front and extended gates for the reference scorer."""
     flat = FlatDistance.from_matrix(distance_matrix(device))
     neighbors = [device.neighbors(q) for q in range(device.num_qubits)]
-    state = RouterState(flat, neighbors, config)
-    frontier = DagFrontier(CircuitDag(circuit))
-    frontier.drain_nonrouting()
-    front_gates = [frontier.dag.nodes[i].gate for i in sorted(frontier.front)]
-    extended = (
-        frontier.extended_set(config.extended_set_size)
+    block = VectorBlock(VectorDevice(flat, neighbors), config, flat.buf.tolist())
+    block.bind_layout(0, layout.l2p)
+    dag = frontier.dag
+    front = frontier.front_list()
+    ext = (
+        frontier.extended_nodes(config.extended_set_size)
         if config.uses_lookahead
         else []
     )
-    state.set_front(
-        [g.qubits for g in front_gates],
-        [g.qubits for g in extended],
-        layout.l2p,
+    block.set_narrow_front(
+        0, [dag.pairs[i] for i in front], [dag.pairs[i] for i in ext]
     )
-    return state, front_gates, extended, frontier
+    return block, [dag.gates[i] for i in front], [dag.gates[i] for i in ext]
+
+
+def _front_homes(frontier, layout):
+    dag = frontier.dag
+    return tuple(
+        layout.physical(q)
+        for i in frontier.front_list()
+        for q in (dag.qubit_a[i], dag.qubit_b[i])
+    )
 
 
 class TestDeltaScoring:
-    """swap_score must equal the reference full recomputation exactly
-    enough that winner sets never differ (tolerance far below the
-    router's 1e-9 tie epsilon)."""
+    """The vector scorer's scalar delta loop (``score_scalar``) must
+    pick exactly the winner set of the reference full recomputation,
+    step after step, under non-trivial decay."""
 
     @pytest.mark.parametrize("mode", ["basic", "lookahead", "decay"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -91,18 +110,38 @@ class TestDeltaScoring:
         circuit = random_circuit(16, 60, seed=seed, two_qubit_fraction=0.8)
         layout = Layout.random(16, seed=seed + 100)
         config = HeuristicConfig(mode=mode)
-        state, front_gates, extended, _ = _state_for(
-            device, circuit, layout, config
+        frontier = _front_of(circuit)
+        block, front_gates, extended = _narrow_block(
+            device, frontier, layout, config
         )
+        router = SabreRouter(device, config=config)
         dist = distance_matrix(device)
-        state.begin_step(layout.l2p)
-        for pa, pb in state.candidates():
-            qa, qb = layout.logical(pa), layout.logical(pb)
-            got = state.swap_score(qa, qb, pa, pb, layout.l2p)
+        rng = random.Random(seed)
+        for _ in range(40):
+            decay = np.array([1.0 + rng.randrange(4) * 1e-3 for _ in range(16)])
+            got = block.score_scalar(
+                0, layout.l2p, layout.p2l, decay, config.uses_decay
+            )
+            want = []
+            best = float("inf")
+            for pa, pb in router._swap_candidates(frontier, layout):
+                qa, qb = layout.logical(pa), layout.logical(pb)
+                layout.swap_logical(qa, qb)
+                score = score_layout(
+                    front_gates, extended, layout.l2p, dist, config
+                )
+                layout.swap_logical(qa, qb)
+                if config.uses_decay:
+                    score *= max(decay[qa], decay[qb])
+                if score < best - SCORE_EPSILON:
+                    best, want = score, [(qa, qb)]
+                elif score <= best + SCORE_EPSILON:
+                    want.append((qa, qb))
+            assert [(qa, qb) for qa, qb, _ in got] == want
+            qa, qb = rng.choice(want)
+            pa, pb = layout.physical(qa), layout.physical(qb)
             layout.swap_logical(qa, qb)
-            want = score_layout(front_gates, extended, layout.l2p, dist, config)
-            layout.swap_logical(qa, qb)
-            assert got == pytest.approx(want, abs=1e-12), (pa, pb)
+            block.on_swap(0, qa, qb, pa, pb)
 
     def test_front_partner_is_scalar(self):
         device = line_device(5)
@@ -110,67 +149,62 @@ class TestDeltaScoring:
         circuit.cx(0, 4)
         circuit.cx(1, 2)
         layout = Layout.trivial(5)
-        state, _, _, _ = _state_for(device, circuit, layout, HeuristicConfig())
-        assert state.partner_f[0] == 4
-        assert state.partner_f[4] == 0
-        assert state.partner_f[1] == 2
-        assert state.partner_f[3] == -1
-
-    def test_rejects_overlapping_front(self, tokyo):
-        flat = FlatDistance.from_matrix(distance_matrix(tokyo))
-        neighbors = [tokyo.neighbors(q) for q in range(tokyo.num_qubits)]
-        state = RouterState(flat, neighbors, HeuristicConfig())
-        pairs = [(0, 1), (1, 2)]
-        with pytest.raises(MappingError, match="vertex-disjoint"):
-            state.set_front(pairs, [], Layout.trivial(tokyo.num_qubits).l2p)
+        block, _, _ = _narrow_block(
+            device, _front_of(circuit), layout, HeuristicConfig()
+        )
+        partner = block._pf[0]
+        assert partner[0] == 4
+        assert partner[4] == 0
+        assert partner[1] == 2
+        assert partner[3] == -1
 
 
 class TestIncrementalCandidates:
-    """The incrementally maintained candidate set must agree with a
-    from-scratch rebuild after every SWAP the router could apply."""
+    """The vector scorer's memoised narrow-front candidate lists must
+    match the router's from-scratch ``_swap_candidates`` — the order
+    that decides tie-breaks — after every SWAP the router could apply."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_agrees_with_rebuild_under_random_swaps(self, seed):
         device = grid_device(4, 4)
         circuit = random_circuit(16, 50, seed=seed, two_qubit_fraction=0.9)
         layout = Layout.random(16, seed=seed)
-        config = HeuristicConfig()
-        state, _, _, _ = _state_for(device, circuit, layout, config)
+        router = SabreRouter(device, config=HeuristicConfig(scorer="vector"))
+        frontier = _front_of(circuit)
         rng = random.Random(seed)
         for _ in range(60):
             # Apply a random candidate SWAP, exactly like the router.
-            pa, pb = rng.choice(state.candidates())
-            qa, qb = layout.logical(pa), layout.logical(pb)
-            layout.swap_logical(qa, qb)
-            state.on_swap_applied(qa, qb, pa, pb)
-            # Scratch rebuild on a throwaway state must agree.
-            fresh_cands = set()
-            for q in state.front_qubits:
-                p = layout.physical(q)
-                for nb in device.neighbors(p):
-                    fresh_cands.add((p, nb) if p < nb else (nb, p))
-            assert state.cand_set == fresh_cands
-            assert state.cand_list == sorted(fresh_cands)
+            cands = router._vdev.narrow_candidates(
+                _front_homes(frontier, layout)
+            )
+            assert [c[:2] for c in cands] == router._swap_candidates(
+                frontier, layout
+            )
+            pa, pb, _, _ = rng.choice(cands)
+            layout.swap_logical(layout.logical(pa), layout.logical(pb))
 
-    def test_matches_router_swap_candidates(self, grid3x3):
-        from repro.circuits.flatdag import FlatDag, FrontierState
-
-        circuit = QuantumCircuit(9)
-        circuit.cx(0, 8)
-        router = SabreRouter(grid3x3, seed=0)
-        frontier = FrontierState(FlatDag.from_circuit(circuit))
-        frontier.drain_nonrouting()
-        layout = Layout.trivial(9)
-        state, _, _, _ = _state_for(
-            grid3x3, circuit, layout, HeuristicConfig()
-        )
-        assert state.candidates() == router._swap_candidates(frontier, layout)
+    def test_matches_router_swap_candidates(self, tokyo):
+        """Random layouts and random fronts (any vertex-disjoint set of
+        two-qubit gates, home tuples in front order)."""
+        router = SabreRouter(tokyo, config=HeuristicConfig(scorer="vector"))
+        rng = random.Random(7)
+        for trial in range(100):
+            qubits = rng.sample(range(20), 2 * rng.randint(1, 6))
+            circuit = QuantumCircuit(20)
+            for a, b in zip(qubits[::2], qubits[1::2]):
+                circuit.cx(a, b)
+            frontier = _front_of(circuit)
+            layout = Layout.random(20, seed=trial)
+            cands = router._vdev.narrow_candidates(
+                _front_homes(frontier, layout)
+            )
+            assert [(pa, pb) for pa, pb, _, _ in cands] == (
+                router._swap_candidates(frontier, layout)
+            )
 
 
 class TestNarrowCandidateMemo:
     def _device(self, coupling):
-        from repro.core.scoring import VectorDevice
-
         flat = FlatDistance.from_matrix(distance_matrix(coupling))
         neighbors = [coupling.neighbors(q) for q in range(coupling.num_qubits)]
         return VectorDevice(flat, neighbors), neighbors

@@ -272,7 +272,7 @@ class TestHybridExecutor:
             warnings.simplefilter("always")
             outcome = run_trials(
                 workload, device, [0, 1],
-                config=HeuristicConfig(scorer="fast"),
+                config=HeuristicConfig(scorer="reference"),
                 executor="ensemble",
             )
         assert outcome.executor == "serial"

@@ -43,7 +43,7 @@ from repro.verify import (
 )
 
 MODES = ["basic", "lookahead", "decay"]
-SCORERS = ["fast", "reference"]
+SCORERS = ["vector", "reference"]
 
 
 def reference_compile(circuit, coupling, config, seed, num_trials, num_traversals):

@@ -1,16 +1,15 @@
-"""Property tests: vector / fast scorers == reference scorer, step by
-step — plus the lockstep ensemble executor == the serial executor,
+"""Property tests: vector scorer == reference scorer, step by step —
+plus the lockstep ensemble executor == the serial executor,
 seed by seed."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import random_circuit
 from repro.core import HeuristicConfig, Layout, SabreRouter
+from repro.core.heuristic import SCORERS
 from repro.engine import run_trials
 from repro.extensions.noise_aware import noise_weighted_distance
 from repro.hardware import NoiseModel, grid_device, ring_device
-
-SCORERS = ("vector", "fast", "reference")
 
 
 def _winner_trace(device, circuit, layout, mode, scorer, seed, distance=None):
@@ -37,7 +36,7 @@ def test_winner_sets_and_circuits_identical(
     circuit_seed, layout_seed, tie_seed, mode
 ):
     """For any circuit/layout/tie-break seed and any heuristic mode,
-    the vector and fast scorers' per-step winner sets — the complete
+    the vector scorer's per-step winner sets — the complete
     set of best-scoring SWAPs *before* the random tie-break — equal the
     reference scorer's, and the routed circuits are bit-for-bit
     identical."""
@@ -49,11 +48,10 @@ def test_winner_sets_and_circuits_identical(
         for scorer in SCORERS
     }
     ref_steps, ref = traces["reference"]
-    for scorer in ("vector", "fast"):
-        steps, result = traces[scorer]
-        assert steps == ref_steps
-        assert result.circuit == ref.circuit
-        assert result.final_layout == ref.final_layout
+    steps, result = traces["vector"]
+    assert steps == ref_steps
+    assert result.circuit == ref.circuit
+    assert result.final_layout == ref.final_layout
 
 
 @settings(max_examples=15, deadline=None)
@@ -67,8 +65,8 @@ def test_winner_sets_identical_under_distance_matrices(
     circuit_seed, layout_seed, asymmetric, weighted
 ):
     """Scorer equivalence holds under noise-weighted (non-integer)
-    symmetric matrices; asymmetric matrices make both optimized
-    scorers fall back to the reference scorer (the escape hatch), so
+    symmetric matrices; asymmetric matrices make the vector scorer
+    fall back to the reference scorer (the escape hatch), so
     equality is preserved trivially — either way the routed circuits
     match."""
     device = grid_device(3, 3)
@@ -94,10 +92,9 @@ def test_winner_sets_identical_under_distance_matrices(
         for scorer in SCORERS
     }
     ref_steps, ref = traces["reference"]
-    for scorer in ("vector", "fast"):
-        steps, result = traces[scorer]
-        assert steps == ref_steps
-        assert result.circuit == ref.circuit
+    steps, result = traces["vector"]
+    assert steps == ref_steps
+    assert result.circuit == ref.circuit
 
 
 @settings(max_examples=10, deadline=None)
@@ -119,12 +116,11 @@ def test_escape_hatch_identical(circuit_seed, stall_limit):
             stall_limit=stall_limit,
         )
         results[scorer] = router.run(circuit, initial_layout=layout)
-    for scorer in ("vector", "fast"):
-        assert results[scorer].circuit == results["reference"].circuit
-        assert (
-            results[scorer].num_forced_escapes
-            == results["reference"].num_forced_escapes
-        )
+    assert results["vector"].circuit == results["reference"].circuit
+    assert (
+        results["vector"].num_forced_escapes
+        == results["reference"].num_forced_escapes
+    )
 
 
 @settings(max_examples=10, deadline=None)
@@ -155,7 +151,7 @@ def test_ensemble_matches_serial_per_seed(
         circuit,
         device,
         seeds=seeds,
-        config=HeuristicConfig(mode=mode, scorer="fast"),
+        config=HeuristicConfig(mode=mode, scorer="reference"),
         num_traversals=num_traversals,
         executor="serial",
     )

@@ -223,6 +223,29 @@ class TestErrorPaths:
         assert excinfo.value.status == 400
         assert "extended_set_size" in str(excinfo.value)
 
+    def test_non_finite_config_value_is_400(self, service):
+        """``json.loads`` accepts a bare ``NaN`` literal; the request is
+        rejected before it is queued, so nothing is ever compiled."""
+        client, _ = service
+        body = (
+            '{"qasm": %s, "config": {"swap_cost_penalty": NaN}}'
+            % json.dumps(QASM)
+        )
+        request = urllib.request.Request(
+            f"{client.base_url}/compile",
+            data=body.encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert "swap_cost_penalty must be a finite" in error
+        scheduler = client.stats()["scheduler"]
+        assert scheduler["submitted"] == 0
+        assert scheduler["executions"] == 0
+
     def test_bad_priority_is_400(self, service):
         client, _ = service
         request = urllib.request.Request(

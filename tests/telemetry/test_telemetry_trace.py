@@ -215,7 +215,7 @@ class TestLayoutTraversalSpans:
     """The layout search records one span per traversal below the
     layout-search pass (every trial, both directions)."""
 
-    @pytest.mark.parametrize("scorer", ["vector", "fast"])
+    @pytest.mark.parametrize("scorer", ["vector", "reference"])
     def test_traversals_nest_under_layout_pass(self, scorer):
         from repro import compile_circuit
         from repro.bench_circuits import build_benchmark

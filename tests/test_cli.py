@@ -73,12 +73,18 @@ class TestMapCommand:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("scorer", ["vector", "fast", "reference"])
+    @pytest.mark.parametrize("scorer", ["vector", "reference"])
     def test_map_scorer_flag(self, qasm_file, capsys, scorer):
         code = main(
             ["map", qasm_file, "--trials", "1", "--scorer", scorer]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("scorer", ["auto", "fast"])
+    def test_map_retired_scorer_names_rejected(self, qasm_file, scorer):
+        with pytest.raises(SystemExit) as exc:
+            main(["map", qasm_file, "--scorer", scorer])
+        assert exc.value.code == 2
 
     def test_map_ensemble_executor_matches_serial(
         self, qasm_file, tmp_path, capsys
@@ -254,6 +260,11 @@ class TestBadInput:
         )
         code = main(["map", str(path), "--device", "ibm_q20_tokyo"])
         self._assert_clean_error(capsys, code, "map", "25")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_delta(self, qasm_file, capsys, value):
+        code = main(["map", qasm_file, "--trials", "1", f"--delta={value}"])
+        self._assert_clean_error(capsys, code, "map", "decay_delta")
 
 
 class TestDevicesCommand:
