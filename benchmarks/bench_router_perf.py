@@ -13,20 +13,14 @@ Three benchmark families, one report (``BENCH_router.json``):
   paper's benchmark families (QFT, Ising, reversible/Toffoli blocks)
   plus one adversarial dense-random stress case where the shared
   scoring loop dominates and the IR win is smallest.
-- **Trials cases** — a best-of-K seeded trial sweep
-  (:func:`repro.engine.run_trials`) under the trial-major lockstep
-  ensemble executor (``executor="ensemble"``, vector scorer) and the
-  two-worker hybrid executor (sharded ensembles over the ship-once
-  pool) vs the serial executor, the production path for one trial at
-  a time (vector scorer) — K full routing sweeps every way, same
-  seeds, same winner.  This is the
-  regime the batched kernel exists for: one kernel dispatch scores
-  every stuck trial, so the dispatch cost amortises across the
-  ensemble and the advantage grows with device size.  The hybrid
-  column is identity-checked but *not* regression-gated: its ratio
-  depends on the runner's core count (a 1-core runner pays pure
-  process overhead), so a speedup floor would be meaningless across
-  hardware.
+- **Trials cases** — a best-of-K seeded trial sweep under the serial
+  executor (:func:`repro.engine.run_trials`: one layout search over
+  all K seeds, one look-ahead memo, one circuit built) vs K
+  single-trial pipelines, one per seed, each with its own memo and its
+  own winner circuit — same seeds, same winner.  The tokyo case is
+  gated; the synthetic-grid case is timed and byte-checked but its
+  ratio is informational only (``ungated_speedup``): grids do not
+  justify a default.
 
 Every case asserts the compared paths' routed circuits are
 *byte-identical* (the differential guarantee) before timing means
@@ -87,6 +81,7 @@ from repro.core import (
 )
 from repro.engine import run_trials
 from repro.engine.cache import clear_cache
+from repro.engine.trials import _run_one_trial
 from repro.hardware import CouplingGraph, grid_device, ibm_q20_tokyo
 
 #: Allowed relative drop in a case's speedup before the gate fails.
@@ -222,12 +217,12 @@ SMOKE_LAYOUT_CASES = [
 
 @dataclass(frozen=True)
 class TrialsCase:
-    """One best-of-K case: ``run_trials`` ensemble vs serial executor.
+    """One best-of-K case: the serial executor vs per-seed pipelines.
 
-    The ensemble runs all K seeded trials in lockstep through one
-    K-row vector kernel; the serial side routes them one at a time
-    with the same scorer.  Same seeds, byte-identical per-trial
-    circuits, same winner.
+    The serial executor runs all K seeds as one layout search; the
+    per-seed side runs K single-trial pipelines and keeps the lowest
+    ``(num_swaps, depth)``, earliest seed on ties.  Same seeds,
+    byte-identical winner, same per-seed SWAP counts.
     """
 
     name: str
@@ -236,22 +231,31 @@ class TrialsCase:
     num_trials: int
     num_traversals: int
     repeats: int = 1
-    #: Worker-pool width for the hybrid column (seeds shard across
-    #: this many ship-once ensemble workers).
-    hybrid_jobs: int = 2
+    #: Whether check_regression gates the ratio (reported as
+    #: ``speedup``) or only records it (``ungated_speedup``).
+    gated: bool = True
 
 
-#: Ensemble sweep: sized where the trial-major batching pays — the
-#: kernel's dispatch cost is near-constant in K and in device size,
-#: while the scalar loop's per-step cost grows with the candidate
-#: count, so the ratio climbs with the device.
+#: The gated case: a Table II row on tokyo under the paper's three
+#: traversals, where the restarts revisit each other's fronts.
+TOKYO_TRIALS_CASE = TrialsCase(
+    "trials_sym6_145_tokyo_k8",
+    ibm_q20_tokyo,
+    lambda: decompose_to_cx_basis(build_benchmark("sym6_145")),
+    num_trials=8,
+    num_traversals=3,
+    repeats=5,
+)
+
 FULL_TRIALS_CASES = [
+    TOKYO_TRIALS_CASE,
     TrialsCase(
         "trials_rand8000_grid12x12_k8",
         lambda: grid_device(12, 12),
         _rand(144, 8000),
         num_trials=8,
         num_traversals=1,
+        gated=False,
     ),
     TrialsCase(
         "trials_rand12000_grid14x14_k6",
@@ -259,20 +263,19 @@ FULL_TRIALS_CASES = [
         _rand(196, 12000),
         num_trials=6,
         num_traversals=3,
+        gated=False,
     ),
 ]
 
-#: Trials smoke case: seconds-long, but big enough (device + K) that
-#: the lockstep advantage clears run-to-run noise — on sub-10x10
-#: grids the ensemble is roughly at parity and the ratio is too
-#: jittery to gate on.
 SMOKE_TRIALS_CASES = [
+    TOKYO_TRIALS_CASE,
     TrialsCase(
         "trials_rand3500_grid10x10_k6",
         lambda: grid_device(10, 10),
         _rand(100, 3500),
         num_trials=6,
         num_traversals=1,
+        gated=False,
     ),
 ]
 
@@ -330,7 +333,7 @@ def run_case(case: Case) -> dict:
 
 
 def run_trials_case(case: TrialsCase) -> dict:
-    """Measure one best-of-K sweep: ensemble and hybrid vs serial.
+    """Measure one best-of-K sweep: per-seed pipelines vs serial.
 
     The engine cache is cleared and re-warmed (one throwaway trial)
     before each timed run so both sides measure routing, not lowering.
@@ -338,52 +341,50 @@ def run_trials_case(case: TrialsCase) -> dict:
     device = case.device_builder()
     circuit = case.circuit_builder()
     seeds = list(range(101, 101 + case.num_trials))
-    timings = {}
+    config = HeuristicConfig(scorer="vector")
+
+    def warm():
+        clear_cache()
+        run_trials(
+            circuit, device, seeds=seeds[:1], config=config,
+            num_traversals=1,
+        )
+
+    def per_seed():
+        return [
+            _run_one_trial(
+                circuit, device, config, seed, case.num_traversals, None
+            )
+            for seed in seeds
+        ]
+
+    def serial():
+        return run_trials(
+            circuit, device, seeds=seeds, config=config,
+            num_traversals=case.num_traversals, executor="serial",
+        )
+
+    # Interleaved repeats, best of each side: a slow phase of a shared
+    # host then hits both sides instead of one.
+    timings = {"per_seed": math.inf, "serial": math.inf}
     outputs = {}
-    for label, executor, jobs in (
-        ("serial_vector", "serial", None),
-        ("ensemble", "ensemble", None),
-        ("hybrid", "hybrid", case.hybrid_jobs),
-    ):
-        config = HeuristicConfig(scorer="vector")
-        best = math.inf
-        for _ in range(case.repeats):
-            clear_cache()
-            run_trials(
-                circuit,
-                device,
-                seeds=seeds[:1],
-                config=config,
-                num_traversals=1,
-                executor="serial",
-            )
+    for _ in range(case.repeats):
+        for label, sweep in (("per_seed", per_seed), ("serial", serial)):
+            warm()
             start = time.perf_counter()
-            outputs[label] = run_trials(
-                circuit,
-                device,
-                seeds=seeds,
-                config=config,
-                num_traversals=case.num_traversals,
-                executor=executor,
-                jobs=jobs,
+            outputs[label] = sweep()
+            timings[label] = min(
+                timings[label], time.perf_counter() - start
             )
-            best = min(best, time.perf_counter() - start)
-        timings[label] = best
-    ens, ser, hyb = outputs["ensemble"], outputs["serial_vector"], outputs["hybrid"]
+    trials, ser = outputs["per_seed"], outputs["serial"]
+    keys = [(r.num_swaps, r.routing.depth) for r in trials]
+    winner = keys.index(min(keys))
     identical = (
-        ens.trial_swaps == ser.trial_swaps
-        and ens.winner_index == ser.winner_index
-        and all(
-            a.result.routing.circuit == b.result.routing.circuit
-            for a, b in zip(ens.trials, ser.trials)
-        )
-        and hyb.trial_swaps == ser.trial_swaps
-        and hyb.winner_index == ser.winner_index
-        and all(
-            a.result.routing.circuit == b.result.routing.circuit
-            for a, b in zip(hyb.trials, ser.trials)
-        )
+        [r.num_swaps for r in trials] == ser.trial_swaps
+        and winner == ser.winner_index
+        and trials[winner].routing.circuit == ser.best_result.routing.circuit
     )
+    ratio_key = "speedup" if case.gated else "ungated_speedup"
     return {
         "name": case.name,
         "device": device.name,
@@ -391,17 +392,10 @@ def run_trials_case(case: TrialsCase) -> dict:
         "num_gates": circuit.num_gates,
         "num_trials": case.num_trials,
         "num_traversals": case.num_traversals,
-        "serial_vector_seconds": round(timings["serial_vector"], 6),
-        "ensemble_seconds": round(timings["ensemble"], 6),
-        "hybrid_seconds": round(timings["hybrid"], 6),
-        "hybrid_jobs": case.hybrid_jobs,
-        "hybrid_executor": hyb.executor,
-        "speedup": round(timings["serial_vector"] / timings["ensemble"], 3),
-        # Identity-checked but deliberately NOT named "speedup"/
-        # "vector_speedup": check_regression gates only those keys, and
-        # the hybrid ratio depends on the runner's core count.
-        "hybrid_speedup": round(timings["serial_vector"] / timings["hybrid"], 3),
-        "num_swaps": ens.best_result.num_swaps,
+        "per_seed_seconds": round(timings["per_seed"], 6),
+        "serial_seconds": round(timings["serial"], 6),
+        ratio_key: round(timings["per_seed"] / timings["serial"], 3),
+        "num_swaps": ser.best_result.num_swaps,
         "identical": identical,
     }
 
@@ -497,23 +491,25 @@ def run_suite(
             f"  speedup=x{row['speedup']:<5.2f}"
             f"  identical={row['identical']}"
         )
-    print("trials sweeps: ensemble + hybrid vs serial (all vector)")
+    print("trials sweeps: serial executor vs per-seed pipelines (vector)")
     trials_results = []
     for trials_case in trials_cases:
         row = run_trials_case(trials_case)
         trials_results.append(row)
+        ratio = row.get("speedup", row.get("ungated_speedup"))
         print(
-            f"  {row['name']:26s} serial={row['serial_vector_seconds'] * 1000:7.1f}ms"
-            f"  ensemble={row['ensemble_seconds'] * 1000:8.1f}ms"
-            f"  hybrid={row['hybrid_seconds'] * 1000:8.1f}ms"
-            f" (j{row['hybrid_jobs']})"
-            f"  speedup=x{row['speedup']:<5.2f}"
-            f"  hybrid=x{row['hybrid_speedup']:<5.2f}"
+            f"  {row['name']:26s}"
+            f" per-seed={row['per_seed_seconds'] * 1000:8.1f}ms"
+            f"  serial={row['serial_seconds'] * 1000:8.1f}ms"
+            f"  speedup=x{ratio:<5.2f}"
+            f"{'' if 'speedup' in row else ' (ungated)'}"
             f"  identical={row['identical']}"
         )
     vector_speedups = [row["vector_speedup"] for row in results]
     layout_speedups = [row["speedup"] for row in layout_results]
-    trials_speedups = [row["speedup"] for row in trials_results]
+    trials_speedups = [
+        row["speedup"] for row in trials_results if "speedup" in row
+    ]
     deep = [row for row in results if row["deep"]]
     summary = {
         "geomean_vector_speedup": _geomean(vector_speedups),
@@ -525,19 +521,13 @@ def run_suite(
         "geomean_trials_speedup": (
             _geomean(trials_speedups) if trials_speedups else None
         ),
-        # Informational only — core-count dependent, never gated.
-        "geomean_hybrid_speedup": (
-            _geomean([row["hybrid_speedup"] for row in trials_results])
-            if trials_results
-            else None
-        ),
         "all_identical": all(
             row["identical"]
             for row in results + layout_results + trials_results
         ),
     }
     return {
-        "schema": 5,
+        "schema": 6,
         "bench": "router_perf",
         "smoke": smoke,
         "layout_seed": LAYOUT_SEED,
@@ -554,10 +544,11 @@ def check_regression(report: dict, baseline_path: str) -> List[str]:
     """Compare per-case speedups against a checked-in baseline.
 
     Covers all three families: scorer cases (vector vs reference),
-    layout cases (shared-IR vs legacy) and trials cases (ensemble vs
-    serial).  Returns a list of failure messages
-    (empty = pass).  Ratios are machine-relative, so the gate transfers
-    across hardware; the tolerance absorbs runner noise.
+    layout cases (shared-IR vs legacy) and the gated trials cases
+    (serial executor vs per-seed pipelines).  Returns a list of
+    failure messages (empty = pass).  Ratios are machine-relative, so
+    the gate transfers across hardware; the tolerance absorbs runner
+    noise.
     """
     with open(baseline_path) as fh:
         baseline = json.load(fh)
@@ -566,7 +557,7 @@ def check_regression(report: dict, baseline_path: str) -> List[str]:
     for kind, diverged in (
         ("cases", "scorers diverged"),
         ("layout_cases", "shared-IR and legacy layout sweeps diverged"),
-        ("trials_cases", "ensemble and serial executors diverged"),
+        ("trials_cases", "serial executor and per-seed pipelines diverged"),
     ):
         base_cases = {row["name"]: row for row in baseline.get(kind, [])}
         for row in report.get(kind, []):

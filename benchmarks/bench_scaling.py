@@ -32,7 +32,7 @@ BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 def _sabre_kwargs(num_trials):
     kwargs = {"seed": 0, "num_trials": BENCH_TRIALS or num_trials}
     if BENCH_JOBS > 1:
-        kwargs["executor"] = "process"
+        kwargs["executor"] = "parallel"
         kwargs["jobs"] = BENCH_JOBS
     return kwargs
 

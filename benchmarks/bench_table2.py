@@ -37,7 +37,7 @@ QFT = [s.name for s in suite("qft")]
 LARGE_SUBSET = ["rd84_142", "adr4_197", "z4_268", "sym6_145"]
 
 #: Engine knobs (paper defaults when unset): trial count, process-pool
-#: width (>1 switches to the engine's process executor), and objective.
+#: width (>1 switches to the engine's parallel executor), and objective.
 BENCH_TRIALS = int(os.environ.get("REPRO_BENCH_TRIALS", "0")) or None
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 BENCH_OBJECTIVE = os.environ.get("REPRO_BENCH_OBJECTIVE", "g_add")
@@ -57,7 +57,7 @@ def _sabre_kwargs(num_trials):
         "objective": BENCH_OBJECTIVE,
     }
     if BENCH_JOBS > 1:
-        kwargs["executor"] = "process"
+        kwargs["executor"] = "parallel"
         kwargs["jobs"] = BENCH_JOBS
     return kwargs
 

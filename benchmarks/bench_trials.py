@@ -8,12 +8,12 @@ Two ways to run it:
 
 - standalone sweep, printing the quality-vs-trials curve and the
   process-pool speedup table (``--smoke`` shrinks it to a seconds-long
-  CI check; ``--hybrid-workers N`` adds a hybrid-executor identity
-  leg that shards a best-of-K sweep across N ship-once workers and
-  asserts the results match the serial executor byte-for-byte)::
+  CI check; ``--parallel-workers N`` adds an identity leg that shards
+  a best-of-K sweep across N ship-once workers and asserts the winner
+  matches the serial executor and the direct search byte-for-byte)::
 
       PYTHONPATH=src python benchmarks/bench_trials.py [--smoke] \
-          [--hybrid-workers 2]
+          [--parallel-workers 2]
 
 The curve this prints is the measurement quoted in the README: best-of-K
 ``g_add`` is monotonically non-increasing in K (same seed pool), while
@@ -130,36 +130,40 @@ def _jobs_sweep(
     return lines
 
 
-def _hybrid_smoke(workers: int) -> None:
-    """Hybrid-executor identity + liveness check for CI.
+def _parallel_smoke(workers: int) -> None:
+    """Parallel-executor identity + liveness check for CI.
 
     Shards a best-of-K sweep on a routing-heavy circuit across
-    ``workers`` ship-once workers and asserts the merged results are
-    byte-identical to the serial executor — including on 1-core
-    runners, where the pool is oversubscribed and the check proves
-    the sharded path still terminates and merges correctly.
+    ``workers`` ship-once workers and asserts parallel == serial ==
+    direct: the same winner, byte for byte, and the same per-seed SWAP
+    counts — including on 1-core runners, where the pool is
+    oversubscribed and the check proves the sharded path still
+    terminates and merges correctly.
     """
     device = ibm_q20_tokyo()
     circuit = get_benchmark("rd84_142").build()
-    seeds = list(range(4))
+    seeds = list(range(8))
+    direct = compile_circuit(circuit, device, seed=0, num_trials=len(seeds))
+    search = direct.layout_search
     serial = run_trials(circuit, device, seeds=seeds, executor="serial")
     start = time.perf_counter()
-    hybrid = run_trials(
-        circuit, device, seeds=seeds, executor="hybrid", jobs=workers
+    parallel = run_trials(
+        circuit, device, seeds=seeds, executor="parallel", jobs=workers
     )
     wall = time.perf_counter() - start
-    assert hybrid.executor == "hybrid", hybrid.downgrade_reason
-    assert hybrid.shard_plan is not None and len(hybrid.shard_plan) == min(
+    assert parallel.executor == "parallel", parallel.downgrade_reason
+    assert parallel.shard_plan is not None and len(parallel.shard_plan) == min(
         workers, len(seeds)
     )
-    assert hybrid.trial_swaps == serial.trial_swaps
-    assert hybrid.winner_index == serial.winner_index
-    for a, b in zip(hybrid.trials, serial.trials):
-        assert a.result.routing.circuit == b.result.routing.circuit
+    for outcome in (parallel, serial):
+        assert outcome.trial_swaps == [t.best_swaps for t in search.trials]
+        assert outcome.winner_index == search.best_trial_index
+        assert outcome.best_result.routing.circuit == direct.routing.circuit
     print(
-        f"hybrid smoke: {len(seeds)} trials across {workers} workers in "
-        f"{wall:5.2f}s, shards {'+'.join(str(len(s)) for s in hybrid.shard_plan)}, "
-        f"identical to serial"
+        f"parallel smoke: {len(seeds)} trials across {workers} workers in "
+        f"{wall:5.2f}s, shards "
+        f"{'+'.join(str(len(s)) for s in parallel.shard_plan)}, "
+        "parallel == serial == direct"
     )
 
 
@@ -171,11 +175,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="seconds-long CI check: tiny sweep + engine sanity asserts",
     )
     parser.add_argument(
-        "--hybrid-workers",
+        "--parallel-workers",
         type=int,
         default=0,
         metavar="N",
-        help="also run a hybrid-executor identity leg sharded across N "
+        help="also run a parallel-executor identity leg sharded across N "
         "ship-once workers (0 = skip)",
     )
     args = parser.parse_args(argv)
@@ -194,13 +198,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             assert row.added_gates <= baseline.added_gates, row.name
         print(f"cache: {info}")
-        if args.hybrid_workers:
-            _hybrid_smoke(args.hybrid_workers)
+        if args.parallel_workers:
+            _parallel_smoke(args.parallel_workers)
         print("smoke ok")
         return 0
 
-    if args.hybrid_workers:
-        _hybrid_smoke(args.hybrid_workers)
+    if args.parallel_workers:
+        _parallel_smoke(args.parallel_workers)
 
     print("\n".join(_quality_sweep(QUALITY_CIRCUITS, TRIAL_COUNTS)))
     circuits = [get_benchmark(n).build() for n in JOBS_SWEEP_CIRCUITS]

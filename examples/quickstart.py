@@ -65,8 +65,9 @@ def main() -> None:
     # SABRE's quality is seed-dependent; running more independently
     # seeded trials and keeping the best is the production configuration
     # (CLI: `python -m repro map circuit.qasm --trials 8 --jobs 4`).
-    # executor="process" fans the trials across worker processes; with
-    # objective= the winner can optimise depth instead of g_add.
+    # executor="parallel" shards the seeds across worker processes (same
+    # winner as "serial"); with objective= the winner can optimise depth
+    # instead of g_add.
     best = compile_circuit(
         circuit, device, seed=0, num_trials=8, executor="serial"
     )

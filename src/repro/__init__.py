@@ -24,8 +24,9 @@ checking, the paper's benchmark circuit families, and harnesses that
 regenerate Table II and Figure 8.
 
 Beyond the paper, :mod:`repro.engine` adds a production-style
-multi-trial engine: best-of-K seeded trials (serial or process-pool via
-``compile_circuit(..., num_trials=8, executor="process", jobs=4)``),
+multi-trial engine: best-of-K seeded trials (in process, or sharded
+across workers via
+``compile_circuit(..., num_trials=8, executor="parallel", jobs=4)``),
 whole-suite batching (:func:`compile_many`), and a fingerprint-keyed
 cache that computes each device's distance matrix once per process.
 """

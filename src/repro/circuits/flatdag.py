@@ -394,7 +394,7 @@ class FrontierState:
         self.front_log: List[int] = []
         #: Look-ahead memo of :meth:`extended_pairs`: extended-set
         #: size -> front -> pairs.  Survives :meth:`reset`; frontiers
-        #: over the same dag may share one (the trial ensemble does).
+        #: over the same dag may share one.
         self.ext_memo: dict = {} if ext_memo is None else ext_memo
         self._seed_roots()
 

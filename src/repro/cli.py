@@ -25,13 +25,12 @@ Example::
 the multi-trial engine (:mod:`repro.engine`): ``--pipeline`` selects a
 named preset, ``--noise-aware`` / ``--bridge`` /
 ``--legalize-directions`` compose extension passes onto it,
-``--trials`` sets the best-of-K seed pool, ``--jobs`` fans trials
-across worker processes, ``--executor ensemble`` routes all trials in
-lockstep through the batched vector kernel, ``--executor hybrid``
-shards the seeds across ship-once ensemble workers, ``--scorer``
-selects the scoring implementation, ``--objective`` picks the winner
-metric, and ``--verbose`` prints the executor-decision report and the
-per-pass timing breakdown recorded in the result's property set.
+``--trials`` sets the best-of-K seed pool, ``--jobs`` shards the seeds
+across that many worker processes (``--executor parallel``; ``serial``
+keeps them in process, same result either way), ``--scorer`` selects
+the scoring implementation, ``--objective`` picks the winner metric,
+and ``--verbose`` prints the executor-decision report and the per-pass
+timing breakdown recorded in the result's property set.
 """
 
 from __future__ import annotations
@@ -111,13 +110,11 @@ def _cmd_map(args: argparse.Namespace) -> int:
             else IBM_Q20_TOKYO_NOISE
         )
     # The pipeline upgrades executor=None to the serial engine when a
-    # non-default objective needs it; with --executor auto the CLI only
-    # decides pool width, otherwise the user's choice passes through
-    # ("engine-auto" hands the full decision to the engine chooser).
+    # non-default objective needs it; --executor auto hands sweeps with
+    # --jobs > 1 to the engine chooser and otherwise lets the pipeline
+    # search in process.
     if args.executor == "auto":
-        executor = "process" if args.jobs > 1 else None
-    elif args.executor == "engine-auto":
-        executor = "auto"
+        executor = "auto" if args.jobs > 1 else None
     else:
         executor = args.executor
     def _run():
@@ -168,7 +165,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         if "engine.executor" in props:
             # Executor-decision report: what the trial engine actually
             # ran (after auto resolution or a downgrade) and how the
-            # hybrid executor sharded the seeds.
+            # parallel executor sharded the seeds.
             effective = props["engine.executor"]
             requested = props.get("engine.requested_executor", effective)
             line = f"executor     : {effective}"
@@ -472,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the trials (>1 enables the process "
-        "pool executor of repro.engine)",
+        help="worker processes for the trials (>1 shards the seeds "
+        "across a worker pool, see --executor)",
     )
     map_p.add_argument(
         "--objective",
@@ -496,14 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
     map_p.add_argument(
         "--executor",
         default="auto",
-        choices=("auto", "serial", "process", "ensemble", "hybrid", "engine-auto"),
-        help="trial fan-out strategy: serial loop, process pool sized "
-        "by --jobs, the trial-major lockstep ensemble that routes "
-        "every seed through one batched vector kernel, or hybrid — "
-        "seed shards each running the ensemble in its own ship-once "
-        "worker process (--jobs workers).  auto picks process when "
-        "--jobs > 1, else lets the pipeline decide; engine-auto hands "
-        "the choice to the engine's K x cores x eligibility chooser",
+        choices=("auto", "serial", "parallel"),
+        help="where the trials run: serial (in process) or parallel "
+        "(contiguous seed shards across --jobs worker processes); both "
+        "pick the same winner.  auto runs parallel when --jobs > 1 and "
+        "there is more than one trial, else serial",
     )
     map_p.add_argument("--delta", type=float, default=0.001)
     map_p.add_argument("--extended-set", type=int, default=20)
@@ -584,10 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="cores granted to each compile's best-of-K trial sweep "
-        "(sharded hybrid ensembles when > 1; 0 keeps the classic "
-        "serial in-worker sweep).  Engine executors rank winners by "
-        "the request objective with earliest-seed ties, so do not mix "
-        "this flag on and off against one shared store",
+        "(seed shards across that many worker processes when > 1; 0 "
+        "keeps the in-worker sweep).  The routed output is the same "
+        "either way",
     )
     serve_p.add_argument(
         "--store-dir",

@@ -49,11 +49,14 @@ class TrialRecord:
             configuration (look-ahead heuristic, no reverse traversal).
         final_swaps: SWAPs used by the last forward traversal (the
             traversal whose output is kept) — the paper's ``g_op``.
+        best_swaps: fewest SWAPs over the trial's forward traversals —
+            what this seed alone would have produced.
     """
 
     seed: int
     first_pass_swaps: int
     final_swaps: int
+    best_swaps: int
 
 
 @dataclass
@@ -85,6 +88,11 @@ class SabreLayout:
             final (output) traversal runs forward.  The paper uses 3.
         num_trials: number of random initial mappings; best kept.
         seed: base RNG seed; trial ``t`` uses ``seed + t``.
+        seeds: explicit trial seeds (distinct), overriding ``seed`` and
+            ``num_trials``: trial ``t`` uses ``seeds[t]``.  Any slice of
+            a seed list searches exactly as that slice of the full
+            search would, which is how the engine shards a best-of-K
+            sweep across processes.
         distance: optional shared distance matrix — nested rows or a
             :class:`~repro.core.scoring.FlatDistance` (the compiler
             front door passes the cached flattened form; every
@@ -101,19 +109,24 @@ class SabreLayout:
         distance: Optional[
             Union[FlatDistance, Sequence[Sequence[float]]]
         ] = None,
+        seeds: Optional[Sequence[int]] = None,
     ) -> None:
+        if seeds is None:
+            seeds = range(seed, seed + num_trials)
+        seeds = list(seeds)
         if num_traversals < 1 or num_traversals % 2 == 0:
             raise MappingError(
                 "num_traversals must be odd (forward-backward-...-forward), "
                 f"got {num_traversals}"
             )
-        if num_trials < 1:
+        if not seeds:
             raise MappingError("num_trials must be >= 1")
         self.coupling = coupling
         self.config = config or HeuristicConfig()
         self.num_traversals = num_traversals
-        self.num_trials = num_trials
+        self.num_trials = len(seeds)
         self.seed = seed
+        self.seeds = seeds
         self.router = SabreRouter(
             coupling, config=self.config, seed=seed, distance=distance
         )
@@ -166,10 +179,10 @@ class SabreLayout:
             reverse_frontier = FrontierState(reverse_ir, folded=searching)
         best = BestForward()
         trials: List[TrialRecord] = []
-        for trial in range(self.num_trials):
-            trial_seed = self.seed + trial
+        for trial, trial_seed in enumerate(self.seeds):
             layout = Layout.random(self.coupling.num_qubits, seed=trial_seed)
             first_pass_swaps = 0
+            best_swaps = None
             for traversal in range(self.num_traversals):
                 forward = traversal % 2 == 0
                 with span("layout.traversal") as traced:
@@ -199,11 +212,14 @@ class SabreLayout:
                     # never worse than the first traversal's
                     # (g_op <= g_la, Table II).
                     best.offer(result, trial)
+                    if best_swaps is None or result.num_swaps < best_swaps:
+                        best_swaps = result.num_swaps
             trials.append(
                 TrialRecord(
                     seed=trial_seed,
                     first_pass_swaps=first_pass_swaps,
                     final_swaps=result.num_swaps,
+                    best_swaps=best_swaps,
                 )
             )
         return best.result(router, forward_ir, trials)
@@ -212,11 +228,10 @@ class SabreLayout:
 class BestForward:
     """The best forward traversal of one layout search, then its circuit.
 
-    Shared by :meth:`SabreLayout.run` (one instance across all trials)
-    and the lockstep trial ensemble (one per trial).  Candidates are
-    offered in search order and ranked by ``(num_swaps, depth)``; the
-    first of equal keys wins.  A candidate is either an emitted
-    :class:`~repro.core.router.RoutingResult` or a
+    :meth:`SabreLayout.run` keeps one instance across all its trials.
+    Candidates are offered in search order and ranked by
+    ``(num_swaps, depth)``; the first of equal keys wins.  A candidate
+    is either an emitted :class:`~repro.core.router.RoutingResult` or a
     :class:`~repro.core.router.SearchTrace`; :meth:`result` replays a
     winning trace into the byte-identical circuit, so exactly one
     circuit is ever built for a search-mode sweep.  Depth is read only
@@ -260,12 +275,16 @@ class BestForward:
         if routing is None:
             raise MappingError("no forward traversal was offered")
         if isinstance(routing, SearchTrace):
+            trace = routing
             routing = router._replay(
                 forward_ir,
-                routing.initial_layout.copy(),
+                trace.initial_layout.copy(),
                 FrontierState(forward_ir),
-                routing,
+                trace,
             )
+            # The trace already carries the replayed circuit's depth,
+            # so ranking this winner against another never recomputes it.
+            routing._depth = trace.depth
         return BidirectionalResult(
             routing=routing,
             initial_layout=routing.initial_layout,

@@ -11,10 +11,12 @@ Two execution paths share this front door:
 - the **direct path** (``executor=None``): the paper's configuration —
   one :class:`~repro.core.bidirectional.SabreLayout` search whose
   random restarts run in-process;
-- the **engine path** (``executor="serial"``/``"process"``): each trial
-  is an independent fully seeded pipeline execution dispatched through
-  :mod:`repro.engine.trials`, ranked by a configurable ``objective``.
-  ``"process"`` fans trials across a worker pool.
+- the **engine path** (``executor="serial"``/``"parallel"``/``"auto"``):
+  the sweep is dispatched through :mod:`repro.engine.trials`.  For the
+  default ``g_add`` objective it runs the same layout search, in
+  process or split into seed shards across a worker pool, and keeps
+  the same winner as the direct path; other objectives run one
+  pipeline per seed and rank them by ``objective``.
 
 Either way the device's distance matrix is resolved through the engine
 cache (:mod:`repro.engine.cache`), so repeated calls against one device
@@ -86,10 +88,11 @@ def compile_circuit(
         objective: winner-selection metric for the engine path —
             ``"g_add"`` (paper default), ``"depth"``, or ``"weighted"``.
         executor: ``None`` (direct in-process search), ``"serial"``
-            (engine path, in-process), or ``"process"`` (engine path,
-            trials fanned across a worker pool).  A non-default
+            (engine path, in-process), ``"parallel"`` (engine path, seed
+            shards across a worker pool), or ``"auto"`` (parallel when
+            there are several trials and workers).  A non-default
             ``objective`` implies at least the serial engine path.
-        jobs: worker count for ``executor="process"``.
+        jobs: worker count for ``executor="parallel"``/``"auto"``.
         pipeline: named pass-pipeline preset to execute
             (default: the paper's flow).
 

@@ -156,8 +156,8 @@ class DecayArray:
     Same semantics, same float arithmetic (IEEE double either way), but
     ``values`` is an ``np.ndarray`` so the batched kernel can gather
     ``max(decay(q1), decay(q2))`` for every candidate in one op.  The
-    backing buffer may be passed in (the trial ensemble hands each
-    trial a row view of its ``(K, n)`` decay matrix).
+    backing buffer may be passed in (a row view of a
+    :class:`~repro.core.scoring.VectorBlock`'s ``(K, n)`` decay matrix).
     """
 
     __slots__ = ("delta", "reset_interval", "values", "_steps")

@@ -305,6 +305,7 @@ class LegacySabreLayout(SabreLayout):
             trial_seed = self.seed + trial
             layout = Layout.random(self.coupling.num_qubits, seed=trial_seed)
             first_pass_swaps = 0
+            best_swaps = None
             result: Optional[RoutingResult] = None
             for traversal in range(self.num_traversals):
                 forward = traversal % 2 == 0
@@ -318,6 +319,8 @@ class LegacySabreLayout(SabreLayout):
                     first_pass_swaps = result.num_swaps
                 if not forward:
                     continue
+                if best_swaps is None or result.num_swaps < best_swaps:
+                    best_swaps = result.num_swaps
                 key = (result.num_swaps, circuit_depth(result.circuit))
                 if best_key is None or key < best_key:
                     best_key = key
@@ -332,6 +335,7 @@ class LegacySabreLayout(SabreLayout):
                     seed=trial_seed,
                     first_pass_swaps=first_pass_swaps,
                     final_swaps=result.num_swaps,
+                    best_swaps=best_swaps,
                 )
             )
         assert best is not None

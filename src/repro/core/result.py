@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.depth import circuit_depth
 from repro.core.layout import Layout
 from repro.core.router import RoutingResult
+
+if TYPE_CHECKING:
+    from repro.core.bidirectional import BidirectionalResult
 
 
 @dataclass
@@ -38,6 +41,10 @@ class MappingResult:
         properties: the pipeline run's property set — per-pass timings,
             verification verdicts, rewrite statistics, objective
             overrides (see :class:`repro.pipeline.context.PropertySet`).
+        layout_search: the layout search's own record (per-seed
+            :class:`~repro.core.bidirectional.TrialRecord` s, winning
+            trial, raw winning routing) when this run searched in
+            process; ``None`` otherwise.
     """
 
     name: str
@@ -54,6 +61,7 @@ class MappingResult:
     num_traversals: int = 1
     final_circuit: Optional[QuantumCircuit] = None
     properties: Dict[str, object] = field(default_factory=dict)
+    layout_search: Optional["BidirectionalResult"] = None
 
     # ------------------------------------------------------------------
     # Paper metrics

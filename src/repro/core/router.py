@@ -20,25 +20,22 @@ Candidate scoring has two interchangeable implementations, selected by
   device-constant index tables, masking non-candidates to ``+inf``.
   The routing loop runs as a generator
   (:meth:`SabreRouter._route_vector`) that yields at each scoring
-  step; solo runs drive it with a one-row block, and the trial
-  ensemble (:mod:`repro.engine.ensemble`) drives K generators in
-  lockstep against one K-row block so a whole fleet of trials shares
-  each kernel call.  Narrow fronts (at most four gates — nearly every
-  refresh on the paper's circuits) are scored by a scalar delta loop
-  inside the generator (numpy dispatch would dominate), so small
-  circuits never pay array overhead.  That step redoes no per-front
-  work that does not depend on the layout: the look-ahead set ``E``
-  is a function of the front alone, so the frontier serves it from a
-  front-keyed memo that lives for one layout search
-  (:meth:`~repro.circuits.flatdag.FrontierState.extended_pairs`; the
-  trial ensemble shares one memo per IR direction across its K
-  trials); the partner tables are per-row lists indexed by logical
+  step; solo runs drive it with a one-row block.  Narrow fronts (at
+  most four gates — nearly every refresh on the paper's circuits) are
+  scored by a scalar delta loop inside the generator (numpy dispatch
+  would dominate), so small circuits never pay array overhead.  That
+  step redoes no per-front work that does not depend on the layout:
+  the look-ahead set ``E`` is a function of the front alone, so the
+  frontier serves it from a front-keyed memo that lives for one layout
+  search (:meth:`~repro.circuits.flatdag.FrontierState.extended_pairs`; a
+  layout search shares one memo per IR direction across all its
+  restarts); the partner tables are per-row lists indexed by logical
   qubit, undone entry by entry at each refresh; and the sorted
   candidate list is memoised per front-home tuple on the device
   (:meth:`~repro.core.scoring.VectorDevice.narrow_candidates`).  The
   generator also has a *search mode* that builds no circuit
   (:meth:`SabreRouter.search`, :class:`SearchTrace`): every
-  multi-traversal layout search, solo or ensemble, routes all its
+  multi-traversal layout search routes all its
   traversals that way and replays only the winning forward traversal
   into a circuit (:meth:`SabreRouter._replay`).  Search mode runs over
   a *folded* frontier that executes two-qubit gates and barriers only
@@ -192,8 +189,8 @@ class RoutingResult:
 class SearchTrace:
     """Record of one no-emission routing traversal (search mode).
 
-    A multi-traversal layout search — :class:`~repro.core.bidirectional.
-    SabreLayout` solo, or the trial ensemble — never consumes the
+    A multi-traversal layout search (:class:`~repro.core.bidirectional.
+    SabreLayout`) never consumes the
     routed circuits of losing traversals: only the winning forward
     traversal is turned into a real circuit, by replaying its SWAP
     decisions (:meth:`SabreRouter._replay`).  A trace therefore
@@ -591,9 +588,8 @@ class SabreRouter:
         generator yields its block row index whenever it needs a
         kernel-scored step and receives the winner triples back via
         ``send``.  Narrow fronts are scored inline (scalar loop).  The
-        driver owns the kernel call — :meth:`_drive_solo` scores one
-        row at a time, the trial ensemble scores every stuck trial's
-        row in a single call.  Returns (via ``StopIteration.value``)
+        driver owns the kernel call (:meth:`_drive_solo` scores one row
+        at a time).  Returns (via ``StopIteration.value``)
         the same :class:`RoutingResult` as :meth:`run`.
 
         With ``emitting=False`` the traversal runs in *search mode*: no
@@ -602,9 +598,9 @@ class SabreRouter:
         what traversal selection needs — the SWAP count, a per-wire
         ASAP depth mirror of the circuit it would have emitted, and the
         SWAP record itself — returning a :class:`SearchTrace`.  Every
-        multi-traversal layout search routes this way — solo
-        (:meth:`search`, driven by :class:`~repro.core.bidirectional.
-        SabreLayout`) and in the trial ensemble — and replays only the
+        multi-traversal layout search routes this way (:meth:`search`,
+        driven by :class:`~repro.core.bidirectional.SabreLayout`) and
+        replays only the
         winning forward traversal (:meth:`_replay`) into a real,
         byte-identical circuit.
 

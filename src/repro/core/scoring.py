@@ -298,9 +298,9 @@ class VectorBlock:
 
     Holds ``K`` trials' scoring state as rows of ``(K, ·)`` arrays and
     scores all of them in one numpy kernel call per search step.  Solo
-    routing is simply ``K == 1``; the trial ensemble passes ``K > 1``
-    and steps every stuck trial per call, amortising numpy dispatch
-    overhead (the dominant cost at device-sized arrays) across trials.
+    routing is simply ``K == 1``; with ``K > 1`` one call steps every
+    stuck row, amortising numpy dispatch overhead (the dominant cost at
+    device-sized arrays) across rows.
 
     Per-trial state (row ``t``):
 
@@ -727,7 +727,7 @@ class VectorBlock:
                     self.sums_dirty[t] = False
             self._any_dirty = True in self.sums_dirty
         if A == 1:
-            # Solo routing and single-pending ensemble calls are the
+            # Solo routing and single-pending multi-row calls are the
             # common tail: a dedicated branch drops all row bookkeeping
             # (per-lane row bases, reduceat segmentation) for ~25% of
             # the dispatch count.

@@ -12,19 +12,22 @@ package supplies those three layers:
   (:class:`~repro.circuits.flatdag.FlatDag`, keyed on the circuit's
   gate-content fingerprint) so repeated trials never re-lower.
 - :mod:`repro.engine.trials` — best-of-K seeded trials with a
-  configurable objective, under serial, process, lockstep-ensemble,
-  or hybrid (sharded ensembles × ship-once worker pool) executors.
-- :mod:`repro.engine.shared` — the hybrid executor's machinery: shard
-  planning, the automatic executor chooser, and the ship-once
+  configurable objective, under the serial or parallel executor.  A
+  ``g_add`` sweep runs as the plain layout search (one per seed shard);
+  other objectives run one pipeline per seed.
+- :mod:`repro.engine.shared` — the parallel executor's machinery:
+  shard planning, the automatic executor chooser, and the ship-once
   shared-state layer (fingerprint-keyed worker caches, shared-memory
   distance tables).
+- :mod:`repro.engine.ensemble` — the predicate deciding which sweeps
+  may run as the plain layout search.
 - :mod:`repro.engine.batch` — ``compile_many``: fan a whole suite's
   (circuit, seed) jobs across workers and reduce to per-circuit
   winners.
 
 ``repro.core.compiler.compile_circuit`` fronts the trial engine via its
 ``executor``/``objective``/``jobs`` options; the CLI exposes them as
-``--trials``, ``--jobs``, and ``--objective``.
+``--trials``, ``--jobs``, ``--executor``, and ``--objective``.
 """
 
 from repro.engine.cache import (

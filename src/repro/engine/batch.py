@@ -3,7 +3,7 @@
 ``compile_many`` is the heavy-traffic entry point: it flattens a whole
 benchmark suite into (circuit, seed) trial jobs, fans them across a
 process pool, and reduces each circuit's trials to a winner with the
-same deterministic selection rule as :mod:`repro.engine.trials`.
+per-seed selection rule of :func:`repro.engine.trials.select_winner`.
 Flattening at the *trial* level (rather than one worker per circuit)
 keeps all workers busy even when the suite mixes second-long and
 millisecond-long circuits.
@@ -33,7 +33,6 @@ from repro.engine.trials import (
     OBJECTIVES,
     TrialResult,
     _run_one_trial,
-    run_trials,
     select_winner,
 )
 from repro.exceptions import ReproError
@@ -166,8 +165,7 @@ def compile_many(
         seed: base seed; all circuits share the same seed pool so runs
             are reproducible and circuits are comparable across runs.
         jobs: ``1`` compiles in-process; ``>1`` fans trial jobs across a
-            :class:`~concurrent.futures.ProcessPoolExecutor` (or sizes
-            the per-circuit sweep for ``executor="hybrid"``).
+            :class:`~concurrent.futures.ProcessPoolExecutor`.
         objective: winner-selection metric (see
             :data:`repro.engine.trials.OBJECTIVES`).  Only the metric
             objectives are supported here: pooled batch workers ship
@@ -180,14 +178,12 @@ def compile_many(
             (disable to shed memory on very large suites).
         pipeline: pass-pipeline preset each trial executes (shipped to
             workers by name, like every other payload field).
-        executor: ``"auto"`` keeps the classic batch behaviour (the
-            trial-flattened metrics pool when ``jobs > 1``, else the
-            in-process loop).  ``"serial"``/``"process"`` force those
-            paths, and ``"ensemble"``/``"hybrid"`` run each circuit's
-            sweep through :func:`repro.engine.trials.run_trials` on the
-            lockstep kernel (single-process or sharded across a
-            ship-once worker pool) — per-seed results identical to
-            serial, with the full per-trial swap lists on each report.
+        executor: one of :data:`~repro.engine.trials.EXECUTORS`.
+            ``"auto"`` and ``"parallel"`` use the trial-flattened
+            metrics pool when ``jobs > 1``, else the in-process loop;
+            ``"serial"`` always compiles in process.  Every trial is a
+            single-trial pipeline, ranked by
+            :func:`~repro.engine.trials.select_winner`.
 
     Returns:
         :class:`BatchReport` with one :class:`CircuitReport` per input
@@ -199,10 +195,9 @@ def compile_many(
         raise ValueError(
             f"compile_many needs jobs >= 1, got {jobs!r}"
         )
-    if executor != "auto" and executor not in EXECUTORS:
+    if executor not in EXECUTORS:
         raise ReproError(
-            f"unknown executor {executor!r}; available: "
-            f"{['auto'] + [e for e in EXECUTORS if e != 'auto']}"
+            f"unknown executor {executor!r}; available: {list(EXECUTORS)}"
         )
     objective_fn = OBJECTIVES.get(objective)
     if objective_fn is None:
@@ -212,12 +207,6 @@ def compile_many(
     start = time.perf_counter()
     distance = get_flat_distance_matrix(coupling)
     seeds = [seed + t for t in range(num_trials)]
-    if executor in ("ensemble", "hybrid"):
-        return _compile_many_engine(
-            circuits, coupling, seeds, jobs, objective, objective_fn,
-            config, num_traversals, keep_results, pipeline, executor,
-            distance, start,
-        )
     payloads = [
         (circuit, coupling, config, s, num_traversals, distance, pipeline)
         for circuit in circuits
@@ -230,7 +219,10 @@ def compile_many(
         for index in range(len(circuits)):
             metrics = flat_metrics[index * num_trials : (index + 1) * num_trials]
             trials = [
-                TrialResult(seed=s, result=m, value=objective_fn(m))
+                TrialResult(
+                    seed=s, result=m, value=objective_fn(m),
+                    num_swaps=m.num_swaps,
+                )
                 for s, m in zip(seeds, metrics)
             ]
             per_circuit.append(trials)
@@ -292,70 +284,3 @@ def compile_many(
         executor=executor,
     )
 
-
-def _compile_many_engine(
-    circuits: Sequence[QuantumCircuit],
-    coupling: CouplingGraph,
-    seeds: Sequence[int],
-    jobs: int,
-    objective: str,
-    objective_fn,
-    config: Optional[HeuristicConfig],
-    num_traversals: int,
-    keep_results: bool,
-    pipeline: str,
-    executor: str,
-    distance,
-    start: float,
-) -> BatchReport:
-    """The ensemble/hybrid batch path: one lockstep sweep per circuit.
-
-    Per-circuit rather than trial-flattened — the lockstep kernel *is*
-    the batching within a circuit, and the hybrid executor's shards
-    provide the cross-core fan-out.  Worth it for sweeps of heavy
-    circuits; for many tiny circuits the classic trial-flattened pool
-    amortises better (pass ``executor="auto"``).
-    """
-    reports: List[CircuitReport] = []
-    effective = executor
-    for circuit in circuits:
-        outcome = run_trials(
-            circuit,
-            coupling,
-            seeds,
-            config=config,
-            num_traversals=num_traversals,
-            objective=objective,
-            executor=executor,
-            jobs=jobs if executor == "hybrid" else None,
-            distance=distance,
-            pipeline=pipeline,
-        )
-        effective = outcome.executor
-        winner = outcome.winner
-        reports.append(
-            CircuitReport(
-                name=circuit.name,
-                num_qubits=circuit.num_qubits,
-                original_gates=winner.result.original_gates,
-                added_gates=winner.result.added_gates,
-                num_swaps=winner.result.num_swaps,
-                routed_depth=winner.result.routed_depth,
-                winning_seed=winner.seed,
-                objective_value=winner.value,
-                trial_seconds=sum(
-                    t.result.runtime_seconds for t in outcome.trials
-                ),
-                trial_swaps=[t.result.num_swaps for t in outcome.trials],
-                result=winner.result if keep_results else None,
-            )
-        )
-    return BatchReport(
-        device_name=coupling.name,
-        objective=objective,
-        num_trials=len(seeds),
-        jobs=jobs,
-        reports=reports,
-        wall_seconds=time.perf_counter() - start,
-        executor=effective,
-    )

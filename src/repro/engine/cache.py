@@ -213,7 +213,7 @@ class DeviceCache:
     ) -> bool:
         """Pre-seed the store with an externally computed matrix.
 
-        The hybrid executor's worker initializer
+        The parallel executor's worker initializer
         (:mod:`repro.engine.shared`) ships each sweep's distance table
         across the process boundary once; installing it here means any
         code path in the worker that resolves the device's distance
@@ -415,11 +415,10 @@ def get_flat_dag_pair(
 ) -> Tuple[FlatDag, FlatDag]:
     """Both traversal directions of a circuit's IR in one call.
 
-    The bidirectional sweeps — the serial layout search and the
-    lockstep trial ensemble alike — consume the forward and reverse
-    lowerings together; fetching them as a pair keeps the call site to
-    one cache round-trip per direction and makes the intent (a
-    forward/backward traversal pair) explicit.
+    A bidirectional sweep consumes the forward and reverse lowerings
+    together; fetching them as a pair keeps the call site to one cache
+    round-trip per direction and makes the intent (a forward/backward
+    traversal pair) explicit.
     """
     return (
         GLOBAL_CACHE.flat_dag(circuit, "forward"),

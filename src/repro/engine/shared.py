@@ -1,23 +1,19 @@
-"""Ship-once shared state for multi-process trial sweeps.
+"""The parallel executor: seed shards over a ship-once worker pool.
 
-The plain process executor of :mod:`repro.engine.trials` pickles the
-full ``(circuit, coupling, config, distance, pipeline)`` payload for
-every one of the K trials even though only the seed differs, and the
-single-core lockstep ensemble (:mod:`repro.engine.ensemble`) never
-leaves its process.  This module composes the two wins:
+:func:`repro.engine.trials.run_trials` under ``executor="parallel"``
+splits its seed list into contiguous shards and runs each shard in a
+worker process, exactly as the serial executor would run it in process
+(:func:`repro.engine.trials.run_shard`).  This module holds the pieces:
 
 - **Shard planning** (:func:`plan_shards`): partition the K seeds into
-  P contiguous, balanced shards.  Trials are seed-independent, so any
-  partition produces the exact per-seed results of the serial sweep —
-  concatenating shard results in order restores the full seed order
-  and :func:`repro.engine.trials.select_winner` stays the single
-  reducer.
-- **An executor chooser** (:func:`choose_executor`): the
-  K × cores × ensemble-eligibility decision table behind
-  ``executor="auto"`` — serial for one trial, the in-process lockstep
-  ensemble on one core, sharded hybrid ensembles across cores, and the
-  per-trial process pool for ensemble-ineligible configurations.
-- **The ship-once layer** (:class:`SweepSpec` / :func:`run_hybrid_sweep`):
+  P contiguous, balanced shards.  Trials are seed-independent, so
+  concatenating shard outputs in order restores the serial sweep's
+  per-seed results, and the parent's reduction picks the serial
+  sweep's winner.
+- **An executor chooser** (:func:`choose_executor`): the rule behind
+  ``executor="auto"`` — serial for one trial or one worker, parallel
+  otherwise.
+- **The ship-once layer** (:class:`SweepSpec` / :func:`run_parallel_sweep`):
   one :class:`~concurrent.futures.ProcessPoolExecutor` whose
   *initializer* installs the sweep's immutable inputs — circuit,
   coupling, config, pipeline name — into a fingerprint-keyed
@@ -52,7 +48,7 @@ from repro.exceptions import ReproError
 from repro.hardware.coupling import CouplingGraph
 
 #: Environment knob selecting the multiprocessing start method for the
-#: hybrid pool — the same variable the service worker tier honours
+#: sweep pool — the same variable the service worker tier honours
 #: (:data:`repro.service.workers.MP_START_METHOD_ENV`), so one setting
 #: governs every process boundary in a deployment.
 MP_START_METHOD_ENV = "REPRO_MP_START_METHOD"
@@ -96,7 +92,6 @@ class ExecutorDecision:
     jobs: int
     num_seeds: int
     cores: int
-    eligible: bool
     reason: str
 
     def as_properties(self) -> Dict[str, object]:
@@ -106,7 +101,6 @@ class ExecutorDecision:
             "jobs": self.jobs,
             "num_seeds": self.num_seeds,
             "cores": self.cores,
-            "ensemble_eligible": self.eligible,
             "reason": self.reason,
         }
 
@@ -114,20 +108,17 @@ class ExecutorDecision:
 def choose_executor(
     num_seeds: int,
     cores: Optional[int] = None,
-    eligible: bool = True,
     jobs: Optional[int] = None,
 ) -> ExecutorDecision:
-    """The automatic K × cores × eligibility executor decision.
+    """The automatic executor decision.
 
-    ==========  =======  ==========  ===========================
-    trials (K)  workers  eligible?   choice
-    ==========  =======  ==========  ===========================
-    1           any      any         serial
-    >1          1        yes         ensemble (in-process)
-    >1          >1       yes         hybrid (sharded ensembles)
-    >1          >1       no          process (per-trial pool)
-    >1          1        no          serial
-    ==========  =======  ==========  ===========================
+    ==========  =======  ========
+    trials (K)  workers  choice
+    ==========  =======  ========
+    1           any      serial
+    >1          1        serial
+    >1          >1       parallel
+    ==========  =======  ========
 
     ``cores`` defaults to the host's CPU count; ``jobs`` (explicit
     pool width) overrides the ``min(K, cores)`` sizing.  Deterministic
@@ -142,29 +133,18 @@ def choose_executor(
     width = jobs if jobs is not None else max(1, min(num_seeds, cores))
     if num_seeds == 1:
         return ExecutorDecision(
-            "serial", 1, num_seeds, cores, eligible,
+            "serial", 1, num_seeds, cores,
             "a single trial has nothing to fan out",
         )
-    if eligible:
-        if width > 1:
-            return ExecutorDecision(
-                "hybrid", width, num_seeds, cores, eligible,
-                f"{num_seeds} ensemble-eligible trials across {width} "
-                "workers: sharded lockstep ensembles",
-            )
+    if width == 1:
         return ExecutorDecision(
-            "ensemble", 1, num_seeds, cores, eligible,
-            "one worker: the in-process lockstep ensemble is the "
-            "fastest single-core sweep",
-        )
-    if width > 1:
-        return ExecutorDecision(
-            "process", width, num_seeds, cores, eligible,
-            "ensemble-ineligible configuration: per-trial process pool",
+            "serial", 1, num_seeds, cores,
+            "one worker: the in-process sweep",
         )
     return ExecutorDecision(
-        "serial", 1, num_seeds, cores, eligible,
-        "one worker and no lockstep kernel: plain serial sweep",
+        "parallel", width, num_seeds, cores,
+        f"{num_seeds} trials across {width} workers: contiguous seed "
+        "shards",
     )
 
 
@@ -191,7 +171,7 @@ class _DistanceHandle:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Everything immutable a hybrid sweep ships to each worker, once.
+    """Everything immutable a parallel sweep ships to each worker, once.
 
     Crosses the process boundary exactly once per worker (via the pool
     initializer); afterwards shard submissions reference it by
@@ -204,7 +184,7 @@ class SweepSpec:
     config: Optional[HeuristicConfig]
     num_traversals: int
     pipeline: str
-    eligible: bool
+    search: bool
     distance: _DistanceHandle
 
 
@@ -225,7 +205,7 @@ def sweep_fingerprint(
     """
     distance_digest = hashlib.sha256(distance.buf.tobytes()).hexdigest()
     parts = (
-        "repro-hybrid-sweep-v1",
+        "repro-sweep-v1",
         circuit_fingerprint(circuit),
         coupling_fingerprint(coupling),
         repr(config),
@@ -320,7 +300,7 @@ def _run_sweep_shard(
     sweep = _WORKER_SWEEPS.get(fingerprint)
     if sweep is None:
         raise ReproError(
-            f"hybrid worker has no sweep {fingerprint[:12]}…; the pool "
+            f"sweep worker has no sweep {fingerprint[:12]}…; the pool "
             "initializer did not run (or ran for a different sweep)"
         )
     if trace_ctx is None:
@@ -355,41 +335,24 @@ def _run_sweep_shard(
 def _execute_shard(
     sweep: _WorkerSweep, seeds: Tuple[int, ...]
 ) -> List[MappingResult]:
-    """The shard's actual trial sweep (shared by both trace modes)."""
+    """The shard's actual sweep (shared by both trace modes)."""
+    from repro.engine.trials import run_shard
+
     spec = sweep.spec
-    if spec.eligible:
-        from repro.engine.ensemble import run_ensemble_trials
-
-        return run_ensemble_trials(
-            spec.circuit,
-            spec.coupling,
-            seeds,
-            config=spec.config,
-            num_traversals=spec.num_traversals,
-            distance=sweep.distance,
-            pipeline=spec.pipeline,
-        )
-    # Ensemble-ineligible configurations still benefit from the
-    # ship-once layer: per-seed serial trials against the installed
-    # state, byte-identical to the serial executor.
-    from repro.engine.trials import _run_one_trial
-
-    return [
-        _run_one_trial(
-            spec.circuit,
-            spec.coupling,
-            spec.config,
-            seed,
-            spec.num_traversals,
-            sweep.distance,
-            spec.pipeline,
-        )
-        for seed in seeds
-    ]
+    return run_shard(
+        spec.circuit,
+        spec.coupling,
+        spec.config,
+        seeds,
+        spec.num_traversals,
+        sweep.distance,
+        spec.pipeline,
+        spec.search,
+    )
 
 
 def _mp_context():
-    """The hybrid pool's start-method context (honours the service's
+    """The sweep pool's start-method context (honours the service's
     ``REPRO_MP_START_METHOD`` knob; platform default otherwise)."""
     method = os.environ.get(MP_START_METHOD_ENV, "").strip().lower()
     if method:
@@ -407,7 +370,7 @@ def build_sweep_spec(
     num_traversals: int,
     pipeline: str,
     distance: FlatDistance,
-    eligible: bool,
+    search: bool,
     use_shared_memory: bool = True,
 ) -> Tuple[SweepSpec, Optional[object]]:
     """Build one sweep's ship-once spec; returns ``(spec, shm_or_None)``.
@@ -441,13 +404,13 @@ def build_sweep_spec(
         config=config,
         num_traversals=num_traversals,
         pipeline=pipeline,
-        eligible=eligible,
+        search=search,
         distance=handle,
     )
     return spec, shm
 
 
-def run_hybrid_sweep(
+def run_parallel_sweep(
     circuit: QuantumCircuit,
     coupling: CouplingGraph,
     shards: Sequence[Sequence[int]],
@@ -455,21 +418,24 @@ def run_hybrid_sweep(
     num_traversals: int = 3,
     distance: Optional[FlatDistance] = None,
     pipeline: str = "paper_default",
-    eligible: bool = True,
+    search: bool = True,
 ) -> List[MappingResult]:
     """Run pre-planned seed shards across a ship-once worker pool.
 
     One worker per shard; each worker's initializer installs the sweep
     spec (heavy payload crosses once), then every shard submission is
-    just ``(fingerprint, seeds)``.  Results come back concatenated in
-    seed order — per-seed byte-identical to the serial executor, so
-    the caller's winner selection is unchanged.
+    just ``(fingerprint, seeds)``.  Each shard returns what
+    :func:`repro.engine.trials.run_shard` returns — one search over the
+    shard, or one result per seed — and the outputs come back
+    concatenated in shard order.
 
     Raises whatever the pool raises (``BrokenProcessPool``, ``OSError``)
-    — callers downgrade to the in-process ensemble or serial sweep.
+    — the caller downgrades to the serial sweep.
     """
     if not shards or not any(shards):
-        raise ReproError("run_hybrid_sweep needs at least one shard of seeds")
+        raise ReproError(
+            "run_parallel_sweep needs at least one shard of seeds"
+        )
     if distance is None:
         from repro.engine.cache import get_flat_distance_matrix
 
@@ -478,7 +444,7 @@ def run_hybrid_sweep(
         distance = FlatDistance.from_matrix(distance)
     spec, shm = build_sweep_spec(
         circuit, coupling, config, num_traversals, pipeline, distance,
-        eligible,
+        search,
     )
     # Traced request?  Ship the trace context into every shard so the
     # shard's spans (and router-profile aggregates) parent under this

@@ -1,31 +1,39 @@
-"""Best-of-K seeded compilation trials (serial, process, ensemble, hybrid).
+"""Best-of-K seeded compilation trials on one restart loop.
 
 SABRE's output quality is seed-dependent: the initial mapping is random
 and equal-score SWAPs tie-break randomly (paper §IV-A, §IV-C2).
 Production routers therefore run many independently seeded trials and
 keep the best — this module is that engine.  Each trial is a full
-bidirectional-traversal compilation from its own seed (initial mapping
+bidirectional-traversal search from its own seed (initial mapping
 *and* tie-break stream), so trials are statistically independent and
-embarrassingly parallel.
+any partition of the seed list searches exactly as the whole list does.
+
+Two kinds of sweep share one entry point, :func:`run_trials`:
+
+- **The search path** (the ``g_add`` objective on a pipeline whose
+  routing stage is the plain layout search, see
+  :func:`repro.engine.ensemble.ensemble_eligible`): one pipeline run
+  whose :class:`~repro.core.bidirectional.SabreLayout` covers a run of
+  seeds, so all of them share one look-ahead memo and only the winner
+  is ever turned into a circuit.  ``serial`` runs one search over every
+  seed; ``parallel`` runs one per contiguous seed shard in a ship-once
+  worker pool (:mod:`repro.engine.shared`) and keeps the shard winner
+  with the lowest ``(num_swaps, depth)``, earliest shard on ties —
+  by construction the same winner as the single search.
+- **The per-seed path** (every other objective or pipeline): one
+  single-trial pipeline per seed, ranked by :func:`select_winner`.
 
 Determinism contract: given the same circuit, device, seed list,
 objective, and configuration, :func:`run_trials` returns the same
-winner under every executor.  Ties on the objective resolve to the
-earliest seed in the list.
-
-Amortisation: every trial resolves the device's distance matrix *and*
-the circuit's compile-once flat IR (forward + reverse
-:class:`~repro.circuits.flatdag.FlatDag`) through the engine cache, so
-a best-of-K run lowers the circuit once per process — serial trials
-share one IR outright, and each pool worker lowers at most once no
-matter how many trials it executes.
+winner under every executor, and the direct
+``compile_circuit(num_trials=K)`` search agrees with it on the search
+path.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -37,19 +45,15 @@ from repro.engine.cache import get_flat_distance_matrix
 from repro.exceptions import ReproError
 from repro.hardware.coupling import CouplingGraph
 
-#: Executor names accepted by :func:`run_trials` / ``compile_many``.
-#: ``"ensemble"`` routes all trials in lockstep through one batched
-#: vector-scorer kernel (:mod:`repro.engine.ensemble`); ``"hybrid"``
-#: shards the seed list across worker processes, each running the
-#: lockstep ensemble against ship-once shared state
-#: (:mod:`repro.engine.shared`); ``"auto"`` resolves the best of the
-#: four from K, core count, and ensemble eligibility
-#: (:func:`repro.engine.shared.choose_executor`).  Every executor
-#: produces the serial executor's exact per-seed results; when a
-#: requested executor cannot serve a configuration it downgrades,
-#: records the effective executor on :class:`TrialsOutcome`, and warns
+#: Executor names accepted by :func:`run_trials` / ``compile_many``:
+#: ``"serial"`` sweeps in process, ``"parallel"`` shards the seed list
+#: across a ship-once worker pool (:mod:`repro.engine.shared`), and
+#: ``"auto"`` picks between them from K and the worker count
+#: (:func:`repro.engine.shared.choose_executor`).  Both produce the
+#: same trials and winner; when ``parallel`` cannot run it downgrades
+#: to ``serial``, records that on :class:`TrialsOutcome`, and warns
 #: once per downgrade kind.
-EXECUTORS = ("serial", "process", "ensemble", "hybrid", "auto")
+EXECUTORS = ("serial", "parallel", "auto")
 
 #: Depth weight of the ``weighted`` objective: ``g_add + W * d_out``.
 DEFAULT_DEPTH_WEIGHT = 0.5
@@ -117,11 +121,25 @@ def objective_value(result: MappingResult, objective: str) -> float:
 
 @dataclass
 class TrialResult:
-    """One seeded compilation and its objective score."""
+    """One seeded trial and its objective score.
+
+    Attributes:
+        seed: the trial seed.
+        result: the trial's :class:`MappingResult`.  On the search path
+            only the winner carries one; the other trials are ``None``.
+        value: the objective score the winner rule compared (on the
+            search path, the ``g_add`` of the seed's best forward
+            traversal).
+        num_swaps: SWAPs of the seed's best forward traversal.
+        first_pass_swaps: SWAPs of the seed's first traversal, ``None``
+            when its pipeline ran no search.
+    """
 
     seed: int
-    result: MappingResult
+    result: Optional[MappingResult]
     value: float
+    num_swaps: int
+    first_pass_swaps: Optional[int] = None
 
 
 @dataclass
@@ -129,16 +147,15 @@ class TrialsOutcome:
     """Everything :func:`run_trials` produces.
 
     Attributes:
-        trials: per-seed results, in seed-list order.
+        trials: one entry per seed, in seed-list order.
         winner_index: index into ``trials`` of the selected winner.
         objective: the objective name that ranked them.
         requested_executor: the executor the caller asked for.
         executor: the executor that actually ran — differs from
             ``requested_executor`` after an ``"auto"`` resolution or a
-            downgrade (single seed, ineligible configuration, broken
-            worker pool).
-        shard_plan: the hybrid executor's seed shards (one list per
-            worker), ``None`` for every other executor.
+            downgrade (single seed, broken worker pool).
+        shard_plan: the parallel executor's seed shards (one list per
+            worker), ``None`` for a serial sweep.
         downgrade_reason: why the requested executor could not run,
             ``None`` when it did (``"auto"`` resolution is a choice,
             not a downgrade).
@@ -162,14 +179,29 @@ class TrialsOutcome:
 
     @property
     def trial_swaps(self) -> List[int]:
-        return [t.result.num_swaps for t in self.trials]
+        return [t.num_swaps for t in self.trials]
+
+    @property
+    def first_pass_swaps(self) -> Optional[int]:
+        """Best first-traversal SWAP count over the seeds (``g_la``)."""
+        counts = [
+            t.first_pass_swaps
+            for t in self.trials
+            if t.first_pass_swaps is not None
+        ]
+        return min(counts) if counts else None
 
 
 def select_winner(trials: Sequence[TrialResult]) -> int:
     """Index of the best trial: lowest objective value, earliest seed
-    on ties.  Pure and total — the single source of truth every
-    executor funnels through, which is what makes serial and process
-    runs agree."""
+    on ties.
+
+    This ranks the per-seed path only — non-``g_add`` objectives and
+    pipelines whose routing is not the plain layout search.  The search
+    path keeps the layout search's own rule: fewest SWAPs, then lowest
+    depth, earliest seed on ties (see
+    :class:`~repro.core.bidirectional.BestForward`).
+    """
     if not trials:
         raise ReproError("select_winner needs at least one trial")
     best = 0
@@ -211,24 +243,84 @@ def _run_one_trial(
     )
 
 
-def _worker(
-    payload: Tuple[
-        QuantumCircuit,
-        CouplingGraph,
-        Optional[HeuristicConfig],
-        int,
-        int,
-        Sequence[Sequence[float]],
-        str,
-    ],
-) -> MappingResult:
-    """Process-pool entry point: unpack one trial job and run it."""
-    return _run_one_trial(*payload)
+def run_shard(
+    circuit: QuantumCircuit,
+    coupling: CouplingGraph,
+    config: Optional[HeuristicConfig],
+    seeds: Sequence[int],
+    num_traversals: int,
+    distance: Sequence[Sequence[float]],
+    pipeline: str,
+    search: bool,
+) -> List[MappingResult]:
+    """One contiguous run of a sweep's seeds, in this process.
+
+    On the search path this is a single pipeline run whose layout
+    search covers every seed (its ``layout_search`` record holds the
+    per-seed :class:`~repro.core.bidirectional.TrialRecord` s); on the
+    per-seed path it is one single-trial pipeline per seed.
+    """
+    if search:
+        from repro.pipeline.runner import get_pipeline
+
+        return [
+            get_pipeline(pipeline).run(
+                circuit,
+                coupling,
+                config=config,
+                seeds=seeds,
+                num_traversals=num_traversals,
+                distance=distance,
+                executor=None,
+            )
+        ]
+    return [
+        _run_one_trial(
+            circuit, coupling, config, seed, num_traversals, distance,
+            pipeline,
+        )
+        for seed in seeds
+    ]
+
+
+def _reduce_searches(
+    results: Sequence[MappingResult],
+) -> Tuple[List[TrialResult], int]:
+    """Per-seed trials and the winner index from shard searches.
+
+    ``results`` holds one search per shard, in seed order.  The winner
+    is the shard search with the lowest ``(num_swaps, depth)``, earliest
+    on ties — within a shard the search already kept its own first
+    best, so this is exactly what one search over all seeds keeps.
+    """
+    trials: List[TrialResult] = []
+    winner_index = 0
+    winner: Optional[MappingResult] = None
+    best_key: Optional[Tuple[int, int]] = None
+    for result in results:
+        search = result.layout_search
+        key = (search.routing.num_swaps, search.routing.depth)
+        if best_key is None or key < best_key:
+            best_key = key
+            winner_index = len(trials) + search.best_trial_index
+            winner = result
+        trials.extend(
+            TrialResult(
+                seed=record.seed,
+                result=None,
+                value=float(3 * record.best_swaps),
+                num_swaps=record.best_swaps,
+                first_pass_swaps=record.first_pass_swaps,
+            )
+            for record in search.trials
+        )
+    trials[winner_index].result = winner
+    return trials, winner_index
 
 
 #: Downgrade kinds already warned about this process (warn once each,
-#: not once per sweep — a service replaying thousands of ineligible
-#: requests should not drown its log).
+#: not once per sweep — a service replaying thousands of requests
+#: should not drown its log).
 _DOWNGRADES_WARNED: Set[Tuple[str, str]] = set()
 
 
@@ -259,7 +351,7 @@ def run_trials(
     distance: Optional[Sequence[Sequence[float]]] = None,
     pipeline: str = "paper_default",
 ) -> TrialsOutcome:
-    """Run one compilation per seed and rank them by ``objective``.
+    """Run one compilation per seed and keep the best.
 
     Args:
         circuit: logical circuit (decomposition handled downstream).
@@ -272,17 +364,14 @@ def run_trials(
             ``"property:<key>"`` to rank by a value the trial pipeline
             recorded in its PropertySet.
         executor: one of :data:`EXECUTORS` — ``"serial"``,
-            ``"process"`` (per-trial
-            :class:`~concurrent.futures.ProcessPoolExecutor`),
-            ``"ensemble"`` (single-process lockstep kernel),
-            ``"hybrid"`` (seed shards × lockstep ensembles across a
-            ship-once worker pool), or ``"auto"`` (chooser over K,
-            cores, and eligibility).  All produce identical per-seed
-            results; the one that actually ran is recorded on the
+            ``"parallel"`` (contiguous seed shards across a ship-once
+            worker pool), or ``"auto"`` (serial for one trial or one
+            worker, else parallel).  Both give the same trials and
+            winner; the one that actually ran is recorded on the
             outcome.
-        jobs: worker count for the process/hybrid executors (default:
-            as many as trials, capped at the machine's core count).
-            Must be a positive integer when given.
+        jobs: worker count for the parallel executor (default: as many
+            as trials, capped at the machine's core count).  Must be a
+            positive integer when given.
         distance: precomputed distance matrix.  Computed once through
             the engine cache when omitted and shipped to every worker,
             so a pool run never repeats the Floyd-Warshall step.
@@ -296,8 +385,9 @@ def run_trials(
     """
     if not seeds:
         raise ReproError("run_trials needs at least one seed")
+    seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
-        raise ReproError(f"trial seeds must be distinct, got {list(seeds)}")
+        raise ReproError(f"trial seeds must be distinct, got {seeds}")
     if executor not in EXECUTORS:
         raise ReproError(
             f"unknown executor {executor!r}; available: {list(EXECUTORS)}"
@@ -318,16 +408,12 @@ def run_trials(
     if distance is None:
         # Flattened form: the router consumes it as-is, and its single
         # contiguous buffer pickles far smaller than a list-of-lists
-        # when trials fan out across a process pool.
+        # when shards fan out across a process pool.
         distance = get_flat_distance_matrix(coupling)
 
-    requested = executor
-    downgrade_reason: Optional[str] = None
-    shard_plan: Optional[List[List[int]]] = None
-
     # Traced requests get one "engine.trials" span covering the whole
-    # sweep (recorded at _finish time, when the effective executor is
-    # known); untraced runs skip even the clock reads.
+    # sweep (recorded once the effective executor is known); untraced
+    # runs skip even the clock reads.
     from repro.telemetry.trace import current_span_id, current_tracer
 
     tracer = current_tracer()
@@ -338,58 +424,26 @@ def run_trials(
         started_wall = _time.time()
         started_perf = _time.perf_counter()
 
-    def _finish(
-        results: Sequence[MappingResult], effective: str
-    ) -> TrialsOutcome:
-        trials = [
-            TrialResult(
-                seed=seed,
-                result=result,
-                value=objective_value(result, objective),
-            )
-            for seed, result in zip(seeds, results)
-        ]
-        if tracer is not None:
-            tracer.add_raw(
-                "engine.trials",
-                trace_parent,
-                start=started_wall,
-                wall_seconds=_time.perf_counter() - started_perf,
-                attrs={
-                    "executor": effective,
-                    "requested": requested,
-                    "seeds": len(seeds),
-                },
-            )
-        return TrialsOutcome(
-            trials=trials,
-            winner_index=select_winner(trials),
-            objective=objective,
-            requested_executor=requested,
-            executor=effective,
-            shard_plan=shard_plan,
-            downgrade_reason=downgrade_reason,
-        )
+    from repro.engine.ensemble import ensemble_eligible
+    from repro.engine.shared import (
+        choose_executor,
+        plan_shards,
+        run_parallel_sweep,
+    )
 
-    def _eligible() -> bool:
-        from repro.engine.ensemble import ensemble_eligible
-
-        return ensemble_eligible(pipeline, config, distance)
-
+    search = objective == "g_add" and ensemble_eligible(
+        pipeline, config, distance
+    )
+    requested = executor
     if executor == "auto":
-        from repro.engine.shared import choose_executor
-
         # A choice, not a downgrade: "auto" promises nothing beyond
         # "the fastest executor for this sweep on this host".
-        executor = choose_executor(
-            len(seeds), eligible=_eligible(), jobs=jobs
-        ).executor
-
-    if executor == "hybrid":
-        from repro.engine.shared import plan_shards, run_hybrid_sweep
-
+        executor = choose_executor(len(seeds), jobs=jobs).executor
+    downgrade_reason: Optional[str] = None
+    shard_plan: Optional[List[List[int]]] = None
+    results: Optional[List[MappingResult]] = None
+    if executor == "parallel":
         if len(seeds) == 1:
-            executor = "serial"
             downgrade_reason = _note_downgrade(
                 requested, "serial", "a single seed has nothing to shard"
             )
@@ -399,10 +453,9 @@ def run_trials(
                 if jobs is not None
                 else max(1, min(len(seeds), os.cpu_count() or 1))
             )
-            eligible = _eligible()
-            shard_plan = plan_shards(list(seeds), width)
+            shard_plan = plan_shards(seeds, width)
             try:
-                results = run_hybrid_sweep(
+                results = run_parallel_sweep(
                     circuit,
                     coupling,
                     shard_plan,
@@ -410,65 +463,53 @@ def run_trials(
                     num_traversals=num_traversals,
                     distance=distance,
                     pipeline=pipeline,
-                    eligible=eligible,
+                    search=search,
                 )
-                return _finish(results, "hybrid")
             except (BrokenProcessPool, OSError) as exc:
                 shard_plan = None
-                executor = "ensemble" if eligible else "serial"
-                downgrade_reason = _note_downgrade(
-                    requested, executor,
-                    f"hybrid worker pool unavailable ({exc})",
-                )
-
-    if executor == "ensemble":
-        from repro.engine.ensemble import ensemble_eligible, run_ensemble_trials
-
-        if ensemble_eligible(pipeline, config, distance):
-            results = run_ensemble_trials(
-                circuit,
-                coupling,
-                seeds,
-                config=config,
-                num_traversals=num_traversals,
-                distance=distance,
-                pipeline=pipeline,
-            )
-            return _finish(results, "ensemble")
-        executor = "serial"
-        if requested != "auto":
-            downgrade_reason = _note_downgrade(
-                requested, "serial",
-                "ensemble-ineligible configuration (non-vector scorer, "
-                "asymmetric distance matrix, or a pipeline whose routing "
-                "stage is not the plain layout search)",
-            )
-
-    payloads = [
-        (circuit, coupling, config, seed, num_traversals, distance, pipeline)
-        for seed in seeds
-    ]
-    if executor == "process":
-        if len(seeds) == 1:
-            downgrade_reason = _note_downgrade(
-                requested, "serial",
-                "a single seed has nothing to parallelise",
-            )
-        else:
-            max_workers = (
-                jobs
-                if jobs is not None
-                else min(len(seeds), os.cpu_count() or 1)
-            )
-            try:
-                with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                    results = list(pool.map(_worker, payloads))
-                return _finish(results, "process")
-            except (BrokenProcessPool, OSError) as exc:
                 downgrade_reason = _note_downgrade(
                     requested, "serial",
                     f"worker pool unavailable ({exc})",
                 )
+    if results is None:
+        executor = "serial"
+        results = run_shard(
+            circuit, coupling, config, seeds, num_traversals, distance,
+            pipeline, search,
+        )
 
-    results = [_run_one_trial(*p) for p in payloads]
-    return _finish(results, "serial")
+    if search:
+        trials, winner_index = _reduce_searches(results)
+    else:
+        trials = [
+            TrialResult(
+                seed=seed,
+                result=result,
+                value=objective_value(result, objective),
+                num_swaps=result.num_swaps,
+                first_pass_swaps=result.first_pass_swaps,
+            )
+            for seed, result in zip(seeds, results)
+        ]
+        winner_index = select_winner(trials)
+    if tracer is not None:
+        tracer.add_raw(
+            "engine.trials",
+            trace_parent,
+            start=started_wall,
+            wall_seconds=_time.perf_counter() - started_perf,
+            attrs={
+                "executor": executor,
+                "requested": requested,
+                "seeds": len(seeds),
+            },
+        )
+    return TrialsOutcome(
+        trials=trials,
+        winner_index=winner_index,
+        objective=objective,
+        requested_executor=requested,
+        executor=executor,
+        shard_plan=shard_plan,
+        downgrade_reason=downgrade_reason,
+    )

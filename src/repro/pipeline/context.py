@@ -76,6 +76,8 @@ class CompilationContext:
         seed / num_trials / num_traversals / objective / executor /
             jobs: the search configuration of
             :func:`repro.core.compiler.compile_circuit`, verbatim.
+        seeds: explicit trial seeds replacing the ``seed``-based range
+            (``num_trials`` is then their count); ``None`` otherwise.
         noise: optional noise model for noise-aware passes.
         working: the circuit being compiled (basis-decomposed view of
             ``circuit``); set by ``DecomposeToBasis``.
@@ -109,6 +111,7 @@ class CompilationContext:
     objective: str = "g_add"
     executor: Optional[str] = None
     jobs: Optional[int] = None
+    seeds: Optional[List[int]] = None
     noise: Optional[NoiseModel] = None
     working: Optional[QuantumCircuit] = None
     distance: Optional[FlatDistance] = None

@@ -134,22 +134,13 @@ class SabreLayoutPass(TransformPass):
 
     Skipped when a fixed ``initial_layout`` short-circuits the search
     (``SabreRoutePass`` then routes once from it).  With an engine
-    executor configured, the best-of-K trial fan-out of
-    :mod:`repro.engine.trials` runs instead — each trial executing a
-    single-trial pipeline — and the winner's routing lands back on the
-    context so post-passes apply to it like any other.
+    executor configured, the best-of-K sweep of
+    :mod:`repro.engine.trials` runs instead, and the winner's routing
+    lands back on the context so post-passes apply to it like any other.
     """
 
     def run(self, context: CompilationContext) -> None:
         if context.routing is not None or context.initial_layout is not None:
-            return
-        if context.layout_search is not None:
-            # A precomputed search record (the trial ensemble's
-            # re-entry seam, see Pipeline.run): adopt it exactly as if
-            # the direct search below had produced it.
-            best = context.layout_search
-            context.routing = context.raw_routing = best.routing
-            context.initial_layout = best.initial_layout
             return
         if (
             context.executor is None
@@ -169,6 +160,7 @@ class SabreLayoutPass(TransformPass):
             num_trials=context.num_trials,
             seed=context.seed,
             distance=context.distance,
+            seeds=context.seeds,
         )
         best = searcher.run(context.working)
         context.layout_search = best
@@ -183,7 +175,11 @@ class SabreLayoutPass(TransformPass):
         outcome = run_trials(
             context.working,
             context.coupling,
-            seeds=[context.seed + t for t in range(context.num_trials)],
+            seeds=(
+                context.seeds
+                if context.seeds is not None
+                else range(context.seed, context.seed + context.num_trials)
+            ),
             config=context.config,
             num_traversals=context.num_traversals,
             objective=context.objective,
@@ -198,19 +194,12 @@ class SabreLayoutPass(TransformPass):
             "trial_swaps": outcome.trial_swaps,
             "winning_seed": outcome.winner.seed,
             "objective_value": outcome.winner.value,
-            "first_pass_swaps": min(
-                (
-                    t.result.first_pass_swaps
-                    for t in outcome.trials
-                    if t.result.first_pass_swaps is not None
-                ),
-                default=winner.first_pass_swaps,
-            ),
+            "first_pass_swaps": outcome.first_pass_swaps,
         }
         context.properties["engine.trial_swaps"] = outcome.trial_swaps
         context.properties["engine.winning_seed"] = outcome.winner.seed
-        # The executor-decision report: which fan-out strategy actually
-        # ran (after "auto" resolution or a downgrade), and the hybrid
+        # The executor-decision report: which executor actually ran
+        # (after "auto" resolution or a downgrade), and the parallel
         # executor's seed shards.  Surfaced by ``repro map --verbose``.
         context.properties["engine.executor"] = outcome.executor
         context.properties["engine.requested_executor"] = (
@@ -565,6 +554,7 @@ class CollectMetrics(Pass):
                 trial_swaps=[t.final_swaps for t in search.trials],
                 num_trials=context.num_trials,
                 num_traversals=context.num_traversals,
+                layout_search=search,
                 **common,
             )
         elif context.trial_stats is not None:

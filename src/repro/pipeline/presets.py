@@ -116,26 +116,8 @@ PRESETS: Dict[str, PresetSpec] = {
         {"num_trials": 1, "num_traversals": 1},
         "single-trial single-traversal (lowest latency)",
     ),
-    # The paper flow with its best-of-K restarts routed as one
-    # trial-major lockstep batch (repro.engine.ensemble): identical
-    # per-seed results to paper_default, one shared scoring kernel per
-    # step across all trials.  Falls back to serial trials when the
-    # configuration is not vector-scorable.
-    "ensemble": (
-        _paper_passes,
-        {"executor": "ensemble"},
-        "best-of-K trials routed in lockstep through one batched kernel",
-    ),
-    # Multi-core sweep: seed shards × lockstep ensembles over a
-    # ship-once worker pool (repro.engine.shared); same per-seed
-    # results as the paper pipeline, sized to the host's cores.
-    "hybrid": (
-        _paper_passes,
-        {"executor": "hybrid"},
-        "best-of-K trials sharded across ship-once ensemble workers",
-    ),
-    # Let the engine pick serial/ensemble/hybrid/process per sweep
-    # from K, the core count, and ensemble eligibility.
+    # The paper flow with the engine choosing serial or parallel per
+    # sweep from K and the core count.
     "sweep_auto": (
         _paper_passes,
         {"executor": "auto"},

@@ -103,22 +103,18 @@ class Pipeline:
         executor: Optional[str] = None,
         jobs: Optional[int] = None,
         noise: Optional[NoiseModel] = None,
-        layout_search: Optional[object] = None,
+        seeds: Optional[Sequence[int]] = None,
     ) -> MappingResult:
         """Execute every pass over a fresh context; return the result.
 
         Parameters mirror :func:`repro.core.compiler.compile_circuit`;
         ``None`` means "preset default, else the paper's value".
-        ``noise`` feeds noise-aware passes.  ``layout_search`` injects
-        a precomputed bidirectional-search record
-        (:class:`~repro.core.bidirectional.BidirectionalResult`): the
-        layout-search pass adopts its routing instead of searching —
-        the re-entry seam of the trial ensemble
-        (:mod:`repro.engine.ensemble`), which batch-routes K trials
-        and then replays each through its pipeline for decomposition,
-        post-passes, and metrics.  The returned :class:`MappingResult`
-        carries the run's property set (``result.properties``)
-        including per-pass timings.
+        ``noise`` feeds noise-aware passes.  ``seeds`` replaces the
+        ``seed .. seed + num_trials - 1`` trial range with an explicit
+        list of distinct seeds (``num_trials`` becomes its length) —
+        how the engine hands one shard of a sweep to a worker.  The
+        returned :class:`MappingResult` carries the run's property set
+        (``result.properties``) including per-pass timings.
         """
         coupling.require_connected()
         if circuit.num_qubits > coupling.num_qubits:
@@ -133,14 +129,18 @@ class Pipeline:
             coupling=coupling,
             config=self._default("config", config, None),
             seed=self._default("seed", seed, 0),
-            num_trials=self._default("num_trials", num_trials, 5),
+            num_trials=(
+                len(seeds)
+                if seeds is not None
+                else self._default("num_trials", num_trials, 5)
+            ),
             num_traversals=self._default("num_traversals", num_traversals, 3),
             objective=self._default("objective", objective, "g_add"),
             executor=self._default("executor", executor, None),
             jobs=self._default("jobs", jobs, None),
             noise=noise,
             initial_layout=initial_layout,
-            layout_search=layout_search,
+            seeds=list(seeds) if seeds is not None else None,
             distance=distance,
             properties=PropertySet(),
         )

@@ -241,7 +241,6 @@ def trial_executor_decision(request: CompileRequest, trial_jobs: int):
     *not* consulted), so every lane of every replica makes the same
     choice for the same request.
     """
-    from repro.engine.ensemble import ensemble_eligible
     from repro.engine.shared import choose_executor
     from repro.pipeline.runner import get_pipeline
 
@@ -251,12 +250,7 @@ def trial_executor_decision(request: CompileRequest, trial_jobs: int):
         num_trials = pipe.defaults.get("num_trials", 5)
     if num_trials is None or num_trials <= 1:
         return None
-    eligible = ensemble_eligible(
-        request.pipeline, request.heuristic_config(), None
-    )
-    return choose_executor(
-        num_trials, cores=trial_jobs, eligible=eligible
-    )
+    return choose_executor(num_trials, cores=trial_jobs)
 
 
 def execute_request(
@@ -275,14 +269,10 @@ def execute_request(
 
     ``trial_jobs`` is the opt-in multi-core sweep knob (``repro serve
     --trial-jobs N``): it grants each compile that many cores for its
-    best-of-K fan-out, routed through the engine's executor chooser
-    (hybrid sharded ensembles when eligible and ``N > 1``).  Note the
-    engine executors rank trial winners by the request's objective
-    with earliest-seed ties, whereas the default in-search path ranks
-    by ``(num_swaps, depth)`` — all engine executors agree with each
-    other, so results stay deterministic for a given ``trial_jobs``
-    setting, but a deployment should not mix ``trial_jobs`` on and off
-    against one shared store.
+    best-of-K sweep, routed through the engine's executor chooser
+    (seed shards across ``N`` workers when ``N > 1``).  It changes
+    where the trials run, never which one wins: the routed output is
+    the same with or without it.
 
     ``circuit`` and ``key`` accept the parse and fingerprint the
     scheduler already performed at submission, so a scheduled compile

@@ -367,8 +367,8 @@ class CoalescingScheduler:
         self.store = store if store is not None else ResultStore()
         self.compile_fn = compile_fn
         #: Opt-in multi-core trial sweeps: cores granted to each
-        #: compile's best-of-K fan-out (the hybrid/ensemble engine
-        #: path).  ``None`` keeps the classic serial in-worker sweep.
+        #: compile's best-of-K sweep (the engine's parallel executor).
+        #: ``None`` keeps the in-worker sweep; both give the same result.
         #: When set, ``compile_fn`` must accept a ``trial_jobs`` kwarg
         #: (the production ``execute_request`` does).
         self.trial_jobs = trial_jobs

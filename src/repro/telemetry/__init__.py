@@ -14,7 +14,7 @@ The observability layer the serving tier fronts:
   Disabled-mode calls return a shared no-op handle (no allocation, no
   lock) so an untraced request pays one thread-local read per span
   site.  Spans cross the process boundary as JSON-native dicts:
-  workers and hybrid shards carry the parent span id in and return a
+  workers and parallel sweep shards carry the parent span id in and return a
   serialized span batch alongside their results.
 - :mod:`repro.telemetry.profile` — opt-in router profiling: per-step
   candidate counts, winner-tie sizes, and scorer kernel time,

@@ -40,7 +40,7 @@ MAX_SPANS_PER_TRACE = 4096
 _local = threading.local()
 _trace_ids = itertools.count(1)
 #: Per-process tracer instance counter, folded into span ids so two
-#: tracers in one process (e.g. two hybrid shards executed by the same
+#: tracers in one process (e.g. two sweep shards executed by the same
 #: pool worker) can never mint colliding ids.
 _tracer_seq = itertools.count(1)
 

@@ -7,9 +7,12 @@ identical* to the paper-literal reference path: same per-step winner
 sets, same tie-break draws, and
 therefore bit-for-bit identical routed circuits for identical seeds —
 across all heuristic modes, the noise-aware penalty path, and the
-livelock escape hatch.  The trial-major lockstep ensemble executor
-must in turn reproduce the serial executor's per-seed results exactly.
+livelock escape hatch.  A best-of-K sweep must in turn keep the same
+winner and per-seed counts whether it runs as the direct layout search
+or on the engine's serial or parallel executor.
 """
+
+import hashlib
 
 import pytest
 
@@ -267,132 +270,116 @@ class TestWinnerSets:
         assert len(searches["reference"]) > len(traces["reference"])
 
 
-class TestEnsembleIdentity:
-    """The lockstep ensemble executor vs the serial executor: same
-    seeds in, byte-identical per-trial circuits out — including the
-    multi-traversal search-mode sweep, whose winning forward traversal
-    is replayed from a recorded SWAP trace rather than emitted live."""
+def _sweep_facts(result):
+    """What must agree across sweep paths: the routed circuit's sha1,
+    the per-seed best SWAP counts, the winning seed and ``g_la``."""
+    digest = hashlib.sha1(
+        repr(
+            [(g.name, g.qubits, g.params) for g in result.physical_circuit()]
+        ).encode("utf-8")
+    ).hexdigest()
+    props = result.properties
+    if "engine.trial_swaps" in props:
+        swaps = props["engine.trial_swaps"]
+        winner = props["engine.winning_seed"]
+    else:
+        search = result.layout_search
+        swaps = [t.best_swaps for t in search.trials]
+        winner = search.trials[search.best_trial_index].seed
+    return digest, swaps, winner, result.first_pass_swaps
+
+
+def _assert_sweep_identity(circuit, device, **kwargs):
+    """Direct search vs the serial and parallel executors."""
+    from repro.pipeline import Pipeline
+
+    pipe = Pipeline("paper_default")
+    facts = {
+        executor: _sweep_facts(
+            pipe.run(circuit, device, executor=executor, jobs=jobs, **kwargs)
+        )
+        for executor, jobs in (
+            (None, None), ("serial", None), ("parallel", 2)
+        )
+    }
+    assert facts["serial"] == facts[None]
+    assert facts["parallel"] == facts[None]
+    return facts[None]
+
+
+#: The 12 mid-size Table II rows of the ``table2_sweep`` workload.
+SWEEP_ROWS = (
+    "qft_10", "qft_13", "qft_16", "qft_20", "rd84_142", "adr4_197",
+    "radd_250", "z4_268", "sym6_145", "misex1_241", "rd73_252",
+    "cycle10_2_110",
+)
+
+
+class TestExecutorIdentity:
+    """One best-of-K sweep, three paths — the direct layout search
+    (``executor=None``), the serial executor and the parallel executor
+    (seed shards across two workers) — must route the same winner byte
+    for byte and report the same per-seed SWAP counts, winning seed and
+    first-pass count."""
+
+    @pytest.mark.parametrize("name", ["4gt13_92", "qft_10"])
+    def test_table2_rows(self, tokyo, name):
+        from repro.bench_circuits import get_benchmark
+
+        circuit = get_benchmark(name).build()
+        _assert_sweep_identity(circuit, tokyo, seed=0, num_trials=8)
+
+    def test_non_contiguous_seed_list(self, tokyo):
+        circuit = random_circuit(12, 120, seed=5, two_qubit_fraction=0.7)
+        _, swaps, winner, _ = _assert_sweep_identity(
+            circuit, tokyo, seeds=[9, 2, 5, 4]
+        )
+        assert len(swaps) == 4
+        assert winner in (9, 2, 5, 4)
 
     @pytest.mark.parametrize("num_traversals", [1, 3])
     @pytest.mark.parametrize("mode", MODES)
-    def test_per_seed_identity(self, mode, num_traversals):
+    def test_sweep_matches_reference_trials(self, mode, num_traversals):
+        """The vector sweep (one layout search over all seeds) against
+        the reference scorer's one-pipeline-per-seed trials: same
+        per-seed counts, and its winner is that seed's own circuit."""
         device = grid_device(4, 4)
         circuit = random_circuit(16, 150, seed=23, two_qubit_fraction=0.8)
         seeds = [5, 6, 7]
-        outcomes = {}
-        for scorer, executor in (
-            ("vector", "ensemble"),
-            ("reference", "serial"),
-        ):
-            outcomes[executor] = run_trials(
+        outcomes = {
+            scorer: run_trials(
                 circuit,
                 device,
                 seeds=seeds,
                 config=HeuristicConfig(mode=mode, scorer=scorer),
                 num_traversals=num_traversals,
-                executor=executor,
             )
-        ens, ser = outcomes["ensemble"], outcomes["serial"]
-        assert ens.trial_swaps == ser.trial_swaps
-        assert ens.winner_index == ser.winner_index
-        for a, b in zip(ens.trials, ser.trials):
-            assert a.result.routing.circuit == b.result.routing.circuit
-            assert a.result.initial_layout == b.result.initial_layout
-
-    @pytest.mark.parametrize("num_traversals", [1, 3])
-    @pytest.mark.parametrize("scorer", SCORERS)
-    def test_hybrid_per_seed_identity(self, scorer, num_traversals):
-        """The sharded hybrid executor vs serial, across scorers: the
-        vector scorer shards run lockstep ensembles, the reference
-        scorer (ensemble-ineligible) shards run per-seed serial trials — both
-        against ship-once worker state, both byte-identical."""
-        device = grid_device(4, 4)
-        circuit = random_circuit(16, 120, seed=29, two_qubit_fraction=0.8)
-        seeds = [5, 6, 7, 8, 9]
-        config = HeuristicConfig(scorer=scorer)
-        hyb = run_trials(
-            circuit, device, seeds=seeds, config=config,
-            num_traversals=num_traversals, executor="hybrid", jobs=2,
-        )
-        ser = run_trials(
-            circuit, device, seeds=seeds, config=config,
-            num_traversals=num_traversals, executor="serial",
-        )
-        assert hyb.executor == "hybrid"
-        assert hyb.shard_plan == [[5, 6, 7], [8, 9]]
-        assert hyb.trial_swaps == ser.trial_swaps
-        assert hyb.winner_index == ser.winner_index
-        for a, b in zip(hyb.trials, ser.trials):
-            assert a.result.routing.circuit == b.result.routing.circuit
-            assert a.result.initial_layout == b.result.initial_layout
-            assert a.result.final_layout == b.result.final_layout
-
-    def test_hybrid_replay_handles_directives(self):
-        """Multi-traversal directive replay inside hybrid shard workers
-        matches the serial path byte for byte (same contract the
-        in-process ensemble already satisfies)."""
-        from repro.circuits import QuantumCircuit
-
-        device = grid_device(3, 3)
-        base = random_circuit(9, 90, seed=31, two_qubit_fraction=0.8)
-        circuit = QuantumCircuit(9, "directives")
-        for i, gate in enumerate(base.gates):
-            circuit.append(gate)
-            if i % 20 == 10:
-                circuit.barrier()
-            if i % 25 == 5:
-                circuit.measure(i % 9)
-        seeds = [1, 2, 3, 4]
-        hyb = run_trials(
-            circuit, device, seeds=seeds,
-            config=HeuristicConfig(scorer="vector"),
-            num_traversals=3, executor="hybrid", jobs=2,
-        )
-        ser = run_trials(
-            circuit, device, seeds=seeds,
-            config=HeuristicConfig(scorer="reference"),
-            num_traversals=3, executor="serial",
-        )
-        assert hyb.trial_swaps == ser.trial_swaps
-        for a, b in zip(hyb.trials, ser.trials):
-            assert a.result.routing.circuit == b.result.routing.circuit
+            for scorer in ("vector", "reference")
+        }
+        vec, ref = outcomes["vector"], outcomes["reference"]
+        assert vec.trial_swaps == ref.trial_swaps
+        assert vec.first_pass_swaps == ref.first_pass_swaps
+        own = ref.trials[vec.winner_index].result
+        assert vec.best_result.routing.circuit == own.routing.circuit
+        assert vec.best_result.initial_layout == own.initial_layout
 
     def test_replay_handles_directives(self):
         """Measure/reset/barrier directives ride through the no-emit
-        search mode: SearchTrace's depth counter skips them exactly as
-        ``circuit_depth`` does, so the replayed winner still matches
-        the serial path byte for byte."""
-        from repro.circuits import QuantumCircuit
+        search mode in process and in shard workers alike."""
+        _assert_sweep_identity(
+            _directive_circuit(), grid_device(3, 3), seeds=[1, 2, 3, 4]
+        )
 
-        device = grid_device(3, 3)
-        base = random_circuit(9, 90, seed=31, two_qubit_fraction=0.8)
-        circuit = QuantumCircuit(9, "directives")
-        for i, gate in enumerate(base.gates):
-            circuit.append(gate)
-            if i % 20 == 10:
-                circuit.barrier()
-            if i % 25 == 5:
-                circuit.measure(i % 9)
-        seeds = [1, 2, 3, 4]
-        ens = run_trials(
-            circuit,
-            device,
-            seeds=seeds,
-            config=HeuristicConfig(scorer="vector"),
-            num_traversals=3,
-            executor="ensemble",
-        )
-        ser = run_trials(
-            circuit,
-            device,
-            seeds=seeds,
-            config=HeuristicConfig(scorer="reference"),
-            num_traversals=3,
-            executor="serial",
-        )
-        assert ens.trial_swaps == ser.trial_swaps
-        for a, b in zip(ens.trials, ser.trials):
-            assert a.result.routing.circuit == b.result.routing.circuit
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", SWEEP_ROWS)
+    def test_sweep_rows(self, tokyo, name):
+        """The ``table2_sweep`` rows, best-of-16 at seed bases 0, 7 and
+        31."""
+        from repro.bench_circuits import get_benchmark
+
+        circuit = get_benchmark(name).build()
+        for base in (0, 7, 31):
+            _assert_sweep_identity(circuit, tokyo, seed=base, num_trials=16)
 
 
 class TestScorerSelection:
@@ -540,33 +527,32 @@ class TestLookaheadMemo:
         assert memo_audit["hits"] > hits
         assert len(frontier.ext_memo) > 0
 
-    def test_ensemble_shares_one_memo_per_direction(self, memo_audit):
-        """All K trials' frontiers over one IR share a single memo."""
+    def test_sweep_shares_one_memo_per_direction(self, memo_audit):
+        """A serial sweep is one layout search: every seed's traversals
+        run on one frontier, and so one memo, per IR direction."""
         device = grid_device(4, 4)
         circuit = random_circuit(16, 150, seed=23, two_qubit_fraction=0.8)
         seeds = [5, 6, 7]
         outcomes = {
-            executor: run_trials(
+            scorer: run_trials(
                 circuit,
                 device,
                 seeds=seeds,
                 config=HeuristicConfig(scorer=scorer),
                 num_traversals=3,
-                executor=executor,
             )
-            for scorer, executor in (
-                ("vector", "ensemble"),
-                ("reference", "serial"),
-            )
+            for scorer in ("vector", "reference")
         }
-        ens, ser = outcomes["ensemble"], outcomes["serial"]
-        assert ens.trial_swaps == ser.trial_swaps
-        for a, b in zip(ens.trials, ser.trials):
-            assert a.result.routing.circuit == b.result.routing.circuit
+        vec, ref = outcomes["vector"], outcomes["reference"]
+        assert vec.trial_swaps == ref.trial_swaps
+        assert (
+            vec.best_result.routing.circuit
+            == ref.trials[vec.winner_index].result.routing.circuit
+        )
         assert len(memo_audit["memos"]) == 2  # forward + reverse IR
         for dag_id, memos in memo_audit["memos"].items():
             assert len(memos) == 1
-            assert len(memo_audit["frontiers"][dag_id]) == len(seeds)
+            assert len(memo_audit["frontiers"][dag_id]) == 1
         assert memo_audit["hits"] > 0
 
     def test_two_devices_in_one_process(self, tokyo, memo_audit):
@@ -672,13 +658,12 @@ class TestFoldedSearch:
             router.run(ir, frontier=FrontierState(ir, folded=True))
 
     @pytest.mark.parametrize("device_name", sorted(FOLD_DEVICES))
-    def test_ensemble_traces_replay_to_their_depth(
+    def test_sweep_traces_replay_to_their_depth(
         self, device_name, monkeypatch
     ):
-        """A K=3 lockstep ensemble sweeps on folded frontiers: every
-        forward trace it ranks replays to a circuit of the traced depth,
-        and each trial's winner equals the emitting ``reference`` serial
-        trial's."""
+        """A K=3 sweep searches on folded frontiers: every forward trace
+        it ranks replays to a circuit of the traced depth, and its
+        per-seed counts equal the emitting ``reference`` trials'."""
         from repro.circuits.depth import circuit_depth
         from repro.circuits.flatdag import FrontierState
         from repro.core.bidirectional import BestForward
@@ -698,25 +683,26 @@ class TestFoldedSearch:
         router = SabreRouter(device, config=HeuristicConfig(scorer="vector"))
         for circuit in _fold_circuits(min(device.num_qubits, 8)):
             offered.clear()
-            outcomes = {
-                executor: run_trials(
-                    circuit,
-                    device,
-                    seeds=seeds,
-                    config=HeuristicConfig(scorer=scorer),
-                    num_traversals=3,
-                    executor=executor,
-                )
-                for scorer, executor in (
-                    ("vector", "ensemble"),
-                    ("reference", "serial"),
-                )
-            }
-            ens, ser = outcomes["ensemble"], outcomes["serial"]
-            assert ens.trial_swaps == ser.trial_swaps
-            for a, b in zip(ens.trials, ser.trials):
-                assert a.result.routing.circuit == b.result.routing.circuit
+            vec = run_trials(
+                circuit,
+                device,
+                seeds=seeds,
+                config=HeuristicConfig(scorer="vector"),
+                num_traversals=3,
+            )
             traces = [c for c in offered if isinstance(c, SearchTrace)]
+            ref = run_trials(
+                circuit,
+                device,
+                seeds=seeds,
+                config=HeuristicConfig(scorer="reference"),
+                num_traversals=3,
+            )
+            assert vec.trial_swaps == ref.trial_swaps
+            assert (
+                vec.best_result.routing.circuit
+                == ref.trials[vec.winner_index].result.routing.circuit
+            )
             assert len(traces) == 2 * len(seeds)
             ir = get_flat_dag(circuit)
             for trace in traces:

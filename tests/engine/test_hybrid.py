@@ -1,4 +1,4 @@
-"""Tests for the hybrid executor's machinery (repro.engine.shared):
+"""Tests for the parallel executor's machinery (repro.engine.shared):
 shard planning, the automatic executor chooser, the ship-once
 shared-state layer, and executor downgrade reporting."""
 
@@ -19,7 +19,7 @@ from repro.engine.shared import (
     build_sweep_spec,
     choose_executor,
     plan_shards,
-    run_hybrid_sweep,
+    run_parallel_sweep,
     sweep_fingerprint,
 )
 from repro.engine.trials import _DOWNGRADES_WARNED
@@ -69,27 +69,24 @@ class TestChooseExecutor:
     def test_single_seed_is_serial(self):
         assert choose_executor(1, cores=8).executor == "serial"
 
-    def test_eligible_multicore_is_hybrid(self):
-        decision = choose_executor(6, cores=4, eligible=True)
-        assert decision.executor == "hybrid"
+    def test_multicore_is_parallel(self):
+        decision = choose_executor(6, cores=4)
+        assert decision.executor == "parallel"
         assert decision.jobs == 4
 
-    def test_eligible_single_core_is_ensemble(self):
-        assert choose_executor(6, cores=1, eligible=True).executor == "ensemble"
-
-    def test_ineligible_multicore_is_process(self):
-        assert choose_executor(6, cores=4, eligible=False).executor == "process"
-
-    def test_ineligible_single_core_is_serial(self):
-        assert choose_executor(6, cores=1, eligible=False).executor == "serial"
+    def test_single_core_is_serial(self):
+        decision = choose_executor(6, cores=1)
+        assert decision.executor == "serial"
+        assert decision.jobs == 1
 
     def test_jobs_overrides_core_sizing(self):
-        decision = choose_executor(8, cores=1, eligible=True, jobs=3)
-        assert decision.executor == "hybrid"
+        decision = choose_executor(8, cores=1, jobs=3)
+        assert decision.executor == "parallel"
         assert decision.jobs == 3
+        assert choose_executor(8, cores=16, jobs=1).executor == "serial"
 
     def test_width_capped_by_seed_count(self):
-        assert choose_executor(2, cores=16, eligible=True).jobs == 2
+        assert choose_executor(2, cores=16).jobs == 2
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_seeds"):
@@ -102,7 +99,7 @@ class TestChooseExecutor:
 
         props = choose_executor(4, cores=2).as_properties()
         assert json.loads(json.dumps(props)) == props
-        assert props["executor"] == "hybrid"
+        assert props["executor"] == "parallel"
 
 
 class TestShipOnce:
@@ -111,7 +108,8 @@ class TestShipOnce:
     ):
         """After the initializer ships the spec, a shard submission
         carries no circuit/coupling/distance payload — the worker entry
-        point takes exactly (fingerprint, seeds)."""
+        point takes exactly (fingerprint, seeds) and returns the shard's
+        one layout search."""
         distance = get_flat_distance_matrix(device)
         spec, shm = build_sweep_spec(
             workload, device, None, 3, "paper_default", distance, True
@@ -119,15 +117,17 @@ class TestShipOnce:
         try:
             _install_sweep(spec)  # simulate the pool initializer
             results = _run_sweep_shard(spec.fingerprint, (0, 1))
-            assert len(results) == 2
+            assert len(results) == 1
         finally:
             _WORKER_SWEEPS.pop(spec.fingerprint, None)
             if shm is not None:
                 shm.close()
                 shm.unlink()
         serial = run_trials(workload, device, [0, 1], executor="serial")
-        for result, trial in zip(results, serial.trials):
-            assert result.routing.circuit == trial.result.routing.circuit
+        assert results[0].routing.circuit == serial.best_result.routing.circuit
+        assert [
+            t.best_swaps for t in results[0].layout_search.trials
+        ] == serial.trial_swaps
 
     def test_unknown_fingerprint_rejected(self):
         with pytest.raises(ReproError, match="no sweep"):
@@ -153,7 +153,7 @@ class TestShipOnce:
         bytes; the sweep's results must not depend on the transport."""
         shards = [[0, 1], [2]]
         distance = get_flat_distance_matrix(device)
-        via_shm = run_hybrid_sweep(
+        via_shm = run_parallel_sweep(
             workload, device, shards, distance=distance
         )
         spec, shm = build_sweep_spec(
@@ -169,8 +169,10 @@ class TestShipOnce:
             ]
         finally:
             _WORKER_SWEEPS.pop(spec.fingerprint, None)
+        assert len(via_shm) == len(via_bytes) == len(shards)
         for a, b in zip(via_shm, via_bytes):
             assert a.routing.circuit == b.routing.circuit
+            assert a.layout_search.trials == b.layout_search.trials
 
     def test_fingerprint_distinguishes_knobs(self, device, workload):
         distance = get_flat_distance_matrix(device)
@@ -214,33 +216,54 @@ class TestShipOnce:
         assert GLOBAL_CACHE.seed_flat_distance(device, flat) is False
 
 
-class TestHybridExecutor:
+class TestParallelExecutor:
     def test_shard_boundary_sweep(self, device, workload):
         """K not divisible by P, K < P, and P = 1 all reduce to the
-        serial executor's per-seed results."""
+        serial executor's trials and winner."""
         serial = run_trials(workload, device, [0, 1, 2, 3, 4])
         for jobs, expected_plan in (
             (2, [[0, 1, 2], [3, 4]]),   # K % P != 0
             (8, [[0], [1], [2], [3], [4]]),  # K < P
             (1, [[0, 1, 2, 3, 4]]),     # P = 1
         ):
-            hyb = run_trials(
+            par = run_trials(
                 workload, device, [0, 1, 2, 3, 4],
-                executor="hybrid", jobs=jobs,
+                executor="parallel", jobs=jobs,
             )
-            assert hyb.shard_plan == expected_plan
-            assert hyb.trial_swaps == serial.trial_swaps
-            assert hyb.winner_index == serial.winner_index
-            for a, b in zip(hyb.trials, serial.trials):
-                assert a.result.routing.circuit == b.result.routing.circuit
+            assert par.shard_plan == expected_plan
+            assert par.trial_swaps == serial.trial_swaps
+            assert par.winner_index == serial.winner_index
+            assert par.first_pass_swaps == serial.first_pass_swaps
+            assert (
+                par.best_result.routing.circuit
+                == serial.best_result.routing.circuit
+            )
+
+    def test_per_seed_path_shards(self, device, workload):
+        """Non-g_add objectives keep one pipeline per seed, on the same
+        pool, with every trial's result shipped back."""
+        serial = run_trials(
+            workload, device, [0, 1, 2], objective="depth"
+        )
+        par = run_trials(
+            workload, device, [0, 1, 2], objective="depth",
+            executor="parallel", jobs=2,
+        )
+        assert par.executor == "parallel"
+        assert par.shard_plan == [[0, 1], [2]]
+        assert [t.value for t in par.trials] == [
+            t.value for t in serial.trials
+        ]
+        for a, b in zip(par.trials, serial.trials):
+            assert a.result.routing.circuit == b.result.routing.circuit
 
     def test_outcome_records_executor(self, device, workload):
-        hyb = run_trials(
-            workload, device, [0, 1], executor="hybrid", jobs=2
+        par = run_trials(
+            workload, device, [0, 1], executor="parallel", jobs=2
         )
-        assert hyb.requested_executor == "hybrid"
-        assert hyb.executor == "hybrid"
-        assert hyb.downgrade_reason is None
+        assert par.requested_executor == "parallel"
+        assert par.executor == "parallel"
+        assert par.downgrade_reason is None
         serial = run_trials(workload, device, [0, 1])
         assert serial.requested_executor == "serial"
         assert serial.executor == "serial"
@@ -251,14 +274,14 @@ class TestHybridExecutor:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             outcome = run_trials(
-                workload, device, [3], executor="hybrid", jobs=2
+                workload, device, [3], executor="parallel", jobs=2
             )
             # Warned once per downgrade kind, not once per sweep.
             again = run_trials(
-                workload, device, [3], executor="hybrid", jobs=2
+                workload, device, [3], executor="parallel", jobs=2
             )
         assert outcome.executor == "serial"
-        assert outcome.requested_executor == "hybrid"
+        assert outcome.requested_executor == "parallel"
         assert "single seed" in outcome.downgrade_reason
         assert again.downgrade_reason == outcome.downgrade_reason
         downgrades = [
@@ -266,36 +289,47 @@ class TestHybridExecutor:
         ]
         assert len(downgrades) == 1
 
-    def test_ensemble_downgrade_recorded(self, device, workload):
+    def test_broken_pool_downgrade_recorded(
+        self, device, workload, monkeypatch
+    ):
+        from concurrent.futures.process import BrokenProcessPool
+
+        import repro.engine.shared as shared
+
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("worker died")
+
+        monkeypatch.setattr(shared, "run_parallel_sweep", broken)
         _DOWNGRADES_WARNED.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             outcome = run_trials(
-                workload, device, [0, 1],
-                config=HeuristicConfig(scorer="reference"),
-                executor="ensemble",
+                workload, device, [0, 1], executor="parallel", jobs=2
             )
         assert outcome.executor == "serial"
-        assert outcome.requested_executor == "ensemble"
-        assert "ineligible" in outcome.downgrade_reason
+        assert outcome.requested_executor == "parallel"
+        assert outcome.shard_plan is None
+        assert "worker pool unavailable" in outcome.downgrade_reason
         assert any(
             issubclass(w.category, RuntimeWarning) for w in caught
         )
+        serial = run_trials(workload, device, [0, 1])
+        assert outcome.trial_swaps == serial.trial_swaps
 
     def test_jobs_validation(self, device, workload):
         with pytest.raises(ValueError, match="jobs"):
             run_trials(workload, device, [0, 1], jobs=0)
         with pytest.raises(ValueError, match="jobs"):
             run_trials(
-                workload, device, [0, 1], executor="hybrid", jobs=-2
+                workload, device, [0, 1], executor="parallel", jobs=-2
             )
 
     def test_auto_resolves_on_this_host(self, device, workload):
         outcome = run_trials(workload, device, [0, 1, 2], executor="auto")
         assert outcome.requested_executor == "auto"
-        # Whatever the host's core count picked, per-seed results match
+        # Whatever the host's core count picked, the trials match
         # serial and no downgrade is recorded (a choice is not one).
-        assert outcome.executor in ("serial", "ensemble", "hybrid", "process")
+        assert outcome.executor in ("serial", "parallel")
         assert outcome.downgrade_reason is None
         serial = run_trials(workload, device, [0, 1, 2])
         assert outcome.trial_swaps == serial.trial_swaps
@@ -315,14 +349,32 @@ class TestServiceTrialJobs:
         )
         decision = trial_executor_decision(request, 2)
         assert isinstance(decision, ExecutorDecision)
-        assert decision.executor == "hybrid"
-        hybrid = execute_request(request, trial_jobs=2)
-        ensemble = execute_request(request, trial_jobs=1)
-        assert hybrid.routed_qasm == ensemble.routed_qasm
+        assert decision.executor == "parallel"
+        parallel = execute_request(request, trial_jobs=2)
+        serial = execute_request(request, trial_jobs=1)
+        assert parallel.routed_qasm == serial.routed_qasm
         drop_walltime = lambda m: {k: v for k, v in m.items() if k != "t_sec"}
-        assert drop_walltime(hybrid.metrics) == drop_walltime(ensemble.metrics)
-        assert hybrid.properties.get("engine.executor") == "hybrid"
-        assert ensemble.properties.get("engine.executor") == "ensemble"
+        assert drop_walltime(parallel.metrics) == drop_walltime(serial.metrics)
+        assert parallel.properties.get("engine.executor") == "parallel"
+        assert serial.properties.get("engine.executor") == "serial"
+
+    def test_trial_jobs_does_not_change_routing(self):
+        """Seeds 0 and 3 tie on SWAPs here and land in different shards
+        under trial_jobs=2; the winner must still be the in-worker
+        search's, so one store can serve both settings."""
+        from repro.qasm import emit_qasm
+        from repro.service.request import CompileRequest, execute_request
+
+        circuit = random_circuit(8, 50, seed=2, two_qubit_fraction=0.7)
+        request = CompileRequest(
+            qasm=emit_qasm(circuit), device="ibm_q20_tokyo", num_trials=4
+        )
+        plain = execute_request(request, trial_jobs=None)
+        sharded = execute_request(request, trial_jobs=2)
+        assert sharded.properties.get("engine.executor") == "parallel"
+        assert sharded.properties.get("engine.winning_seed") == 3
+        assert sharded.routed_qasm == plain.routed_qasm
+        assert sharded.key == plain.key
 
     def test_single_trial_requests_stay_on_default_path(self, workload):
         from repro.qasm import emit_qasm
@@ -357,7 +409,7 @@ class TestServiceTrialJobs:
         finally:
             scheduler.shutdown()
         assert job.result is not None
-        assert job.result.properties.get("engine.executor") == "hybrid"
+        assert job.result.properties.get("engine.executor") == "parallel"
 
     def test_scheduler_rejects_bad_trial_jobs(self):
         from repro.service.scheduler import CoalescingScheduler

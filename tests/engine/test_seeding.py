@@ -110,9 +110,14 @@ class TestLayoutTrialSeeding:
         produce different tie-break sequences — and exactly the ones
         the serial executor produces."""
         circ = _tie_heavy_circuit()
-        serial = run_trials(circ, ring8, seeds=[0, 1], executor="serial")
+        # The depth objective runs one pipeline per seed, so every
+        # trial's circuit comes back, not just the winner's.
+        serial = run_trials(
+            circ, ring8, seeds=[0, 1], objective="depth", executor="serial"
+        )
         pooled = run_trials(
-            circ, ring8, seeds=[0, 1], executor="process", jobs=2
+            circ, ring8, seeds=[0, 1], objective="depth",
+            executor="parallel", jobs=2,
         )
         serial_seqs = [
             _swap_sequence(t.result.routing) for t in serial.trials

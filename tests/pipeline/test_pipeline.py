@@ -148,16 +148,17 @@ class TestObjectivePropertySet:
 
     def test_override_steers_trial_selection(self, tokyo, random6):
         # Rescoring through the PropertySet must override the built-in
-        # metric for every trial result the engine produced.
+        # metric for every trial result the engine produced (the depth
+        # objective keeps one result per seed).
         outcome = run_trials(
-            random6, tokyo, seeds=[0, 1, 2, 3], objective="g_add"
+            random6, tokyo, seeds=[0, 1, 2, 3], objective="depth"
         )
         values = [t.value for t in outcome.trials]
         if len(set(values)) > 1:
             for trial in outcome.trials:
-                trial.result.properties["objective.g_add"] = -trial.value
+                trial.result.properties["objective.depth"] = -trial.value
             rescored = [
-                objective_value(t.result, "g_add") for t in outcome.trials
+                objective_value(t.result, "depth") for t in outcome.trials
             ]
             assert rescored == [-v for v in values]
 

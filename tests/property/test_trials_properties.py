@@ -74,13 +74,19 @@ def test_winner_is_verified_compilation(circuit, device, seeds):
     objective=st.sampled_from(sorted(OBJECTIVES)),
 )
 def test_every_trial_verified_and_winner_minimal(circuit, device, seeds, objective):
-    """ALL trials (not just the winner) are correct compilations, and
-    the winner attains the pool's minimum objective value."""
+    """Every trial that ships a result is a correct compilation — all of
+    them, except on the ``g_add`` search path, which ships only its
+    winner — and the winner attains the pool's minimum objective
+    value."""
     circ = build_circuit(circuit)
     dev = random_device(device[0], seed=device[1])
     outcome = run_trials(circ, dev, seeds=seeds, objective=objective)
+    assert outcome.best_result is not None
     for trial in outcome.trials:
         result = trial.result
+        if result is None:
+            assert objective == "g_add"
+            continue
         assert_compliant(result.physical_circuit(), dev)
         assert_equivalent(
             result.original_circuit,

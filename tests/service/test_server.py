@@ -191,6 +191,18 @@ class TestErrorPaths:
             client.compile(QASM, pipeline="warp_speed")
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("preset", ["ensemble", "hybrid"])
+    def test_retired_executor_preset_is_400(self, service, preset):
+        """Executor-only presets are gone: the 400 names the presets
+        that remain."""
+        client, _ = service
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.compile(QASM, pipeline=preset)
+        assert excinfo.value.status == 400
+        message = str(excinfo.value)
+        assert "unknown pipeline preset" in message
+        assert "paper_default" in message
+
     def test_unknown_job_is_404(self, service):
         client, _ = service
         with pytest.raises(ServiceClientError) as excinfo:

@@ -86,13 +86,13 @@ class TestMapCommand:
             main(["map", qasm_file, "--scorer", scorer])
         assert exc.value.code == 2
 
-    def test_map_ensemble_executor_matches_serial(
+    def test_map_executors_match_direct_search(
         self, qasm_file, tmp_path, capsys
     ):
-        """--executor ensemble must produce the same routed program as
-        the serial executor for the same seed pool."""
+        """Every --executor routes the same program as the direct
+        in-process search for the same seed pool."""
         outputs = {}
-        for executor in ("serial", "ensemble"):
+        for executor in ("auto", "serial", "parallel"):
             out = str(tmp_path / f"{executor}.qasm")
             code = main(
                 [
@@ -100,6 +100,8 @@ class TestMapCommand:
                     qasm_file,
                     "--trials",
                     "3",
+                    "--jobs",
+                    "1" if executor == "auto" else "2",
                     "--executor",
                     executor,
                     "-o",
@@ -109,7 +111,61 @@ class TestMapCommand:
             assert code == 0
             with open(out) as handle:
                 outputs[executor] = handle.read()
-        assert outputs["ensemble"] == outputs["serial"]
+        assert outputs["serial"] == outputs["auto"]
+        assert outputs["parallel"] == outputs["auto"]
+
+    def test_map_verbose_reports_shards(self, qasm_file, capsys):
+        code = main(
+            [
+                "map",
+                qasm_file,
+                "--trials",
+                "16",
+                "--jobs",
+                "2",
+                "--executor",
+                "parallel",
+                "--verbose",
+            ]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "executor     : parallel, shards 8+8 across 2 workers" in err
+
+    @pytest.mark.parametrize(
+        "executor", ["process", "ensemble", "hybrid", "engine-auto"]
+    )
+    def test_map_retired_executor_names_rejected(
+        self, qasm_file, capsys, executor
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["map", qasm_file, "--executor", executor])
+        assert exc.value.code == 2
+        errors = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert "invalid choice" in errors[0]
+        for name in ("auto", "serial", "parallel"):
+            assert repr(name) in errors[0]
+
+    @pytest.mark.parametrize("preset", ["ensemble", "hybrid"])
+    def test_map_retired_executor_presets_rejected(
+        self, qasm_file, capsys, preset
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["map", qasm_file, "--pipeline", preset])
+        assert exc.value.code == 2
+        errors = [
+            line
+            for line in capsys.readouterr().err.splitlines()
+            if "error:" in line
+        ]
+        assert len(errors) == 1
+        assert "invalid choice" in errors[0]
+        assert "'paper_default'" in errors[0]
 
     def test_map_bare_noise_aware_preset(self, qasm_file, capsys):
         # The preset must be usable without the --noise-aware flag: the
