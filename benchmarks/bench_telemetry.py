@@ -19,7 +19,7 @@ benchmark holds it to:
    disabled-mode median by at most ``MAX_TRACED_OVERHEAD`` (5%), with
    an absolute floor so micro-second jitter on small circuits cannot
    fail the gate spuriously.  Router *profiling* (``"profile": true``)
-   additionally times every scoring-kernel call, which inherently
+   additionally times every scoring call, which inherently
    costs two clock reads per SWAP decision — it is opt-in per request,
    so its overhead is reported (and loosely bounded) rather than held
    to the 5% always-on budget.

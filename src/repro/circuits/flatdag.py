@@ -1,4 +1,4 @@
-"""Compile-once flat circuit IR: CSR dependency DAG + resettable frontier.
+"""Compile-once flat circuit IR: tuple dependency DAG + resettable frontier.
 
 SABRE's quality comes from repetition — the bidirectional layout search
 runs ``num_trials x num_traversals`` routing passes over the *same*
@@ -11,13 +11,11 @@ attribute chasing in the router's innermost loops.
 
 This module is the amortised alternative:
 
-- :class:`FlatDag` — an **immutable** lowering of a circuit: CSR
-  successor/predecessor adjacency (int-array offsets + indices — the
-  canonical compact form, cheap to pickle to pool workers), per-node
-  qubit operands, two-qubit flags, and the gate handles needed to emit
-  output.  Alongside the CSR arrays it precomputes the iteration views
-  CPython walks fastest (per-node successor tuples, plain int lists) —
-  paying that derivation **once per (circuit, direction)** is the
+- :class:`FlatDag` — an **immutable** lowering of a circuit, built in
+  one last-gate-per-wire pass: per-node successor and predecessor
+  tuples, per-node qubit operands, two-qubit flags, and the gate
+  handles needed to emit output — the views CPython walks fastest.
+  Paying that derivation **once per (circuit, direction)** is the
   point: every trial, traversal, thread, and worker shares the result
   read-only.  The engine cache (:mod:`repro.engine.cache`) memoises
   instances by circuit fingerprint.
@@ -45,14 +43,11 @@ look-ahead refresh (same front, same extended set).
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, insort
 from typing import List, NamedTuple, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.depth import _DIRECTIVE_NAMES as _DEPTH_SKIP
+from repro.circuits.depth import _DIRECTIVE_NAMES
 from repro.exceptions import CircuitError
 
 
@@ -78,7 +73,7 @@ class FoldedTables(NamedTuple):
 
 
 class FlatDag:
-    """Immutable CSR lowering of a circuit's dependency DAG.
+    """Immutable flat lowering of a circuit's dependency DAG.
 
     Node ``i`` is gate ``i`` of the source circuit.  Edges follow the
     same rule as :class:`~repro.circuits.dag.CircuitDag`: gate ``B``
@@ -102,13 +97,10 @@ class FlatDag:
             these instead of touching gate objects.
         two_qubit: per-node routability flag (1 for two-qubit unitaries).
         indegree: per-node predecessor count (the frontier's reset fill).
-        succ_off / succ: CSR successors — node ``i``'s successors are
-            ``succ[succ_off[i]:succ_off[i + 1]]``, ascending.
-        pred_off / pred: CSR predecessors, same layout.
-        succs: the successor slices rebound as per-node tuples — same
-            data as the CSR pair, prebuilt because iterating a small
+        succs: per-node successor tuples, ascending — iterating a small
             tuple is what CPython does fastest in the frontier's
             release loop.
+        preds: per-node predecessor tuples, ascending.
         roots: nodes with indegree zero, ascending.
         routable: False when some gate has >2 qubits and is not a
             directive (the router rejects such IRs with a clear error).
@@ -125,15 +117,10 @@ class FlatDag:
         "qubit_b",
         "two_qubit",
         "indegree",
-        "succ_off",
-        "succ",
-        "pred_off",
-        "pred",
         "succs",
+        "preds",
         "roots",
         "routable",
-        "qubit_a_np",
-        "qubit_b_np",
         "_zero_bytes",
         "_zero_ints",
         "_fold",
@@ -156,32 +143,65 @@ class FlatDag:
         self.pairs = tuple(gate.qubits for gate in gates)
 
         last_on_wire = [-1] * circuit.num_qubits
-        pred_lists: List[List[int]] = []
         succ_lists: List[List[int]] = [[] for _ in range(num_nodes)]
+        preds: List[Tuple[int, ...]] = [()] * num_nodes
         indegree = [0] * num_nodes
+        roots: List[int] = []
         qubit_a = [-1] * num_nodes
         qubit_b = [-1] * num_nodes
         two_qubit = bytearray(num_nodes)
         routable = True
+        # Node ids arrive ascending, so every successor list comes out
+        # ascending — the same order CircuitDag appends successors in.
         for index, gate in enumerate(gates):
-            preds: Set[int] = set()
-            for q in gate.qubits:
-                prev = last_on_wire[q]
-                if prev >= 0:
-                    preds.add(prev)
+            qs = gate.qubits
+            if len(qs) == 1:
+                q = qs[0]
+                p = last_on_wire[q]
                 last_on_wire[q] = index
-            ordered = sorted(preds)
-            pred_lists.append(ordered)
-            indegree[index] = len(ordered)
+                if p >= 0:
+                    succ_lists[p].append(index)
+                    preds[index] = (p,)
+                    indegree[index] = 1
+                else:
+                    roots.append(index)
+                continue
+            if len(qs) == 2:
+                a, b = qs
+                pa = last_on_wire[a]
+                pb = last_on_wire[b]
+                last_on_wire[a] = index
+                last_on_wire[b] = index
+                if pa > pb:
+                    pa, pb = pb, pa
+                if pa >= 0 and pa != pb:
+                    succ_lists[pa].append(index)
+                    succ_lists[pb].append(index)
+                    preds[index] = (pa, pb)
+                    indegree[index] = 2
+                elif pb >= 0:
+                    succ_lists[pb].append(index)
+                    preds[index] = (pb,)
+                    indegree[index] = 1
+                else:
+                    roots.append(index)
+                if gate.name not in _DIRECTIVE_NAMES:
+                    two_qubit[index] = 1
+                    qubit_a[index] = a
+                    qubit_b[index] = b
+                continue
+            ordered = tuple(
+                sorted({last_on_wire[q] for q in qs if last_on_wire[q] >= 0})
+            )
+            for q in qs:
+                last_on_wire[q] = index
             for p in ordered:
-                # Node ids arrive ascending, so every successor list
-                # comes out ascending — the same order CircuitDag
-                # appends successors in.
                 succ_lists[p].append(index)
-            if gate.is_two_qubit:
-                two_qubit[index] = 1
-                qubit_a[index], qubit_b[index] = gate.qubits
-            elif gate.num_qubits > 2 and not gate.is_directive:
+            preds[index] = ordered
+            indegree[index] = len(ordered)
+            if not ordered:
+                roots.append(index)
+            if gate.name not in _DIRECTIVE_NAMES:
                 routable = False
 
         self.qubit_a = qubit_a
@@ -189,35 +209,9 @@ class FlatDag:
         self.two_qubit = bytes(two_qubit)
         self.indegree = indegree
         self.routable = routable
-        self.succs = tuple(tuple(s) for s in succ_lists)
-        self.roots = tuple(
-            index for index in range(num_nodes) if indegree[index] == 0
-        )
-
-        # Canonical CSR buffers: one contiguous int array per relation,
-        # offsets first.  These are what pickles to pool workers and
-        # what structural tests compare against the object DAG.
-        succ_off = array("i", [0]) * (num_nodes + 1)
-        total = 0
-        for index in range(num_nodes):
-            succ_off[index] = total
-            total += len(succ_lists[index])
-        succ_off[num_nodes] = total
-        self.succ_off = succ_off
-        self.succ = array("i", [s for lst in succ_lists for s in lst])
-        pred_off = array("i", [0]) * (num_nodes + 1)
-        total = 0
-        for index in range(num_nodes):
-            pred_off[index] = total
-            total += len(pred_lists[index])
-        pred_off[num_nodes] = total
-        self.pred_off = pred_off
-        self.pred = array("i", [p for lst in pred_lists for p in lst])
-
-        # Numpy operand mirrors for the vector scorer's wide-front
-        # tables.  Shared read-only like everything else on a FlatDag.
-        self.qubit_a_np = np.array(qubit_a, dtype=np.intp)
-        self.qubit_b_np = np.array(qubit_b, dtype=np.intp)
+        self.succs = tuple(map(tuple, succ_lists))
+        self.preds = tuple(preds)
+        self.roots = tuple(roots)
 
         # Shared zero-fill sources for O(n) frontier resets: slice
         # assignment from these never allocates per reset.
@@ -255,7 +249,7 @@ class FlatDag:
         depth = [0] * n
         for i in range(n - 1, -1, -1):
             if not multi[i]:
-                depth[i] = int(self.gates[i].name not in _DEPTH_SKIP)
+                depth[i] = int(self.gates[i].name not in _DIRECTIVE_NAMES)
                 for s in succs[i]:  # a 1q gate has at most one
                     end[i] = end[s]
                     depth[i] += depth[s]
@@ -295,10 +289,10 @@ class FlatDag:
         return self.num_nodes
 
     def successors(self, index: int) -> List[int]:
-        return self.succ[self.succ_off[index] : self.succ_off[index + 1]].tolist()
+        return list(self.succs[index])
 
     def predecessors(self, index: int) -> List[int]:
-        return self.pred[self.pred_off[index] : self.pred_off[index + 1]].tolist()
+        return list(self.preds[index])
 
     def __repr__(self) -> str:
         return (
@@ -341,7 +335,10 @@ class FrontierState:
     add), so :meth:`drain_nonrouting` returns only barriers.  Counts in
     ``remaining`` equal an unfolded frontier's after each drain, so the
     full-DAG :meth:`extended_nodes` walk serves the same look-ahead set
-    in the same order under the same memo keys.
+    in the same order under the same memo keys.  The router's search
+    loop executes two-qubit nodes of a folded frontier itself, over
+    ``remaining``, ``executed``, ``front`` and :meth:`front_list`, and
+    leaves barriers to :meth:`drain_nonrouting`.
     """
 
     __slots__ = (
@@ -388,7 +385,7 @@ class FrontierState:
         self._virt_epoch: List[int] = [0] * n
         self._epoch = 0
         self._queue: List[int] = [0] * n
-        # Opt-in journal of front-layer insertions (vector router's
+        # Opt-in journal of front-layer insertions (the router's
         # incremental ready-check; see :meth:`drain_front_log`).
         self.track_front_log = False
         self.front_log: List[int] = []
@@ -443,8 +440,9 @@ class FrontierState:
     def drain_front_log(self) -> List[int]:
         """Return (and forget) front insertions since the last drain.
 
-        Only populated while ``track_front_log`` is set.  The vector
-        router uses this for an O(1) per-step ready-check: a stuck
+        Only populated while ``track_front_log`` is set.  The router's
+        replay (and its search loop, after barriers) uses this for an
+        O(1) per-step ready-check: a stuck
         front gate can only become executable if one of its qubits was
         just SWAPped or if it just entered the front — so scanning the
         whole front every iteration is redundant.
@@ -488,7 +486,7 @@ class FrontierState:
         self.execute_front_batch([index])
 
     def execute_front_batch(self, indices: List[int]) -> None:
-        """Execute several front-layer gates (router inner loop).
+        """Execute several front-layer gates (the replay's inner loop).
 
         ``indices`` must be ascending and all currently in the front —
         exactly what the router's ready scan produces (it filters

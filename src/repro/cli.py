@@ -516,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         action="store_true",
         help="print the per-pass span tree (wall + cpu time per "
-        "pipeline pass, router kernel/step aggregates) to stderr",
+        "pipeline pass, router scoring/step aggregates) to stderr",
     )
     map_p.set_defaults(handler=_cmd_map)
 

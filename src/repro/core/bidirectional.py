@@ -15,9 +15,8 @@ circuit is the mirror image of the original's.  SABRE exploits this:
 
 The paper uses 3 traversals (forward-backward-forward) and keeps the
 best of 5 random restarts (§V "Algorithm Configuration"), so one
-traversal in fifteen is kept.  With the vector scorer, a
-multi-traversal search therefore routes every traversal without
-building its circuit (the router's search mode,
+traversal in fifteen is kept.  With the vector scorer, a layout
+search therefore routes every traversal without building its circuit (the router's search mode,
 :meth:`~repro.core.router.SabreRouter.search`) and builds only the
 winner's, by replaying its recorded SWAPs (:class:`BestForward`).
 """
@@ -147,20 +146,17 @@ class SabreLayout:
         memo (:meth:`FrontierState.extended_pairs
         <repro.circuits.flatdag.FrontierState.extended_pairs>`) across
         resets, so the restarts, which revisit the same fronts, walk
-        each narrow front's extended set once per search.
+        each front's extended set once per search.
 
-        With the vector scorer and more than one traversal, every
-        traversal runs in search mode (:meth:`SabreRouter.search`): no
-        routed circuit is built and no depth recomputed during the
-        sweep, because :class:`~repro.core.router.SearchTrace` carries
-        the selection key, and both frontiers are folded, so no
-        single-qubit gate is executed one by one until the replay.
-        Only the winning forward traversal is then replayed into its
-        circuit, byte-identical to emitting it live.
-        A single traversal emits directly — within a trial there is
-        nothing to choose between, and replaying costs more than it
-        saves — and so does the ``reference`` scorer, the differential
-        oracle.
+        With the vector scorer every traversal runs in search mode
+        (:meth:`SabreRouter.search`): no routed circuit is built and no
+        depth recomputed during the sweep, because
+        :class:`~repro.core.router.SearchTrace` carries the selection
+        key, and both frontiers are folded, so no single-qubit gate is
+        executed one by one until the replay.  Only the winning forward
+        traversal is then replayed into its circuit, byte-identical to
+        the ``reference`` scorer's emitting traversal, which is the
+        differential oracle.
 
         With a tracer active (:mod:`repro.telemetry.trace`) each
         traversal records one ``layout.traversal`` span with attrs
@@ -169,7 +165,7 @@ class SabreLayout:
         from repro.engine.cache import get_flat_dag
 
         router = self.router
-        searching = self.num_traversals > 1 and router.scorer == "vector"
+        searching = router.scorer == "vector"
         route = router.search if searching else router.run
         forward_ir = get_flat_dag(circuit)
         forward_frontier = FrontierState(forward_ir, folded=searching)
@@ -231,12 +227,12 @@ class BestForward:
     :meth:`SabreLayout.run` keeps one instance across all its trials.
     Candidates are offered in search order and ranked by
     ``(num_swaps, depth)``; the first of equal keys wins.  A candidate
-    is either an emitted :class:`~repro.core.router.RoutingResult` or a
-    :class:`~repro.core.router.SearchTrace`; :meth:`result` replays a
-    winning trace into the byte-identical circuit, so exactly one
-    circuit is ever built for a search-mode sweep.  Depth is read only
-    once a second candidate arrives, so a search with one forward
-    traversal in total never computes it.
+    is either an emitted :class:`~repro.core.router.RoutingResult` (the
+    ``reference`` scorer) or a :class:`~repro.core.router.SearchTrace`;
+    :meth:`result` replays a winning trace into the byte-identical
+    circuit, so exactly one circuit is ever built for a search-mode
+    sweep.  Depth is read only once a second candidate arrives, so a
+    search with one forward traversal in total never computes it.
     """
 
     __slots__ = ("best", "key", "trial")

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.circuits.gates import Gate
 from repro.exceptions import MappingError
 
@@ -61,11 +59,11 @@ class HeuristicConfig:
             the router pay for executing 3 CNOTs on a noisy coupler
             (see :mod:`repro.extensions.noise_aware`).
         scorer: candidate-SWAP scoring implementation.  The default
-            ``"vector"`` scores narrow fronts with a scalar ``O(deg)``
-            delta loop and wider ones in one batched numpy kernel over
-            the flat distance buffer (:mod:`repro.core.scoring`);
-            ``"reference"`` recomputes the full Eq. 2 sum per candidate
-            exactly as written in the paper.  Both produce identical
+            ``"vector"`` scores every front with a scalar ``O(deg)``
+            delta loop over the flat distance buffer
+            (:mod:`repro.core.scoring`); ``"reference"`` recomputes the
+            full Eq. 2 sum per candidate exactly as written in the
+            paper.  Both produce identical
             routed circuits (the differential suite enforces it).
     """
 
@@ -148,54 +146,6 @@ class DecayTracker:
         """Forget all decay (called on reset interval and gate execution)."""
         self.values = [1.0] * len(self.values)
         self._steps = 0
-
-
-class DecayArray:
-    """Numpy-backed :class:`DecayTracker` for the vector scorer.
-
-    Same semantics, same float arithmetic (IEEE double either way), but
-    ``values`` is an ``np.ndarray`` so the batched kernel can gather
-    ``max(decay(q1), decay(q2))`` for every candidate in one op.  The
-    backing buffer may be passed in (a row view of a
-    :class:`~repro.core.scoring.VectorBlock`'s ``(K, n)`` decay matrix).
-    """
-
-    __slots__ = ("delta", "reset_interval", "values", "_steps")
-
-    def __init__(
-        self,
-        num_qubits: int,
-        delta: float,
-        reset_interval: int,
-        values: "np.ndarray" = None,
-    ) -> None:
-        self.delta = delta
-        self.reset_interval = reset_interval
-        if values is None:
-            values = np.ones(num_qubits)
-        else:
-            values.fill(1.0)
-        self.values = values
-        self._steps = 0
-
-    def factor(self, q1: int, q2: int) -> float:
-        v = self.values
-        return v[q1] if v[q1] >= v[q2] else v[q2]
-
-    def record_swap(self, q1: int, q2: int) -> None:
-        self.values[q1] += self.delta
-        self.values[q2] += self.delta
-        self._steps += 1
-        if self._steps >= self.reset_interval:
-            self.reset()
-
-    def reset(self) -> None:
-        # ``_steps`` counts swaps since the last reset, so zero means
-        # ``values`` is still all ones: the router resets after every
-        # executed gate, most of them with no SWAP in between.
-        if self._steps:
-            self.values.fill(1.0)
-            self._steps = 0
 
 
 def mapped_distance_sum(

@@ -14,36 +14,30 @@ mapping combinations of the A* baseline.
 Candidate scoring has two interchangeable implementations, selected by
 :attr:`HeuristicConfig.scorer`:
 
-- ``vector`` (the default, and the production path) — batched numpy
-  kernel (:class:`~repro.core.scoring.VectorBlock`): every step scores
-  *all* device edges with a fixed sequence of array ops over
-  device-constant index tables, masking non-candidates to ``+inf``.
-  The routing loop runs as a generator
-  (:meth:`SabreRouter._route_vector`) that yields at each scoring
-  step; solo runs drive it with a one-row block.  Narrow fronts (at
-  most four gates — nearly every refresh on the paper's circuits) are
-  scored by a scalar delta loop inside the generator (numpy dispatch
-  would dominate), so small circuits never pay array overhead.  That
-  step redoes no per-front work that does not depend on the layout:
-  the look-ahead set ``E`` is a function of the front alone, so the
-  frontier serves it from a front-keyed memo that lives for one layout
-  search (:meth:`~repro.circuits.flatdag.FrontierState.extended_pairs`; a
-  layout search shares one memo per IR direction across all its
-  restarts); the partner tables are per-row lists indexed by logical
-  qubit, undone entry by entry at each refresh; and the sorted
-  candidate list is memoised per front-home tuple on the device
-  (:meth:`~repro.core.scoring.VectorDevice.narrow_candidates`).  The
-  generator also has a *search mode* that builds no circuit
-  (:meth:`SabreRouter.search`, :class:`SearchTrace`): every
-  multi-traversal layout search routes all its
-  traversals that way and replays only the winning forward traversal
-  into a circuit (:meth:`SabreRouter._replay`).  Search mode runs over
-  a *folded* frontier that executes two-qubit gates and barriers only
-  — SABRE's heuristic never looks at a single-qubit gate — and adds
-  each single-qubit chain to the depth counters as one precomputed
-  tail (:meth:`~repro.circuits.flatdag.FlatDag.folded`); the replay and
-  every emitting traversal keep the unfolded frontier, which emits
-  single-qubit gates in their drain order.
+- ``vector`` (the default, and the production path) — a traversal is
+  split in two.  :meth:`SabreRouter.search` makes every SWAP decision
+  and builds no circuit; it returns a :class:`SearchTrace` (the SWAP
+  record, the SWAP count and the depth the circuit would have).
+  :meth:`SabreRouter._replay` turns a trace into its routed circuit.
+  :meth:`SabreRouter.run` is the two in sequence, and a layout search
+  replays only the winning forward traversal.  The search loop scores
+  every front with a scalar delta loop
+  (:meth:`~repro.core.scoring.VectorBlock.score_scalar`) that adjusts
+  only the Eq. 2 terms of the two moved qubits.  It redoes no per-front
+  work that does not depend on the layout: the look-ahead set ``E`` is
+  a function of the front alone, so the frontier serves it from a
+  front-keyed memo that lives for one layout search
+  (:meth:`~repro.circuits.flatdag.FrontierState.extended_pairs`), and
+  the sorted candidate list is memoised per front-home tuple on the
+  device (:meth:`~repro.core.scoring.VectorDevice.front_candidates`).
+  Search runs over a *folded* frontier that executes two-qubit gates
+  and barriers only — SABRE's heuristic never looks at a single-qubit
+  gate — and adds each single-qubit chain to the depth counters as one
+  precomputed tail (:meth:`~repro.circuits.flatdag.FlatDag.folded`).
+  It executes ready gates in one inlined cascade over a worklist,
+  touching the frontier's buffers directly.  The replay keeps the
+  unfolded frontier and its batch order, which fixes the order of the
+  emitted gates.
 - ``reference`` — the paper-literal path, run by the scalar loop of
   :meth:`SabreRouter.run`: regenerate the candidates from scratch,
   temporarily apply each SWAP and recompute the full Eq. 2 sum
@@ -54,7 +48,9 @@ Candidate scoring has two interchangeable implementations, selected by
 Both walk the same sorted candidate order and therefore produce
 identical winner sets, identical tie-breaks, and identical routed
 circuits for identical seeds — the differential test suite enforces
-this.
+this.  The search may execute ready gates in any order: at each SWAP
+decision the front, the layout, the per-wire depth counters, the RNG
+stream and the decay table are the same whatever order they ran in.
 
 The traversal itself runs over the compile-once flat IR of
 :mod:`repro.circuits.flatdag`: :meth:`SabreRouter.run` accepts either a
@@ -63,7 +59,7 @@ the thin-wrapper entry point) or a prebuilt shared
 :class:`~repro.circuits.flatdag.FlatDag`, plus an optional reusable
 :class:`~repro.circuits.flatdag.FrontierState` so repeated traversals
 of one circuit (the bidirectional search, best-of-K trials) never
-re-lower or reallocate per pass.  The pre-PR per-run object-DAG loop is
+re-lower or reallocate per pass.  The pre-IR per-run object-DAG loop is
 preserved verbatim in :mod:`repro.core.legacy` as the differential and
 perf baseline.
 """
@@ -72,21 +68,15 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
-
-import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.depth import circuit_depth
 from repro.circuits.flatdag import FlatDag, FrontierState
 from repro.circuits.gates import Gate, remap_gate, swap_gate
-from repro.core.heuristic import (
-    DecayArray,
-    DecayTracker,
-    HeuristicConfig,
-    score_layout,
-)
+from repro.core.heuristic import DecayTracker, HeuristicConfig, score_layout
 from repro.core.layout import Layout
 from repro.core.scoring import (
     SCORE_EPSILON,
@@ -101,9 +91,6 @@ from repro.hardware.distance import bfs_flat_distance
 
 #: Scores within this tolerance are considered tied (random tie-break).
 _SCORE_EPSILON = SCORE_EPSILON
-
-#: Shared row tuple for the solo vector driver (avoids a per-step alloc).
-_SOLO_ROWS = (0,)
 
 
 @dataclass
@@ -282,8 +269,8 @@ class SabreRouter:
         #: main loop (bypasses CouplingGraph's bounds-checked API).
         self._adjacency: List[Set[int]] = [set(nbs) for nbs in self.neighbors]
         if self.scorer == "vector":
-            #: Device-constant kernel tables, shared read-only by every
-            #: run's VectorBlock.
+            #: Device-constant candidate tables, shared read-only by
+            #: every run's VectorBlock.
             self._vdev: Optional[VectorDevice] = VectorDevice(
                 self.flat_dist, self.neighbors
             )
@@ -335,20 +322,31 @@ class SabreRouter:
         ``result.circuit`` is guaranteed hardware-compliant.
 
         ``seed`` overrides the constructor's tie-break seed for this
-        run only.  ``frontier`` is an optional reusable
+        run only.  ``frontier`` is an optional reusable unfolded
         :class:`~repro.circuits.flatdag.FrontierState` built over the
         same IR; it is reset (O(n) array refill, no reallocation) at
-        the start of the run — the layout search passes one per
-        traversal direction.  When omitted, every run builds a private
+        the start of the run.  When omitted, every run builds a private
         frontier, RNG, and scoring state — no mutable state is shared
         between runs, so concurrent trials routing through one router
         instance stay independent and deterministic.
+
+        With the vector scorer a run is :meth:`search` on a folded
+        frontier (sharing ``frontier``'s look-ahead memo) followed by
+        :meth:`_replay` of its trace on ``frontier``.
         """
         ir, layout, rng, frontier = self._prepare(
             circuit, initial_layout, seed, frontier
         )
         if self.scorer == "vector":
-            return self._drive_solo(ir, layout, rng, frontier)
+            trace = self._search(
+                ir,
+                layout.copy(),
+                rng,
+                FrontierState(ir, ext_memo=frontier.ext_memo, folded=True),
+            )
+            result = self._replay(ir, layout, frontier, trace)
+            result._depth = trace.depth
+            return result
         n_physical = self.coupling.num_qubits
         # The reference path regenerates candidates from scratch and
         # rescores in full, so it keeps no scoring state between steps.
@@ -454,10 +452,10 @@ class SabreRouter:
         traversal makes the identical SWAP decisions (same scoring,
         same RNG stream, same :attr:`on_winner_set` calls) but returns
         a :class:`SearchTrace` instead of building a routed circuit.
-        :meth:`_replay` turns the trace into the circuit :meth:`run`
-        would have returned, byte for byte.  Vector scorer only: the
-        ``reference`` scorer is the differential oracle and keeps its
-        single emitting loop.
+        :meth:`_replay` turns the trace into the routed circuit, which
+        is what :meth:`run` returns.  ``frontier``, when given, must be
+        folded.  Vector scorer only: the ``reference`` scorer is the
+        differential oracle and keeps its single emitting loop.
         """
         if self.scorer != "vector":
             raise MappingError(
@@ -467,7 +465,7 @@ class SabreRouter:
         ir, layout, rng, frontier = self._prepare(
             circuit, initial_layout, seed, frontier, folded=True
         )
-        return self._drive_solo(ir, layout, rng, frontier, emitting=False)
+        return self._search(ir, layout, rng, frontier)
 
     def _prepare(
         self,
@@ -479,7 +477,7 @@ class SabreRouter:
     ) -> Tuple[FlatDag, Layout, random.Random, FrontierState]:
         """Validate one traversal's inputs and build its private state:
         the IR, a layout copy, the tie-break RNG, a reset frontier
-        (folded for search mode, unfolded for emitting traversals)."""
+        (folded for :meth:`search`, unfolded for :meth:`run`)."""
         ir = circuit if isinstance(circuit, FlatDag) else FlatDag.from_circuit(circuit)
         n_physical = self.coupling.num_qubits
         if ir.num_qubits > n_physical:
@@ -511,418 +509,233 @@ class SabreRouter:
                 )
             if (frontier.fold is not None) != folded:
                 raise MappingError(
-                    "search mode needs a folded frontier and emitting "
-                    "traversals an unfolded one; build it with "
+                    "search needs a folded frontier and run an unfolded "
+                    "one; build it with "
                     f"FrontierState(ir, folded={folded})"
                 )
             frontier.reset()
         return ir, layout, rng, frontier
 
     # ------------------------------------------------------------------
-    # Vector path: generator traversal + drivers
+    # Vector path: search loop + replay
     # ------------------------------------------------------------------
 
-    def _drive_solo(
+    def _search(
         self,
         ir: FlatDag,
         layout: Layout,
         rng: random.Random,
         frontier: FrontierState,
-        emitting: bool = True,
-    ) -> Union[RoutingResult, SearchTrace]:
-        """Drive one vector-scorer traversal with a one-row block
-        (:meth:`run` emits, :meth:`search` passes ``emitting=False``)."""
-        block = VectorBlock(self._vdev, self.config, self._buf_list, rows=1)
-        decay = DecayArray(
-            self.coupling.num_qubits,
-            self.config.decay_delta,
-            self.config.decay_reset_interval,
-            values=block.dv[0],
-        )
-        gen = self._route_vector(
-            ir, layout, rng, frontier, block, 0, decay, emitting=emitting
-        )
-        rngs = (rng,)
-        profiler = active_router_profiler()
-        try:
-            gen.send(None)
-            if profiler is None:
-                while True:
-                    gen.send(
-                        block.score_rows(
-                            _SOLO_ROWS,
-                            rngs,
-                            emit_sets=self.on_winner_set is not None,
-                        )[0]
-                    )
-            else:
-                # Profiled driver: time every kernel call, and force
-                # winner-set emission so the generator sees tie sizes
-                # (it guards the user seam being unset itself).
-                perf = time.perf_counter
-                while True:
-                    t0 = perf()
-                    scored = block.score_rows(
-                        _SOLO_ROWS, rngs, emit_sets=True
-                    )[0]
-                    profiler.add_kernel(perf() - t0)
-                    gen.send(scored)
-        except StopIteration as stop:
-            return stop.value
+    ) -> SearchTrace:
+        """One search-mode traversal (vector scorer) over a reset,
+        folded ``frontier``; mutates ``layout`` into the final layout.
 
-    def _route_vector(
-        self,
-        ir: FlatDag,
-        layout: Layout,
-        rng: random.Random,
-        frontier: FrontierState,
-        block: VectorBlock,
-        row: int,
-        decay: DecayArray,
-        emitting: bool = True,
-    ):
-        """One routing traversal as a generator (vector scorer).
+        The loop makes the SWAP decisions of Algorithm 1 but builds no
+        circuit.  It tracks only what traversal selection needs — the
+        SWAP record, its count, and per-wire ASAP depth counters that
+        mirror ``circuit_depth`` of the circuit :meth:`_replay` will
+        emit.  The folded frontier never executes a single-qubit gate:
+        the depth counters take each logical qubit's root chain once at
+        the start and, whenever a node executes, the depth tail of the
+        chain after it on each of its wires.  The layout cannot change
+        between a node and its chain, which the unfolded frontier
+        drains before the next SWAP, so the tail lands on the physical
+        wire the chain would have been emitted on.
 
-        Structurally the same loop as :meth:`run`'s scalar body, but
-        candidate scoring on wide fronts happens *outside*: the
-        generator yields its block row index whenever it needs a
-        kernel-scored step and receives the winner triples back via
-        ``send``.  Narrow fronts are scored inline (scalar loop).  The
-        driver owns the kernel call (:meth:`_drive_solo` scores one row
-        at a time).  Returns (via ``StopIteration.value``)
-        the same :class:`RoutingResult` as :meth:`run`.
-
-        With ``emitting=False`` the traversal runs in *search mode*: no
-        output circuit is built at all.  The loop makes the identical
-        SWAP decisions (same scoring, same RNG stream) but tracks only
-        what traversal selection needs — the SWAP count, a per-wire
-        ASAP depth mirror of the circuit it would have emitted, and the
-        SWAP record itself — returning a :class:`SearchTrace`.  Every
-        multi-traversal layout search routes this way (:meth:`search`,
-        driven by :class:`~repro.core.bidirectional.SabreLayout`) and
-        replays only the
-        winning forward traversal (:meth:`_replay`) into a real,
-        byte-identical circuit.
-
-        Search mode needs a folded ``frontier``, which never executes a
-        single-qubit gate: the depth mirror adds each logical qubit's
-        root chain once at the start and, whenever a node executes, the
-        depth tail of the chain after it on each of its wires, at the
-        physical wire the chain would have been emitted on (the layout
-        cannot change between a node and its chain, which the unfolded
-        frontier drains before the next SWAP).  ``flush`` then only
-        sees barriers, which take no depth step of their own.
+        Ready gates run in one cascade over a worklist, with the
+        frontier's buffers bound to locals: a gate taken off the list
+        is checked against the layout and either executed, releasing
+        its two-qubit successors onto the list, or (if it is new) put
+        into the front.  Only the gates a SWAP moved and freshly
+        released gates are ever checked; ``fgate`` maps each logical
+        qubit to its front gate.  Barriers take the slow path through
+        :meth:`~repro.circuits.flatdag.FrontierState.drain_nonrouting`
+        (they add no depth step of their own).
         """
         initial = layout.copy()
-        num_escapes = 0
-        stall = 0
-        # Generator bodies run on the *driver's* thread (first send), so
-        # this reads the driver's thread-local profiler — once per
-        # traversal, shared by every kernel-scored step below.
+        config = self.config
         profiler = active_router_profiler()
+        on_winner_set = self.on_winner_set
         l2p = layout.l2p
         p2l = layout.p2l
-        gates = ir.gates
         pairs = ir.pairs
         qubit_a = ir.qubit_a
         qubit_b = ir.qubit_b
-        qa_np = ir.qubit_a_np
-        qb_np = ir.qubit_b_np
+        two_qubit = ir.two_qubit
         adjacency = self._adjacency
-        uses_lookahead = self.config.uses_lookahead
-        uses_decay = self.config.uses_decay
-        ext_size = self.config.extended_set_size
-        narrow = block.narrow
-        scalar_max_front = block.scalar_max_front
-        set_narrow_front = block.set_narrow_front
-        extended_pairs = frontier.extended_pairs
-        block.bind_layout(row, l2p)
-        record_swap = decay.record_swap
-        note_chosen = block.note_chosen
+        fold = frontier.fold
+        succs = fold.succs
+        tails = fold.tails
+        remaining = frontier.remaining
+        executed = frontier.executed
+        front = frontier.front
+        front_sorted = frontier.front_list()
+        ready_other = frontier._ready_other
         drain_nonrouting = frontier.drain_nonrouting
-        # Row mirrors of the block, pre-bound for the inlined
-        # ``VectorBlock.on_swap`` in ``apply_swap`` below (the method
-        # body is replicated here — this path runs every SWAP of every
-        # trial, and the per-call attribute walk was measurable).
-        nd = block.device.n
-        b_pl = block.pl[row]
-        b_l2 = block.l2p[row]
-        b_pfq = block.pfq[row]
-        b_hm = block.hm[row]
+        extended_pairs = frontier.extended_pairs
+        scorer = VectorBlock(self._vdev, config, self._buf_list)
+        set_front = scorer.set_front
+        score_scalar = scorer.score_scalar
+        uses_lookahead = config.uses_lookahead
+        uses_decay = config.uses_decay
+        ext_size = config.extended_set_size
+        stall_limit = self.stall_limit
+        n = len(l2p)
+        decay = [1.0] * n
+        decay_steps = 0
+        decay_delta = config.decay_delta
+        decay_interval = config.decay_reset_interval
 
-        # Incremental ready-check state: ``fgate`` maps each logical
-        # qubit to its (unique) front gate; ``check`` holds the only
-        # gates that could have become executable since the last scan —
-        # gates whose qubit was just SWAPped plus fresh front entries.
-        fgate: dict = {}
-        check: List[int] = []
+        wire = [0] * n
+        for q, d in enumerate(fold.root_depth):
+            if d:
+                wire[l2p[q]] += d
+        rec: List[Tuple[int, int]] = []
+        rec_push = rec.append
+        escapes: List[Tuple[int, int]] = []
+        fgate = [-1] * n
+        work = list(front_sorted)
+        for index in work:
+            fgate[qubit_a[index]] = index
+            fgate[qubit_b[index]] = index
 
-        if emitting:
-            out = QuantumCircuit(
-                self.coupling.num_qubits,
-                f"{ir.name}_routed",
-                max(ir.num_clbits, 1),
-            )
-            swap_positions: List[int] = []
-            emit = out.append_unchecked
-            swap_cache = self._swap_cache
+        def apply_swap(qa: int, qb: int) -> None:
+            pa = l2p[qa]
+            pb = l2p[qb]
+            rec_push((qa, qb))
+            wa = wire[pa]
+            wb = wire[pb]
+            end = (wa if wa >= wb else wb) + 1
+            wire[pa] = end
+            wire[pb] = end
+            l2p[qa] = pb
+            l2p[qb] = pa
+            p2l[pa] = qb
+            p2l[pb] = qa
+            g1 = fgate[qa]
+            if g1 >= 0:
+                work.append(g1)
+            g2 = fgate[qb]
+            if g2 >= 0 and g2 != g1:
+                work.append(g2)
 
-            def apply_swap(qa: int, qb: int) -> None:
-                pa = l2p[qa]
-                pb = l2p[qb]
-                swap_positions.append(out.num_gates)
-                key = pa * nd + pb
-                g = swap_cache.get(key)
-                if g is None:
-                    g = swap_cache[key] = swap_gate(pa, pb)
-                emit(g)
-                l2p[qa] = pb
-                l2p[qb] = pa
-                p2l[pa] = qb
-                p2l[pb] = qa
-                b_pl[pa] = qb
-                b_pl[pb] = qa
-                b_l2[qa] = pb
-                b_l2[qb] = pa
-                if not narrow[row]:
-                    x = b_pfq[qa]
-                    y = b_pfq[qb]
-                    b_pl[nd + pb] = b_l2[x] if x >= 0 else -1
-                    b_pl[nd + pa] = b_l2[y] if y >= 0 else -1
-                    if x >= 0:
-                        b_pl[nd + b_l2[x]] = pb
-                    if y >= 0:
-                        b_pl[nd + b_l2[y]] = pa
-                    ax = x >= 0
-                    bx = y >= 0
-                    if ax != bx:
-                        if ax:
-                            b_hm[pa] = False
-                            b_hm[pb] = True
-                        else:
-                            b_hm[pb] = False
-                            b_hm[pa] = True
-                g1 = fgate.get(qa)
-                if g1 is not None:
-                    check.append(g1)
-                g2 = fgate.get(qb)
-                if g2 is not None and g2 is not g1:
-                    check.append(g2)
-
-            def flush() -> None:
-                for index in drain_nonrouting():
-                    emit(remap_gate(gates[index], l2p))
-
-        else:
-            # Search mode: per-wire ASAP counters stand in for the
-            # circuit (``circuit_depth`` over the same gate stream),
-            # and the decision record makes the traversal replayable.
-            # The frontier is folded: each executed node's single-qubit
-            # chains land on its wires as one depth tail apiece, and
-            # the root chains land once, here.
-            tails = frontier.fold.tails
-            wire = [0] * self.coupling.num_qubits
-            for q, d in enumerate(frontier.fold.root_depth):
-                if d:
-                    wire[l2p[q]] += d
-            rec: List[Tuple[int, int]] = []
-            rec_push = rec.append
-            escapes: List[Tuple[int, int]] = []
-
-            def apply_swap(qa: int, qb: int) -> None:
-                pa = l2p[qa]
-                pb = l2p[qb]
-                rec_push((qa, qb))
-                wa = wire[pa]
-                wb = wire[pb]
-                end = (wa if wa >= wb else wb) + 1
-                wire[pa] = end
-                wire[pb] = end
-                l2p[qa] = pb
-                l2p[qb] = pa
-                p2l[pa] = qb
-                p2l[pb] = qa
-                b_pl[pa] = qb
-                b_pl[pb] = qa
-                b_l2[qa] = pb
-                b_l2[qb] = pa
-                if not narrow[row]:
-                    x = b_pfq[qa]
-                    y = b_pfq[qb]
-                    b_pl[nd + pb] = b_l2[x] if x >= 0 else -1
-                    b_pl[nd + pa] = b_l2[y] if y >= 0 else -1
-                    if x >= 0:
-                        b_pl[nd + b_l2[x]] = pb
-                    if y >= 0:
-                        b_pl[nd + b_l2[y]] = pa
-                    ax = x >= 0
-                    bx = y >= 0
-                    if ax != bx:
-                        if ax:
-                            b_hm[pa] = False
-                            b_hm[pb] = True
-                        else:
-                            b_hm[pb] = False
-                            b_hm[pa] = True
-                g1 = fgate.get(qa)
-                if g1 is not None:
-                    check.append(g1)
-                g2 = fgate.get(qb)
-                if g2 is not None and g2 is not g1:
-                    check.append(g2)
-
-            def flush() -> None:
-                # Only barriers drain here (no depth step of their own).
+        frontier.track_front_log = True
+        frontier.front_log.clear()
+        num_escapes = 0
+        num_ran = 0
+        stall = 0
+        front_dirty = True
+        while True:
+            ran = 0
+            while True:
+                while work:
+                    index = work.pop()
+                    qa = qubit_a[index]
+                    qb = qubit_b[index]
+                    pa = l2p[qa]
+                    pb = l2p[qb]
+                    if pb not in adjacency[pa]:
+                        if fgate[qa] != index:
+                            front.add(index)
+                            insort(front_sorted, index)
+                            fgate[qa] = index
+                            fgate[qb] = index
+                        continue
+                    if fgate[qa] == index:
+                        front.remove(index)
+                        del front_sorted[bisect_left(front_sorted, index)]
+                        fgate[qa] = -1
+                        fgate[qb] = -1
+                    executed[index] = 1
+                    ran += 1
+                    wa = wire[pa]
+                    wb = wire[pb]
+                    end = (wa if wa >= wb else wb) + 1
+                    ta, tb = tails[index]
+                    wire[pa] = end + ta
+                    wire[pb] = end + tb
+                    for s in succs[index]:
+                        r = remaining[s] - 1
+                        remaining[s] = r
+                        if r == 0:
+                            if two_qubit[s]:
+                                work.append(s)
+                            else:
+                                ready_other.append(s)
+                if not ready_other:
+                    break
+                # Barriers: executed by the frontier, which files the
+                # two-qubit gates they release into the front (and its
+                # log) for the worklist to check.
                 for index in drain_nonrouting():
                     for q, t in zip(pairs[index], tails[index]):
                         if t:
                             wire[l2p[q]] += t
-
-        flush()
-        frontier.track_front_log = True
-        frontier.front_log.clear()
-        for index in frontier.front_list():
-            fgate[qubit_a[index]] = index
-            fgate[qubit_b[index]] = index
-        check.extend(frontier.front_list())
-        front_dirty = True
-        while not frontier.done:
-            if check:
-                if len(check) > 1:
-                    ready = [
-                        index
-                        for index in sorted(set(check))
-                        if l2p[qubit_b[index]] in adjacency[l2p[qubit_a[index]]]
-                    ]
-                else:
-                    index = check[0]
-                    ready = (
-                        [index]
-                        if l2p[qubit_b[index]] in adjacency[l2p[qubit_a[index]]]
-                        else []
-                    )
-                check.clear()
-            else:
-                ready = []
-            if ready:
-                frontier.execute_front_batch(ready)
-                if emitting:
-                    for index in ready:
-                        emit(remap_gate(gates[index], l2p))
-                        del fgate[qubit_a[index]]
-                        del fgate[qubit_b[index]]
-                else:
-                    for index in ready:
-                        qa = qubit_a[index]
-                        qb = qubit_b[index]
-                        pa = l2p[qa]
-                        pb = l2p[qb]
-                        wa = wire[pa]
-                        wb = wire[pb]
-                        end = (wa if wa >= wb else wb) + 1
-                        ta, tb = tails[index]
-                        wire[pa] = end + ta
-                        wire[pb] = end + tb
-                        del fgate[qa]
-                        del fgate[qb]
-                flush()
-                released = frontier.drain_front_log()
-                for index in released:
+                for index in frontier.drain_front_log():
                     fgate[qubit_a[index]] = index
                     fgate[qubit_b[index]] = index
-                check.extend(released)
-                decay.reset()
+                    work.append(index)
+            if not front_sorted:
+                num_ran += ran
+                break
+            if ran:
+                num_ran += ran
+                if decay_steps:
+                    decay = [1.0] * n
+                    decay_steps = 0
                 stall = 0
                 front_dirty = True
-                continue
-            if stall >= self.stall_limit:
-                if emitting:
-                    self._escape(frontier, layout, apply_swap)
-                else:
-                    span = len(rec)
-                    self._escape(frontier, layout, apply_swap)
-                    escapes.append((span, len(rec) - span))
-                note_chosen(row)
+            if stall >= stall_limit:
+                span = len(rec)
+                self._escape(frontier, layout, apply_swap)
+                escapes.append((span, len(rec) - span))
+                # A span can move one front gate more than once.
+                work[:] = set(work)
                 num_escapes += 1
+                if decay_steps:
+                    decay = [1.0] * n
+                    decay_steps = 0
                 stall = 0
-                decay.reset()
                 front_dirty = True
                 continue
             if front_dirty:
-                front_nodes = frontier.front_list()
-                if len(front_nodes) <= scalar_max_front:
-                    # Narrow fronts (nearly all refreshes) take their
-                    # look-ahead pairs from the frontier's front-keyed
-                    # memo: each distinct front is walked once per
-                    # layout search, not once per traversal.
-                    set_narrow_front(
-                        row,
-                        [pairs[i] for i in front_nodes],
-                        extended_pairs(ext_size) if uses_lookahead else (),
-                    )
-                else:
-                    block.set_wide_front(
-                        row,
-                        front_nodes,
-                        frontier.extended_nodes(ext_size)
-                        if uses_lookahead
-                        else [],
-                        qa_np,
-                        qb_np,
-                    )
-                front_dirty = False
-            if narrow[row]:
-                if profiler is None:
-                    best = block.score_scalar(
-                        row, l2p, p2l, decay.values, uses_decay
-                    )
-                else:
-                    t0 = time.perf_counter()
-                    best = block.score_scalar(
-                        row, l2p, p2l, decay.values, uses_decay
-                    )
-                    profiler.add_scalar(time.perf_counter() - t0)
-                    profiler.record_step(block.scalar_candidates, len(best))
-                if self.on_winner_set is not None:
-                    self.on_winner_set([(qa, qb) for qa, qb, _ in best])
-                qa, qb, eidx = (
-                    best[0] if len(best) == 1 else rng.choice(best)
+                # F and E only change when a gate executes, so
+                # consecutive SWAP selections share them.  E comes from
+                # the frontier's front-keyed memo: each distinct front
+                # is walked once per layout search.
+                set_front(
+                    [pairs[i] for i in front_sorted],
+                    extended_pairs(ext_size) if uses_lookahead else (),
                 )
+                front_dirty = False
+            if profiler is None:
+                best = score_scalar(l2p, p2l, decay, uses_decay)
             else:
-                # Kernel-scored step: _choose already folded the
-                # winning lane's deltas into the row's running sums.
-                qa, qb, eidx, wset = yield row
-                if wset is not None:
-                    # ``wset`` arrives when the driver asked for winner
-                    # sets — for the test seam, the profiler, or both;
-                    # each consumer is guarded independently.
-                    if profiler is not None:
-                        profiler.record_step(
-                            int(getattr(block, "_lane_c", -1)), len(wset)
-                        )
-                    if self.on_winner_set is not None:
-                        self.on_winner_set(wset)
+                t0 = time.perf_counter()
+                best = score_scalar(l2p, p2l, decay, uses_decay)
+                profiler.add_scalar(time.perf_counter() - t0)
+                profiler.record_step(scorer.scalar_candidates, len(best))
+            if on_winner_set is not None:
+                on_winner_set(best)
+            qa, qb = best[0] if len(best) == 1 else rng.choice(best)
             apply_swap(qa, qb)
-            record_swap(qa, qb)
+            decay[qa] += decay_delta
+            decay[qb] += decay_delta
+            decay_steps += 1
+            if decay_steps >= decay_interval:
+                decay = [1.0] * n
+                decay_steps = 0
             stall += 1
 
+        frontier.num_executed += num_ran
         frontier.track_front_log = False
-        if not emitting:
-            return SearchTrace(
-                initial_layout=initial,
-                final_layout=layout,
-                num_swaps=len(rec),
-                depth=max(wire) if wire else 0,
-                swaps=rec,
-                escapes=escapes,
-                num_forced_escapes=num_escapes,
-            )
-        return RoutingResult(
-            circuit=out,
+        return SearchTrace(
             initial_layout=initial,
             final_layout=layout,
-            num_swaps=len(swap_positions),
-            swap_positions=swap_positions,
+            num_swaps=len(rec),
+            depth=max(wire) if wire else 0,
+            swaps=rec,
+            escapes=escapes,
             num_forced_escapes=num_escapes,
         )
 
@@ -938,11 +751,13 @@ class SabreRouter:
         Purely mechanical: no scoring, no RNG, no decay — the SWAP
         sequence in ``trace`` *is* the decision stream, and the ready
         scan between SWAPs reproduces exactly where the search loop
-        executed gates (same layouts, same frontier evolution).  The
-        result is byte-identical to what the traversal would have
-        emitted with ``emitting=True``.  ``frontier`` must be freshly
-        reset over ``ir``; ``layout`` must equal
-        ``trace.initial_layout`` (pass a copy).
+        executed gates (same layouts, same front layers).  Its batch
+        order — each ready batch ascending, then the single-qubit gates
+        and directives it released — defines the emitted gate sequence,
+        which the reference scorer's loop in :meth:`run` matches gate
+        for gate.  ``frontier`` must be unfolded and freshly reset over
+        ``ir``; ``layout`` must equal ``trace.initial_layout`` (pass a
+        copy).
         """
         out = QuantumCircuit(
             self.coupling.num_qubits, f"{ir.name}_routed", max(ir.num_clbits, 1)
@@ -1071,7 +886,7 @@ class SabreRouter:
 
         From-scratch reference implementation; the vector scorer memoises
         the same lists per front-home tuple
-        (:meth:`~repro.core.scoring.VectorDevice.narrow_candidates`; the
+        (:meth:`~repro.core.scoring.VectorDevice.front_candidates`; the
         candidate-order tests assert both always agree).
         """
         l2p = layout.l2p

@@ -42,7 +42,6 @@ from repro.engine.cache import (
     get_cached_device,
     get_distance_matrix,
     get_flat_dag,
-    get_flat_dag_pair,
     get_flat_distance_matrix,
 )
 from repro.engine.trials import (
@@ -74,7 +73,6 @@ __all__ = [
     "get_cached_device",
     "get_distance_matrix",
     "get_flat_dag",
-    "get_flat_dag_pair",
     "get_flat_distance_matrix",
     "EXECUTORS",
     "OBJECTIVES",

@@ -410,22 +410,6 @@ def get_flat_dag(
     return GLOBAL_CACHE.flat_dag(circuit, direction)
 
 
-def get_flat_dag_pair(
-    circuit: QuantumCircuit,
-) -> Tuple[FlatDag, FlatDag]:
-    """Both traversal directions of a circuit's IR in one call.
-
-    A bidirectional sweep consumes the forward and reverse lowerings
-    together; fetching them as a pair keeps the call site to one cache
-    round-trip per direction and makes the intent (a forward/backward
-    traversal pair) explicit.
-    """
-    return (
-        GLOBAL_CACHE.flat_dag(circuit, "forward"),
-        GLOBAL_CACHE.flat_dag(circuit, "reverse"),
-    )
-
-
 def get_cached_device(name: str) -> CouplingGraph:
     """Named device lookup through the shared cache."""
     if name not in DEVICE_BUILDERS:

@@ -17,7 +17,7 @@ The observability layer the serving tier fronts:
   workers and parallel sweep shards carry the parent span id in and return a
   serialized span batch alongside their results.
 - :mod:`repro.telemetry.profile` — opt-in router profiling: per-step
-  candidate counts, winner-tie sizes, and scorer kernel time,
+  candidate counts, winner-tie sizes, and scoring time,
   aggregated per routing run with a single thread-local check when
   disabled.
 - :mod:`repro.telemetry.snapshot` — the one service-stats assembly

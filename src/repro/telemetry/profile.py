@@ -10,11 +10,9 @@ run:
 - **winner-tie sizes** — how many candidates tied for best score
   before the random tie-break (large ties mean the cost function is
   flat and seed-sensitivity is high, cf. Steinberg et al. §IV);
-- **scorer time** — seconds inside the vectorized scoring kernel
-  (``score_rows``: ``kernel_seconds``/``kernel_calls``) and, kept
-  apart, inside the narrow-front scalar loop (``score_scalar``:
-  ``scalar_seconds``/``scalar_calls``), separating "thinking" from
-  bookkeeping.  On a 20-qubit device nearly every step is narrow.
+- **scorer time** — seconds inside the vector scorer's delta loop
+  (``score_scalar``: ``scalar_seconds``/``scalar_calls``), separating
+  "thinking" from bookkeeping.
 
 Activation mirrors the tracer: thread-local, via
 :func:`profiled_routing`.  The router checks
@@ -41,8 +39,7 @@ class RouterProfiler:
 
     __slots__ = (
         "steps", "candidates_total", "candidates_max", "tie_total",
-        "tie_max", "kernel_seconds", "kernel_calls", "scalar_seconds",
-        "scalar_calls",
+        "tie_max", "scalar_seconds", "scalar_calls",
     )
 
     def __init__(self) -> None:
@@ -51,8 +48,6 @@ class RouterProfiler:
         self.candidates_max = 0
         self.tie_total = 0
         self.tie_max = 0
-        self.kernel_seconds = 0.0
-        self.kernel_calls = 0
         self.scalar_seconds = 0.0
         self.scalar_calls = 0
 
@@ -72,21 +67,15 @@ class RouterProfiler:
             if tie_size > self.tie_max:
                 self.tie_max = tie_size
 
-    def add_kernel(self, seconds: float) -> None:
-        """Time spent inside one batched scorer kernel invocation."""
-        self.kernel_seconds += seconds
-        self.kernel_calls += 1
-
     def add_scalar(self, seconds: float) -> None:
-        """Time spent inside one narrow-front scalar scoring call."""
+        """Time spent inside one scoring call."""
         self.scalar_seconds += seconds
         self.scalar_calls += 1
 
     @property
     def scoring_seconds(self) -> float:
-        """Kernel plus scalar scoring time (a ``router.profile`` span's
-        wall time)."""
-        return self.kernel_seconds + self.scalar_seconds
+        """Scoring time (a ``router.profile`` span's wall time)."""
+        return self.scalar_seconds
 
     # -- aggregation ---------------------------------------------------
 
@@ -96,8 +85,6 @@ class RouterProfiler:
         self.candidates_max = max(self.candidates_max, other.candidates_max)
         self.tie_total += other.tie_total
         self.tie_max = max(self.tie_max, other.tie_max)
-        self.kernel_seconds += other.kernel_seconds
-        self.kernel_calls += other.kernel_calls
         self.scalar_seconds += other.scalar_seconds
         self.scalar_calls += other.scalar_calls
 
@@ -109,8 +96,6 @@ class RouterProfiler:
         other.candidates_max = int(payload.get("candidates_max", 0))
         other.tie_total = int(payload.get("tie_total", 0))
         other.tie_max = int(payload.get("tie_max", 0))
-        other.kernel_seconds = float(payload.get("kernel_seconds", 0.0))
-        other.kernel_calls = int(payload.get("kernel_calls", 0))
         other.scalar_seconds = float(payload.get("scalar_seconds", 0.0))
         other.scalar_calls = int(payload.get("scalar_calls", 0))
         self.merge(other)
@@ -123,8 +108,6 @@ class RouterProfiler:
             "candidates_max": self.candidates_max,
             "tie_total": self.tie_total,
             "tie_max": self.tie_max,
-            "kernel_seconds": round(self.kernel_seconds, 6),
-            "kernel_calls": self.kernel_calls,
             "scalar_seconds": round(self.scalar_seconds, 6),
             "scalar_calls": self.scalar_calls,
         }
@@ -137,11 +120,7 @@ class RouterProfiler:
 
     @property
     def empty(self) -> bool:
-        return (
-            self.steps == 0
-            and self.kernel_calls == 0
-            and self.scalar_calls == 0
-        )
+        return self.steps == 0 and self.scalar_calls == 0
 
 
 def active_router_profiler() -> Optional[RouterProfiler]:

@@ -85,9 +85,8 @@ class TestFlatDagStructure:
         flat = FlatDag.from_circuit(circ)
         clone = pickle.loads(pickle.dumps(flat))
         assert clone.num_nodes == flat.num_nodes
-        assert clone.succ == flat.succ
-        assert clone.succ_off == flat.succ_off
-        assert clone.pred == flat.pred
+        assert clone.succs == flat.succs
+        assert clone.preds == flat.preds
         assert clone.gates == flat.gates
         # A frontier over the unpickled IR walks identically.
         a, b = FrontierState(flat), FrontierState(clone)

@@ -1,12 +1,12 @@
 """Differential suite: the vector scorer vs the reference scorer.
 
-The production path — the vector scorer (a scalar delta loop for
-narrow fronts, a batched numpy kernel for wide ones, memoised
-candidate lists and look-ahead sets) — must be *observationally
-identical* to the paper-literal reference path: same per-step winner
-sets, same tie-break draws, and
-therefore bit-for-bit identical routed circuits for identical seeds —
-across all heuristic modes, the noise-aware penalty path, and the
+The production path — the vector scorer (a search loop that scores
+every front with a scalar delta loop over memoised candidate lists and
+look-ahead sets, then a replay of the SWAP record into a circuit) —
+must be *observationally identical* to the paper-literal reference
+path: same per-step winner sets, same tie-break draws, and therefore
+bit-for-bit identical routed circuits for identical seeds — across all
+heuristic modes, front widths, the noise-aware penalty path, and the
 livelock escape hatch.  A best-of-K sweep must in turn keep the same
 winner and per-seed counts whether it runs as the direct layout search
 or on the engine's serial or parallel executor.
@@ -151,12 +151,11 @@ class TestIdenticalRouting:
         _assert_identical(results)
 
     def test_bidirectional_search_identical(self, tokyo):
-        """The whole layout search.  With the vector scorer a
-        multi-traversal sweep routes in search mode and replays one
-        winner; one traversal emits directly.  Both must match the
-        emitting reference scorer and the pre-IR LegacySabreLayout,
-        across traversal counts, the escape hatch and directive
-        circuits."""
+        """The whole layout search.  With the vector scorer every
+        traversal routes in search mode and one winner is replayed.  It
+        must match the emitting reference scorer and the pre-IR
+        LegacySabreLayout, across traversal counts, the escape hatch
+        and directive circuits."""
         plain = random_circuit(16, 100, seed=9, two_qubit_fraction=0.7)
         cases = [
             (tokyo, plain, "decay", 3, None),
@@ -229,17 +228,60 @@ class TestIdenticalRouting:
         assert results["vector"].num_swaps == results["reference"].num_swaps
 
 
+def _wide_front_circuit():
+    """16 layers of 18 CNOTs, each a random perfect matching of 36
+    qubits: on a 6x6 grid most fronts hold five gates or more."""
+    import random
+
+    from repro.circuits import QuantumCircuit
+
+    rng = random.Random(36)
+    circuit = QuantumCircuit(36, "wide")
+    for _ in range(16):
+        qubits = list(range(36))
+        rng.shuffle(qubits)
+        for a, b in zip(qubits[::2], qubits[1::2]):
+            circuit.cx(a, b)
+    return circuit
+
+
 class TestWinnerSets:
-    @pytest.mark.parametrize("mode", MODES)
-    def test_per_step_winner_sets_identical(self, tokyo, mode):
+    @pytest.mark.parametrize(
+        "mode, wide",
+        [
+            pytest.param("basic", False, id="basic"),
+            pytest.param("lookahead", False, id="lookahead"),
+            pytest.param("decay", False, id="decay"),
+            pytest.param("lookahead", True, id="wide-lookahead"),
+            pytest.param("decay", True, id="wide-decay"),
+        ],
+    )
+    def test_per_step_winner_sets_identical(
+        self, tokyo, mode, wide, monkeypatch
+    ):
         """Stronger than end-to-end equality: the full pre-tie-break
-        best-candidate set of every search step must match."""
-        circuit = random_circuit(20, 120, seed=17, two_qubit_fraction=0.8)
-        layout = Layout.random(20, seed=3)
+        best-candidate set of every search step must match.  The wide
+        inputs score fronts of five or more gates at most steps; fronts
+        narrow only where layers drain."""
+        if wide:
+            device = grid_device(6, 6)
+            circuit = _wide_front_circuit()
+        else:
+            device = tokyo
+            circuit = random_circuit(20, 120, seed=17, two_qubit_fraction=0.8)
+        layout = Layout.random(device.num_qubits, seed=1 if wide else 3)
+        widths = []
+        candidates_of = SabreRouter._swap_candidates
+
+        def spy(router, frontier, layout):
+            widths.append(len(frontier.front_list()))
+            return candidates_of(router, frontier, layout)
+
+        monkeypatch.setattr(SabreRouter, "_swap_candidates", spy)
         traces = {}
         for scorer in SCORERS:
             router = SabreRouter(
-                tokyo, config=HeuristicConfig(mode=mode, scorer=scorer), seed=0
+                device, config=HeuristicConfig(mode=mode, scorer=scorer), seed=0
             )
             steps = []
             router.on_winner_set = lambda best, steps=steps: steps.append(
@@ -249,13 +291,17 @@ class TestWinnerSets:
             traces[scorer] = steps
         assert traces["vector"] == traces["reference"]
         assert len(traces["reference"]) > 0
+        if wide:
+            assert len(widths) == len(traces["reference"])
+            assert sum(w >= 5 for w in widths) >= 0.75 * len(widths)
+            assert max(widths) >= 10
         # The layout search: the vector scorer's search-mode traversals
         # fire the seam once per step, like the emitting scorers, and
         # the replay of the winner fires it not at all.
         searches = {}
         for scorer in SCORERS:
             searcher = SabreLayout(
-                tokyo,
+                device,
                 config=HeuristicConfig(mode=mode, scorer=scorer),
                 num_trials=2,
                 seed=0,
@@ -420,7 +466,7 @@ def memo_audit(monkeypatch):
 
     audit = {"refreshes": 0, "hits": 0, "memos": {}, "frontiers": {}}
     pairs_of = FrontierState.extended_pairs
-    cands_of = VectorDevice.narrow_candidates
+    cands_of = VectorDevice.front_candidates
 
     def memo_entries(frontier):
         return sum(len(memo) for memo in frontier.ext_memo.values())
@@ -453,7 +499,7 @@ def memo_audit(monkeypatch):
         return served
 
     monkeypatch.setattr(FrontierState, "extended_pairs", checked_pairs)
-    monkeypatch.setattr(VectorDevice, "narrow_candidates", checked_cands)
+    monkeypatch.setattr(VectorDevice, "front_candidates", checked_cands)
     return audit
 
 
@@ -610,9 +656,9 @@ FOLD_DEVICES = {
 class TestFoldedSearch:
     """Search mode runs on a folded frontier (two-qubit gates and
     barriers only; single-qubit chains ride along as depth tails).  Its
-    trace, replayed on an unfolded frontier, must equal the emitting
-    traversal byte for byte, and its depth must equal ``circuit_depth``
-    of that circuit."""
+    trace, replayed on an unfolded frontier, must equal the reference
+    scorer's emitting traversal byte for byte, and its depth must equal
+    ``circuit_depth`` of that circuit."""
 
     @pytest.mark.parametrize("stall_limit", [None, 2])
     @pytest.mark.parametrize("device_name", sorted(FOLD_DEVICES))
@@ -622,8 +668,12 @@ class TestFoldedSearch:
 
         device = FOLD_DEVICES[device_name]()
         router = SabreRouter(device, config=HeuristicConfig(scorer="vector"))
+        oracle = SabreRouter(
+            device, config=HeuristicConfig(scorer="reference")
+        )
         if stall_limit is not None:
             router.stall_limit = stall_limit
+            oracle.stall_limit = stall_limit
         escapes = 0
         for circuit in _fold_circuits(min(device.num_qubits, 8)):
             ir = FlatDag.from_circuit(circuit)
@@ -636,7 +686,7 @@ class TestFoldedSearch:
                 replayed = router._replay(
                     ir, layout.copy(), FrontierState(ir), trace
                 )
-                emitted = router.run(ir, initial_layout=layout, seed=3)
+                emitted = oracle.run(ir, initial_layout=layout, seed=3)
                 assert replayed.circuit == emitted.circuit
                 assert replayed.swap_positions == emitted.swap_positions
                 assert replayed.final_layout == emitted.final_layout

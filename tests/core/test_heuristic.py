@@ -100,47 +100,6 @@ class TestDecayTracker:
         assert tracker.values == [1.0, 1.0]
 
 
-class TestDecayArray:
-    def test_tracks_decay_tracker(self):
-        """Same values as the list tracker through bumps, interval
-        resets and manual resets (with and without swaps since)."""
-        from repro.core.heuristic import DecayArray
-
-        tracker = DecayTracker(4, delta=0.1, reset_interval=3)
-        array_tracker = DecayArray(4, delta=0.1, reset_interval=3)
-        for step, (a, b) in enumerate([(0, 1), (1, 2), (2, 3), (0, 3)] * 3):
-            if step % 4 == 3:
-                tracker.reset()
-                array_tracker.reset()
-                array_tracker.reset()
-            tracker.record_swap(a, b)
-            array_tracker.record_swap(a, b)
-            assert array_tracker.values.tolist() == tracker.values
-
-    def test_reset_skips_the_fill_when_nothing_recorded(self):
-        import numpy as np
-
-        from repro.core.heuristic import DecayArray
-
-        fills = []
-
-        class Spy(np.ndarray):
-            def fill(self, value):
-                fills.append(value)
-                super().fill(value)
-
-        values = np.ones(3).view(Spy)
-        decay = DecayArray(3, delta=0.1, reset_interval=5, values=values)
-        fills.clear()
-        decay.reset()
-        assert fills == []
-        decay.record_swap(0, 1)
-        decay.reset()
-        decay.reset()
-        assert fills == [1.0]
-        assert values.tolist() == [1.0, 1.0, 1.0]
-
-
 class TestScoreLayout:
     def _front(self):
         return [Gate("cx", (0, 3)), Gate("cx", (1, 2))]

@@ -4,7 +4,6 @@ scalar delta loop and candidate memo (repro.core.scoring)."""
 import pickle
 import random
 
-import numpy as np
 import pytest
 
 from repro.circuits import QuantumCircuit, random_circuit
@@ -68,14 +67,13 @@ def _front_of(circuit):
     return frontier
 
 
-def _narrow_block(device, frontier, layout, config):
-    """A one-row VectorBlock holding ``frontier``'s front layer as a
-    narrow front (the scalar delta loop's state); also returns the
-    front and extended gates for the reference scorer."""
+def _front_block(device, frontier, config):
+    """A VectorBlock holding ``frontier``'s front layer (the scalar
+    delta loop's state); also returns the front and extended gates for
+    the reference scorer."""
     flat = FlatDistance.from_matrix(distance_matrix(device))
     neighbors = [device.neighbors(q) for q in range(device.num_qubits)]
     block = VectorBlock(VectorDevice(flat, neighbors), config, flat.buf.tolist())
-    block.bind_layout(0, layout.l2p)
     dag = frontier.dag
     front = frontier.front_list()
     ext = (
@@ -83,8 +81,8 @@ def _narrow_block(device, frontier, layout, config):
         if config.uses_lookahead
         else []
     )
-    block.set_narrow_front(
-        0, [dag.pairs[i] for i in front], [dag.pairs[i] for i in ext]
+    block.set_front(
+        [dag.pairs[i] for i in front], [dag.pairs[i] for i in ext]
     )
     return block, [dag.gates[i] for i in front], [dag.gates[i] for i in ext]
 
@@ -111,16 +109,14 @@ class TestDeltaScoring:
         layout = Layout.random(16, seed=seed + 100)
         config = HeuristicConfig(mode=mode)
         frontier = _front_of(circuit)
-        block, front_gates, extended = _narrow_block(
-            device, frontier, layout, config
-        )
+        block, front_gates, extended = _front_block(device, frontier, config)
         router = SabreRouter(device, config=config)
         dist = distance_matrix(device)
         rng = random.Random(seed)
         for _ in range(40):
-            decay = np.array([1.0 + rng.randrange(4) * 1e-3 for _ in range(16)])
+            decay = [1.0 + rng.randrange(4) * 1e-3 for _ in range(16)]
             got = block.score_scalar(
-                0, layout.l2p, layout.p2l, decay, config.uses_decay
+                layout.l2p, layout.p2l, decay, config.uses_decay
             )
             want = []
             best = float("inf")
@@ -137,22 +133,17 @@ class TestDeltaScoring:
                     best, want = score, [(qa, qb)]
                 elif score <= best + SCORE_EPSILON:
                     want.append((qa, qb))
-            assert [(qa, qb) for qa, qb, _ in got] == want
+            assert got == want
             qa, qb = rng.choice(want)
-            pa, pb = layout.physical(qa), layout.physical(qb)
             layout.swap_logical(qa, qb)
-            block.on_swap(0, qa, qb, pa, pb)
 
     def test_front_partner_is_scalar(self):
         device = line_device(5)
         circuit = QuantumCircuit(5)
         circuit.cx(0, 4)
         circuit.cx(1, 2)
-        layout = Layout.trivial(5)
-        block, _, _ = _narrow_block(
-            device, _front_of(circuit), layout, HeuristicConfig()
-        )
-        partner = block._pf[0]
+        block, _, _ = _front_block(device, _front_of(circuit), HeuristicConfig())
+        partner = block._pf
         assert partner[0] == 4
         assert partner[4] == 0
         assert partner[1] == 2
@@ -160,7 +151,7 @@ class TestDeltaScoring:
 
 
 class TestIncrementalCandidates:
-    """The vector scorer's memoised narrow-front candidate lists must
+    """The vector scorer's memoised candidate lists must
     match the router's from-scratch ``_swap_candidates`` — the order
     that decides tie-breaks — after every SWAP the router could apply."""
 
@@ -174,7 +165,7 @@ class TestIncrementalCandidates:
         rng = random.Random(seed)
         for _ in range(60):
             # Apply a random candidate SWAP, exactly like the router.
-            cands = router._vdev.narrow_candidates(
+            cands = router._vdev.front_candidates(
                 _front_homes(frontier, layout)
             )
             assert [c[:2] for c in cands] == router._swap_candidates(
@@ -195,7 +186,7 @@ class TestIncrementalCandidates:
                 circuit.cx(a, b)
             frontier = _front_of(circuit)
             layout = Layout.random(20, seed=trial)
-            cands = router._vdev.narrow_candidates(
+            cands = router._vdev.front_candidates(
                 _front_homes(frontier, layout)
             )
             assert [(pa, pb) for pa, pb, _, _ in cands] == (
@@ -226,7 +217,7 @@ class TestNarrowCandidateMemo:
                     }
                 )
                 for _ in range(2):  # cold, then memoised
-                    served = vdev.narrow_candidates(homes)
+                    served = vdev.front_candidates(homes)
                     assert served == [
                         (pa, pb, pa * 20, pb * 20) for pa, pb in fresh
                     ]
@@ -237,5 +228,5 @@ class TestNarrowCandidateMemo:
         monkeypatch.setattr(scoring, "_CAND_MEMO_MAX", 8)
         vdev, _ = self._device(tokyo)
         for pa in range(20):
-            vdev.narrow_candidates((pa, (pa + 1) % 20))
+            vdev.front_candidates((pa, (pa + 1) % 20))
             assert len(vdev.cand_memo) <= 8

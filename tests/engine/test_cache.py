@@ -235,34 +235,6 @@ class TestThreadSafety:
         assert info.hits + info.misses == 4
 
 
-class TestFlatDagPair:
-    """Bidirectional IR fetches share the per-direction cache slots."""
-
-    def test_pair_returns_both_directions_from_shared_cache(self):
-        from repro.circuits import random_circuit
-        from repro.engine.cache import (
-            cache_info,
-            clear_cache,
-            get_flat_dag,
-            get_flat_dag_pair,
-        )
-
-        clear_cache()
-        circuit = random_circuit(4, 12, seed=7)
-        forward, reverse = get_flat_dag_pair(circuit)
-        assert forward.num_qubits == reverse.num_qubits == 4
-        # One lowering per direction; the pair helper and the
-        # per-direction fetches resolve to the same shared instances.
-        assert get_flat_dag(circuit) is forward
-        assert get_flat_dag(circuit, direction="reverse") is reverse
-        info = cache_info()
-        assert info.misses == 2
-        assert info.hits == 2
-        again = get_flat_dag_pair(circuit)
-        assert again == (forward, reverse)
-        clear_cache()
-
-
 class TestStats:
     """The per-store breakdown the serving layer surfaces on /stats."""
 

@@ -35,20 +35,13 @@ class TestRecordStep:
         assert prof.tie_total == 0
         assert prof.tie_max == 0
 
-    def test_add_kernel(self):
+    def test_add_scalar(self):
         prof = RouterProfiler()
-        prof.add_kernel(0.25)
-        prof.add_kernel(0.5)
-        assert prof.kernel_calls == 2
-        assert prof.kernel_seconds == 0.75
-
-    def test_add_scalar_kept_apart_from_kernel(self):
-        prof = RouterProfiler()
-        prof.add_kernel(0.25)
+        prof.add_scalar(0.25)
         prof.add_scalar(0.5)
-        assert (prof.kernel_calls, prof.kernel_seconds) == (1, 0.25)
-        assert (prof.scalar_calls, prof.scalar_seconds) == (1, 0.5)
+        assert (prof.scalar_calls, prof.scalar_seconds) == (2, 0.75)
         assert prof.scoring_seconds == 0.75
+        assert not prof.empty
         assert not RouterProfiler().to_dict()["scalar_calls"]
         merged = RouterProfiler()
         merged.merge_dict(prof.to_dict())
@@ -65,22 +58,22 @@ class TestMerge:
     def test_merge_sums_and_maxes(self):
         a = RouterProfiler()
         a.record_step(4, 2)
-        a.add_kernel(0.1)
+        a.add_scalar(0.1)
         b = RouterProfiler()
         b.record_step(9, 5)
-        b.add_kernel(0.2)
+        b.add_scalar(0.2)
         a.merge(b)
         assert a.steps == 2
         assert a.candidates_total == 13
         assert a.candidates_max == 9
         assert a.tie_max == 5
-        assert a.kernel_calls == 2
-        assert abs(a.kernel_seconds - 0.3) < 1e-12
+        assert a.scalar_calls == 2
+        assert abs(a.scalar_seconds - 0.3) < 1e-12
 
     def test_merge_dict_round_trips(self):
         source = RouterProfiler()
         source.record_step(6, 3)
-        source.add_kernel(0.125)
+        source.add_scalar(0.125)
         target = RouterProfiler()
         target.merge_dict(source.to_dict())
         assert target.to_dict() == source.to_dict()
@@ -122,9 +115,8 @@ class TestScoping:
 
 class TestRouterIntegration:
     def test_tokyo_paper_default_counts_candidates(self):
-        """On a 20-qubit device every front is narrow, so every step is
-        scored by the scalar loop; its candidates must still count, and
-        its time must not pass for kernel time."""
+        """Every step is scored by the scalar delta loop: its
+        candidates count, and its time is the scoring time."""
         from repro import compile_circuit
         from repro.bench_circuits import build_benchmark
         from repro.hardware import ibm_q20_tokyo
@@ -140,7 +132,6 @@ class TestRouterIntegration:
         assert payload["steps"] > 0
         assert payload["candidates_total"] > 0
         assert payload["candidates_max"] > 0
-        assert payload["scalar_calls"] > 0
-        assert payload["kernel_calls"] == 0
-        assert payload["kernel_seconds"] == 0.0
+        assert payload["scalar_calls"] == payload["steps"]
+        assert "kernel_calls" not in payload
         assert prof.scoring_seconds == prof.scalar_seconds > 0.0
