@@ -19,6 +19,12 @@ traversal in fifteen is kept.  With the vector scorer, a layout
 search therefore routes every traversal without building its circuit (the router's search mode,
 :meth:`~repro.core.router.SabreRouter.search`) and builds only the
 winner's, by replaying its recorded SWAPs (:class:`BestForward`).
+
+The restart loop (:meth:`SabreLayout.search`) and the replay
+(:meth:`SabreLayout.merge`) are separate steps joined by a small
+picklable :class:`ShardSearch` record, so the engine can run the loop
+over seed shards in worker processes and merge and replay in the
+parent.
 """
 
 from __future__ import annotations
@@ -77,6 +83,31 @@ class BidirectionalResult:
         return min(t.first_pass_swaps for t in self.trials)
 
 
+@dataclass
+class ShardSearch:
+    """What one restart loop over a seed list leaves behind.
+
+    The output of :meth:`SabreLayout.search` and the input of
+    :meth:`SabreLayout.merge`.  With the vector scorer it holds no
+    circuit: ``best`` is the loop's best forward
+    :class:`~repro.core.router.SearchTrace` (a ``reference``-scorer
+    loop keeps its emitted :class:`~repro.core.router.RoutingResult`),
+    so the record pickles small when a worker process runs the loop
+    over one shard of a sweep's seeds.
+
+    Attributes:
+        best: the best forward traversal, first of equal
+            ``(num_swaps, depth)`` keys.
+        best_trial_index: index into ``trials`` of the trial that
+            routed ``best``.
+        trials: one :class:`TrialRecord` per seed, in seed order.
+    """
+
+    best: Union[SearchTrace, RoutingResult]
+    best_trial_index: int
+    trials: List[TrialRecord]
+
+
 class SabreLayout:
     """Bidirectional-traversal layout search with random restarts.
 
@@ -133,13 +164,44 @@ class SabreLayout:
     def run(self, circuit: QuantumCircuit) -> BidirectionalResult:
         """Search initial mappings and return the best routed output.
 
-        Best = fewest SWAPs in a forward traversal, depth as the
-        tie-break (both paper metrics, in that priority); see
-        :class:`BestForward`.
+        One :meth:`search` over every seed, then its :meth:`merge`:
+        best = fewest SWAPs in a forward traversal, depth as the
+        tie-break (both paper metrics, in that priority), and only that
+        traversal is turned into a circuit.
+        """
+        forward_ir, reverse_ir = self.lower(circuit)
+        return self.merge([self.search(forward_ir, reverse_ir)], forward_ir)
 
-        The circuit is lowered into its compile-once flat IR exactly
-        once per direction (through the engine cache, so a repeat
-        compilation of the same circuit pays nothing at all) and every
+    def lower(
+        self, circuit: QuantumCircuit
+    ) -> Tuple[FlatDag, Optional[FlatDag]]:
+        """The circuit's forward and (with more than one traversal)
+        reverse IRs, through the engine cache.
+
+        Each is lowered at most once per circuit content and process,
+        so a repeat compilation of the same circuit pays nothing.  With
+        the vector scorer both IRs' folded tables are built too, so a
+        caller that lowers before forking a worker pool hands the
+        workers everything a search reads.
+        """
+        from repro.engine.cache import get_flat_dag
+
+        forward_ir = get_flat_dag(circuit)
+        reverse_ir = None
+        if self.num_traversals > 1:
+            reverse_ir = get_flat_dag(circuit, direction="reverse")
+        if self.router.scorer == "vector":
+            forward_ir.folded()
+            if reverse_ir is not None:
+                reverse_ir.folded()
+        return forward_ir, reverse_ir
+
+    def search(
+        self, forward_ir: FlatDag, reverse_ir: Optional[FlatDag]
+    ) -> ShardSearch:
+        """The restart loop over :attr:`seeds`, without the replay.
+
+        Takes the circuit's IRs as :meth:`lower` returns them: every
         one of the ``num_trials x num_traversals`` routing passes
         shares those read-only IRs plus one resettable frontier per
         direction.  Each frontier carries its direction's look-ahead
@@ -153,25 +215,20 @@ class SabreLayout:
         depth recomputed during the sweep, because
         :class:`~repro.core.router.SearchTrace` carries the selection
         key, and both frontiers are folded, so no single-qubit gate is
-        executed one by one until the replay.  Only the winning forward
-        traversal is then replayed into its circuit, byte-identical to
-        the ``reference`` scorer's emitting traversal, which is the
-        differential oracle.
+        executed one by one.  The returned :class:`ShardSearch` holds
+        the best trace and the per-seed :class:`TrialRecord` s, and
+        :meth:`merge` turns it into a circuit.
 
         With a tracer active (:mod:`repro.telemetry.trace`) each
         traversal records one ``layout.traversal`` span with attrs
         ``trial``, ``dir``, ``swaps`` and ``depth``.
         """
-        from repro.engine.cache import get_flat_dag
-
         router = self.router
         searching = router.scorer == "vector"
         route = router.search if searching else router.run
-        forward_ir = get_flat_dag(circuit)
         forward_frontier = FrontierState(forward_ir, folded=searching)
-        reverse_ir = reverse_frontier = None
-        if self.num_traversals > 1:
-            reverse_ir = get_flat_dag(circuit, direction="reverse")
+        reverse_frontier = None
+        if reverse_ir is not None:
             reverse_frontier = FrontierState(reverse_ir, folded=searching)
         best = BestForward()
         trials: List[TrialRecord] = []
@@ -218,13 +275,37 @@ class SabreLayout:
                     best_swaps=best_swaps,
                 )
             )
-        return best.result(router, forward_ir, trials)
+        return ShardSearch(best.best, best.trial, trials)
+
+    def merge(
+        self, shards: Sequence[ShardSearch], forward_ir: FlatDag
+    ) -> BidirectionalResult:
+        """The best of ``shards`` as one search result, replayed once.
+
+        ``shards`` are searches over consecutive runs of one seed list,
+        in seed order.  The first shard's best starts one
+        :class:`BestForward` and the others' bests are offered to it in
+        order, which keeps the earliest of equal keys, so the merge
+        keeps exactly what one search over the whole list keeps.  A
+        winning trace is replayed over ``forward_ir`` (the IR it was
+        searched on) with this search's router, byte-identical to the
+        ``reference`` scorer's emitting traversal, which is the
+        differential oracle.
+        """
+        first = shards[0]
+        best = BestForward(first.best, first.best_trial_index)
+        trials = list(first.trials)
+        for shard in shards[1:]:
+            best.offer(shard.best, len(trials) + shard.best_trial_index)
+            trials.extend(shard.trials)
+        return best.result(self.router, forward_ir, trials)
 
 
 class BestForward:
     """The best forward traversal of one layout search, then its circuit.
 
-    :meth:`SabreLayout.run` keeps one instance across all its trials.
+    :meth:`SabreLayout.search` keeps one instance across all its
+    trials, and :meth:`SabreLayout.merge` one across its shards' bests.
     Candidates are offered in search order and ranked by
     ``(num_swaps, depth)``; the first of equal keys wins.  A candidate
     is either an emitted :class:`~repro.core.router.RoutingResult` (the
@@ -237,10 +318,14 @@ class BestForward:
 
     __slots__ = ("best", "key", "trial")
 
-    def __init__(self) -> None:
-        self.best: Optional[Union[RoutingResult, SearchTrace]] = None
+    def __init__(
+        self,
+        best: Optional[Union[RoutingResult, SearchTrace]] = None,
+        trial: int = 0,
+    ) -> None:
+        self.best = best
         self.key: Optional[Tuple[int, int]] = None
-        self.trial = 0
+        self.trial = trial
 
     def offer(
         self, candidate: Union[RoutingResult, SearchTrace], trial: int = 0

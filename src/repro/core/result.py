@@ -43,8 +43,11 @@ class MappingResult:
             overrides (see :class:`repro.pipeline.context.PropertySet`).
         layout_search: the layout search's own record (per-seed
             :class:`~repro.core.bidirectional.TrialRecord` s, winning
-            trial, raw winning routing) when this run searched in
-            process; ``None`` otherwise.
+            trial, raw winning routing) when this result's pipeline run
+            held one: a direct search, or the merge of an engine
+            search-path sweep (the winner of ``run_trials``, whether its
+            seed shards ran in process or in workers).  ``None``
+            otherwise.
     """
 
     name: str

@@ -13,8 +13,9 @@ package supplies those three layers:
   gate-content fingerprint) so repeated trials never re-lower.
 - :mod:`repro.engine.trials` — best-of-K seeded trials with a
   configurable objective, under the serial or parallel executor.  A
-  ``g_add`` sweep runs as the plain layout search (one per seed shard);
-  other objectives run one pipeline per seed.
+  ``g_add`` sweep runs the plain layout search's restart loop (one per
+  seed shard) and merges and replays the winner in the parent; other
+  objectives run one pipeline per seed.
 - :mod:`repro.engine.shared` — the parallel executor's machinery:
   shard planning, the automatic executor chooser, and the ship-once
   shared-state layer (fingerprint-keyed worker caches, shared-memory
@@ -22,8 +23,8 @@ package supplies those three layers:
 - :mod:`repro.engine.ensemble` — the predicate deciding which sweeps
   may run as the plain layout search.
 - :mod:`repro.engine.batch` — ``compile_many``: fan a whole suite's
-  (circuit, seed) jobs across workers and reduce to per-circuit
-  winners.
+  (circuit, seed-shard) or (circuit, seed) jobs across workers and
+  reduce to per-circuit winners by the same rule as ``run_trials``.
 
 ``repro.core.compiler.compile_circuit`` fronts the trial engine via its
 ``executor``/``objective``/``jobs`` options; the CLI exposes them as

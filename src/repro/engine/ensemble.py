@@ -1,10 +1,12 @@
 """Which sweeps the engine may run as one plain layout search.
 
-:func:`repro.engine.trials.run_trials` runs a ``g_add`` sweep as a
-single :class:`~repro.core.bidirectional.SabreLayout` search per seed
-shard — one look-ahead memo for all its restarts, one circuit built —
-whenever :func:`ensemble_eligible` holds.  Every other configuration
-keeps one single-trial pipeline per seed.
+:func:`repro.engine.trials.run_trials` and
+:func:`repro.engine.batch.compile_many` run a ``g_add`` sweep as one
+:class:`~repro.core.bidirectional.SabreLayout` restart loop per seed
+shard — one look-ahead memo for all its restarts — merged in the
+parent, which builds the one winning circuit, whenever
+:func:`ensemble_eligible` holds.  Every other configuration keeps one
+single-trial pipeline per seed.
 """
 
 from __future__ import annotations

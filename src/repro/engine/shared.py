@@ -2,13 +2,20 @@
 
 :func:`repro.engine.trials.run_trials` under ``executor="parallel"``
 splits its seed list into contiguous shards and runs each shard in a
-worker process, exactly as the serial executor would run it in process
-(:func:`repro.engine.trials.run_shard`).  This module holds the pieces:
+worker process.  On the search path a worker runs only the layout
+search's restart loop over its seeds
+(:meth:`~repro.core.bidirectional.SabreLayout.search`) and sends back a
+:class:`~repro.core.bidirectional.ShardSearch` record: the shard's best
+search trace, its trial index and the per-seed trial records, with no
+circuit in it.  The parent merges the records and replays the one
+winner.  On the per-seed path a worker runs one single-trial pipeline
+per seed (:func:`repro.engine.trials.run_shard`) and sends back their
+results.  This module holds the pieces:
 
 - **Shard planning** (:func:`plan_shards`): partition the K seeds into
   P contiguous, balanced shards.  Trials are seed-independent, so
   concatenating shard outputs in order restores the serial sweep's
-  per-seed results, and the parent's reduction picks the serial
+  per-seed results, and merging shard bests in order picks the serial
   sweep's winner.
 - **An executor chooser** (:func:`choose_executor`): the rule behind
   ``executor="auto"`` — serial for one trial or one worker, parallel
@@ -27,7 +34,9 @@ Fingerprints reuse :mod:`repro.engine.cache`'s content addresses
 (:func:`~repro.engine.cache.circuit_fingerprint` /
 :func:`~repro.engine.cache.coupling_fingerprint`), and every worker
 pre-seeds its process-local engine cache with the shipped distance so
-no code path ever repeats the Floyd-Warshall step.
+no code path ever repeats the Floyd-Warshall step.  The parent lowers a
+search-path circuit's IRs before the pool starts, so forked workers
+inherit them; spawned workers lower their own on first use.
 """
 
 from __future__ import annotations
@@ -37,9 +46,10 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.core.bidirectional import ShardSearch
 from repro.core.heuristic import HeuristicConfig
 from repro.core.result import MappingResult
 from repro.core.scoring import FlatDistance
@@ -290,12 +300,13 @@ def _run_sweep_shard(
     """Worker entry point: run one shard of seeds against installed state.
 
     The submission payload is exactly ``(fingerprint, seeds)`` — no
-    circuit, coupling, config, or distance ever rides along.
+    circuit, coupling, config, or distance ever rides along — and the
+    return value is what :func:`_execute_shard` returns.
     ``trace_ctx`` (``(trace_id, parent_span_id, profile?)``) is the
     traced-request extension: when set, the shard records a
-    ``shard.sweep`` span (plus per-trial pipeline spans and, with
-    ``profile``, router-step aggregates) and the return value becomes
-    ``(results, serialized_span_batch)`` instead of the bare list.
+    ``shard.sweep`` span (plus its ``layout.traversal`` or per-seed
+    pipeline spans and, with ``profile``, router-step aggregates) and
+    the return value becomes ``(output, serialized_span_batch)``.
     """
     sweep = _WORKER_SWEEPS.get(fingerprint)
     if sweep is None:
@@ -318,7 +329,7 @@ def _run_sweep_shard(
             shard_span.set("seeds", len(seeds))
             if profile:
                 with profiled_routing() as profiler:
-                    results = _execute_shard(sweep, seeds)
+                    output = _execute_shard(sweep, seeds)
                 if not profiler.empty:
                     tracer.add_raw(
                         "router.profile",
@@ -328,17 +339,28 @@ def _run_sweep_shard(
                         attrs=profiler.to_dict(),
                     )
             else:
-                results = _execute_shard(sweep, seeds)
-    return results, tracer.export()
+                output = _execute_shard(sweep, seeds)
+    return output, tracer.export()
 
 
 def _execute_shard(
     sweep: _WorkerSweep, seeds: Tuple[int, ...]
-) -> List[MappingResult]:
-    """The shard's actual sweep (shared by both trace modes)."""
-    from repro.engine.trials import run_shard
+) -> Union[ShardSearch, List[MappingResult]]:
+    """The shard's actual sweep (shared by both trace modes): the layout
+    search's restart loop on the search path, one pipeline per seed
+    otherwise."""
+    from repro.engine.trials import run_shard, search_shard
 
     spec = sweep.spec
+    if spec.search:
+        return search_shard(
+            spec.circuit,
+            spec.coupling,
+            spec.config,
+            seeds,
+            spec.num_traversals,
+            sweep.distance,
+        )
     return run_shard(
         spec.circuit,
         spec.coupling,
@@ -347,7 +369,6 @@ def _execute_shard(
         spec.num_traversals,
         sweep.distance,
         spec.pipeline,
-        spec.search,
     )
 
 
@@ -419,15 +440,16 @@ def run_parallel_sweep(
     distance: Optional[FlatDistance] = None,
     pipeline: str = "paper_default",
     search: bool = True,
-) -> List[MappingResult]:
+) -> List[Union[ShardSearch, List[MappingResult]]]:
     """Run pre-planned seed shards across a ship-once worker pool.
 
     One worker per shard; each worker's initializer installs the sweep
     spec (heavy payload crosses once), then every shard submission is
-    just ``(fingerprint, seeds)``.  Each shard returns what
-    :func:`repro.engine.trials.run_shard` returns — one search over the
-    shard, or one result per seed — and the outputs come back
-    concatenated in shard order.
+    just ``(fingerprint, seeds)``.  Returns one output per shard, in
+    shard order: with ``search``, the shard's
+    :class:`~repro.core.bidirectional.ShardSearch` (``circuit`` must
+    then be in the router's basis); otherwise one
+    :class:`MappingResult` per seed.
 
     Raises whatever the pool raises (``BrokenProcessPool``, ``OSError``)
     — the caller downgrades to the serial sweep.
@@ -473,13 +495,11 @@ def run_parallel_sweep(
                 )
                 for shard in shards
             ]
-            outcomes = [future.result() for future in futures]
-        if trace_ctx is None:
-            shard_results = outcomes
-        else:
-            shard_results = []
-            for results, spans in outcomes:
-                shard_results.append(results)
+            outputs = [future.result() for future in futures]
+        if trace_ctx is not None:
+            traced, outputs = outputs, []
+            for output, spans in traced:
+                outputs.append(output)
                 tracer.add_spans(spans)
                 if profiler is not None:
                     # Fold the shards' router aggregates into the
@@ -497,4 +517,4 @@ def run_parallel_sweep(
                 shm.unlink()
             except FileNotFoundError:  # pragma: no cover
                 pass
-    return [result for shard in shard_results for result in shard]
+    return outputs

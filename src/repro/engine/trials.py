@@ -12,14 +12,18 @@ Two kinds of sweep share one entry point, :func:`run_trials`:
 
 - **The search path** (the ``g_add`` objective on a pipeline whose
   routing stage is the plain layout search, see
-  :func:`repro.engine.ensemble.ensemble_eligible`): one pipeline run
-  whose :class:`~repro.core.bidirectional.SabreLayout` covers a run of
-  seeds, so all of them share one look-ahead memo and only the winner
-  is ever turned into a circuit.  ``serial`` runs one search over every
-  seed; ``parallel`` runs one per contiguous seed shard in a ship-once
-  worker pool (:mod:`repro.engine.shared`) and keeps the shard winner
-  with the lowest ``(num_swaps, depth)``, earliest shard on ties —
-  by construction the same winner as the single search.
+  :func:`repro.engine.ensemble.ensemble_eligible`): the sweep is the
+  restart loop of one :class:`~repro.core.bidirectional.SabreLayout`
+  over the seed list.  ``serial`` runs that loop over every seed in
+  process; ``parallel`` runs it over contiguous seed shards in a
+  ship-once worker pool (:mod:`repro.engine.shared`), and each worker
+  sends back only a small :class:`~repro.core.bidirectional.ShardSearch`
+  record (best trace, its trial, per-seed records).  Both end in the
+  same merge in this process: every shard's best is offered to one
+  :class:`~repro.core.bidirectional.BestForward` in shard order
+  (lowest ``(num_swaps, depth)``, earliest on ties, which is what one
+  search over all seeds keeps), the winner alone is replayed into a
+  circuit, and the pipeline's remaining passes run on it.
 - **The per-seed path** (every other objective or pipeline): one
   single-trial pipeline per seed, ranked by :func:`select_winner`.
 
@@ -33,12 +37,19 @@ path.
 from __future__ import annotations
 
 import os
+import time
 import warnings
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.flatdag import FlatDag
+from repro.circuits.decompositions import (
+    decompose_to_cx_basis,
+    needs_cx_decomposition,
+)
+from repro.core.bidirectional import SabreLayout, ShardSearch
 from repro.core.heuristic import HeuristicConfig
 from repro.core.result import MappingResult
 from repro.engine.cache import get_flat_distance_matrix
@@ -251,29 +262,9 @@ def run_shard(
     num_traversals: int,
     distance: Sequence[Sequence[float]],
     pipeline: str,
-    search: bool,
 ) -> List[MappingResult]:
-    """One contiguous run of a sweep's seeds, in this process.
-
-    On the search path this is a single pipeline run whose layout
-    search covers every seed (its ``layout_search`` record holds the
-    per-seed :class:`~repro.core.bidirectional.TrialRecord` s); on the
-    per-seed path it is one single-trial pipeline per seed.
-    """
-    if search:
-        from repro.pipeline.runner import get_pipeline
-
-        return [
-            get_pipeline(pipeline).run(
-                circuit,
-                coupling,
-                config=config,
-                seeds=seeds,
-                num_traversals=num_traversals,
-                distance=distance,
-                executor=None,
-            )
-        ]
+    """One contiguous run of a per-seed sweep's seeds, in this process:
+    one single-trial pipeline per seed."""
     return [
         _run_one_trial(
             circuit, coupling, config, seed, num_traversals, distance,
@@ -283,39 +274,103 @@ def run_shard(
     ]
 
 
-def _reduce_searches(
-    results: Sequence[MappingResult],
-) -> Tuple[List[TrialResult], int]:
-    """Per-seed trials and the winner index from shard searches.
+def _search_layout(
+    circuit: QuantumCircuit,
+    coupling: CouplingGraph,
+    config: Optional[HeuristicConfig],
+    seeds: Sequence[int],
+    num_traversals: int,
+    distance: Sequence[Sequence[float]],
+) -> Tuple[QuantumCircuit, SabreLayout]:
+    """A search-path sweep's basis circuit and its layout search.
 
-    ``results`` holds one search per shard, in seed order.  The winner
-    is the shard search with the lowest ``(num_swaps, depth)``, earliest
-    on ties — within a shard the search already kept its own first
-    best, so this is exactly what one search over all seeds keeps.
+    The circuit is decomposed here, as the pipeline's
+    ``DecomposeToBasis`` would, because the search (and every shard of
+    it) routes the decomposed circuit.
     """
-    trials: List[TrialResult] = []
-    winner_index = 0
-    winner: Optional[MappingResult] = None
-    best_key: Optional[Tuple[int, int]] = None
-    for result in results:
-        search = result.layout_search
-        key = (search.routing.num_swaps, search.routing.depth)
-        if best_key is None or key < best_key:
-            best_key = key
-            winner_index = len(trials) + search.best_trial_index
-            winner = result
-        trials.extend(
-            TrialResult(
-                seed=record.seed,
-                result=None,
-                value=float(3 * record.best_swaps),
-                num_swaps=record.best_swaps,
-                first_pass_swaps=record.first_pass_swaps,
-            )
-            for record in search.trials
+    working = (
+        decompose_to_cx_basis(circuit)
+        if needs_cx_decomposition(circuit)
+        else circuit
+    )
+    layout = SabreLayout(
+        coupling,
+        config=config,
+        num_traversals=num_traversals,
+        seeds=seeds,
+        distance=distance,
+    )
+    return working, layout
+
+
+def search_shard(
+    circuit: QuantumCircuit,
+    coupling: CouplingGraph,
+    config: Optional[HeuristicConfig],
+    seeds: Sequence[int],
+    num_traversals: int,
+    distance: Sequence[Sequence[float]],
+) -> ShardSearch:
+    """One seed shard of a search-path sweep: the layout search's
+    restart loop over ``seeds`` on ``circuit`` (already in the router's
+    basis), without the replay.  What a shard worker runs."""
+    layout = SabreLayout(
+        coupling,
+        config=config,
+        num_traversals=num_traversals,
+        seeds=seeds,
+        distance=distance,
+    )
+    return layout.search(*layout.lower(circuit))
+
+
+def _finish_search(
+    working: QuantumCircuit,
+    layout: SabreLayout,
+    forward_ir: FlatDag,
+    shards: Sequence[ShardSearch],
+    coupling: CouplingGraph,
+    distance: Sequence[Sequence[float]],
+    pipeline: str,
+    search_seconds: float,
+) -> Tuple[List[TrialResult], int]:
+    """Per-seed trials and the winner index of a search-path sweep.
+
+    ``shards`` are ``layout``'s restart loops over consecutive seed
+    shards, in seed order, searched on ``working``'s IRs (``forward_ir``
+    the forward one).  They are merged and the winner replayed once
+    (:meth:`SabreLayout.merge`), then ``pipeline`` runs on
+    ``working`` with that search in place of its own, so the winner's
+    :class:`MappingResult` goes through the same post-passes and
+    metrics as a direct compile.  Its ``runtime_seconds`` adds
+    ``search_seconds``, the time the shards took, to the merge's own.
+    """
+    from repro.pipeline.runner import get_pipeline
+
+    search = layout.merge(shards, forward_ir)
+    result = get_pipeline(pipeline).run(
+        working,
+        coupling,
+        config=layout.config,
+        seeds=layout.seeds,
+        num_traversals=layout.num_traversals,
+        distance=distance,
+        executor=None,
+        layout_search=search,
+    )
+    result.runtime_seconds += search_seconds
+    trials = [
+        TrialResult(
+            seed=record.seed,
+            result=None,
+            value=float(3 * record.best_swaps),
+            num_swaps=record.best_swaps,
+            first_pass_swaps=record.first_pass_swaps,
         )
-    trials[winner_index].result = winner
-    return trials, winner_index
+        for record in search.trials
+    ]
+    trials[search.best_trial_index].result = result
+    return trials, search.best_trial_index
 
 
 #: Downgrade kinds already warned about this process (warn once each,
@@ -375,9 +430,11 @@ def run_trials(
         distance: precomputed distance matrix.  Computed once through
             the engine cache when omitted and shipped to every worker,
             so a pool run never repeats the Floyd-Warshall step.
-        pipeline: pass-pipeline preset each trial executes (shipped to
-            workers by *name*; see
-            :func:`repro.pipeline.presets.preset_names`).
+        pipeline: pass-pipeline preset (see
+            :func:`repro.pipeline.presets.preset_names`).  On the
+            per-seed path every trial executes it (shipped to workers
+            by *name*); on the search path it runs once, in this
+            process, on the merged search's winner.
 
     Returns:
         :class:`TrialsOutcome`; ``outcome.best_result`` is the winning
@@ -418,11 +475,9 @@ def run_trials(
 
     tracer = current_tracer()
     if tracer is not None:
-        import time as _time
-
         trace_parent = current_span_id()
-        started_wall = _time.time()
-        started_perf = _time.perf_counter()
+        started_wall = time.time()
+        started_perf = time.perf_counter()
 
     from repro.engine.ensemble import ensemble_eligible
     from repro.engine.shared import (
@@ -434,6 +489,14 @@ def run_trials(
     search = objective == "g_add" and ensemble_eligible(
         pipeline, config, distance
     )
+    if search:
+        started = time.perf_counter()
+        circuit, layout = _search_layout(
+            circuit, coupling, config, seeds, num_traversals, distance
+        )
+        # Lowered before any pool starts: forked workers inherit both
+        # IRs, and the replay needs the forward one here.
+        irs = layout.lower(circuit)
     requested = executor
     if executor == "auto":
         # A choice, not a downgrade: "auto" promises nothing beyond
@@ -441,7 +504,7 @@ def run_trials(
         executor = choose_executor(len(seeds), jobs=jobs).executor
     downgrade_reason: Optional[str] = None
     shard_plan: Optional[List[List[int]]] = None
-    results: Optional[List[MappingResult]] = None
+    shards: Optional[list] = None
     if executor == "parallel":
         if len(seeds) == 1:
             downgrade_reason = _note_downgrade(
@@ -455,7 +518,7 @@ def run_trials(
             )
             shard_plan = plan_shards(seeds, width)
             try:
-                results = run_parallel_sweep(
+                shards = run_parallel_sweep(
                     circuit,
                     coupling,
                     shard_plan,
@@ -471,16 +534,24 @@ def run_trials(
                     requested, "serial",
                     f"worker pool unavailable ({exc})",
                 )
-    if results is None:
+    if shards is None:
         executor = "serial"
-        results = run_shard(
-            circuit, coupling, config, seeds, num_traversals, distance,
-            pipeline, search,
-        )
+        shards = [
+            layout.search(*irs)
+            if search
+            else run_shard(
+                circuit, coupling, config, seeds, num_traversals,
+                distance, pipeline,
+            )
+        ]
 
     if search:
-        trials, winner_index = _reduce_searches(results)
+        trials, winner_index = _finish_search(
+            circuit, layout, irs[0], shards, coupling, distance, pipeline,
+            search_seconds=time.perf_counter() - started,
+        )
     else:
+        results = [result for shard in shards for result in shard]
         trials = [
             TrialResult(
                 seed=seed,
@@ -497,7 +568,7 @@ def run_trials(
             "engine.trials",
             trace_parent,
             start=started_wall,
-            wall_seconds=_time.perf_counter() - started_perf,
+            wall_seconds=time.perf_counter() - started_perf,
             attrs={
                 "executor": executor,
                 "requested": requested,

@@ -86,7 +86,8 @@ class CompilationContext:
         initial_layout: fixed starting mapping; pre-set by the caller or
             by ``PerfectEmbedding``, it short-circuits the layout search.
         layout_search: the full bidirectional-search record when the
-            direct ``SabreLayout`` path ran.
+            direct ``SabreLayout`` path ran, or the engine's merged
+            sharded search handed in through ``Pipeline.run``.
         trial_stats: engine-path statistics (best-of-K fan-out) when the
             executor path ran.
         routing: the current routed output (SWAPs as ``swap`` gates).

@@ -137,33 +137,39 @@ class SabreLayoutPass(TransformPass):
     executor configured, the best-of-K sweep of
     :mod:`repro.engine.trials` runs instead, and the winner's routing
     lands back on the context so post-passes apply to it like any other.
+    A ``layout_search`` already on the context (the engine's merge of a
+    sharded search) is adopted as the search's result.
     """
 
     def run(self, context: CompilationContext) -> None:
         if context.routing is not None or context.initial_layout is not None:
             return
-        if (
-            context.executor is None
-            and context.objective != "g_add"
-            and context.num_trials > 1
-        ):
-            # A non-default objective needs the engine's winner
-            # selection; the direct path only ranks by (swaps, depth).
-            context.executor = "serial"
-        if context.executor is not None:
-            self._run_engine(context)
-            return
-        searcher = SabreLayout(
-            context.coupling,
-            config=context.config,
-            num_traversals=context.num_traversals,
-            num_trials=context.num_trials,
-            seed=context.seed,
-            distance=context.distance,
-            seeds=context.seeds,
-        )
-        best = searcher.run(context.working)
-        context.layout_search = best
+        best = context.layout_search
+        if best is None:
+            if (
+                context.executor is None
+                and context.objective != "g_add"
+                and context.num_trials > 1
+            ):
+                # A non-default objective needs the engine's winner
+                # selection; the direct path only ranks by (swaps, depth).
+                context.executor = "serial"
+            if context.executor is not None:
+                self._run_engine(context)
+                return
+            searcher = SabreLayout(
+                context.coupling,
+                config=context.config,
+                num_traversals=context.num_traversals,
+                num_trials=context.num_trials,
+                seed=context.seed,
+                distance=context.distance,
+                seeds=context.seeds,
+            )
+            best = searcher.run(context.working)
+            context.layout_search = best
+        # Otherwise the engine searched this sweep in seed shards and
+        # merged them: adopt its winner.
         context.routing = context.raw_routing = best.routing
         context.initial_layout = best.initial_layout
 

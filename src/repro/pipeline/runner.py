@@ -19,6 +19,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.core.bidirectional import BidirectionalResult
 from repro.core.heuristic import HeuristicConfig
 from repro.core.layout import Layout
 from repro.core.result import MappingResult
@@ -104,6 +105,7 @@ class Pipeline:
         jobs: Optional[int] = None,
         noise: Optional[NoiseModel] = None,
         seeds: Optional[Sequence[int]] = None,
+        layout_search: Optional[BidirectionalResult] = None,
     ) -> MappingResult:
         """Execute every pass over a fresh context; return the result.
 
@@ -111,10 +113,13 @@ class Pipeline:
         ``None`` means "preset default, else the paper's value".
         ``noise`` feeds noise-aware passes.  ``seeds`` replaces the
         ``seed .. seed + num_trials - 1`` trial range with an explicit
-        list of distinct seeds (``num_trials`` becomes its length) —
-        how the engine hands one shard of a sweep to a worker.  The
-        returned :class:`MappingResult` carries the run's property set
-        (``result.properties``) including per-pass timings.
+        list of distinct seeds (``num_trials`` becomes its length).
+        ``layout_search`` is a finished layout search over those seeds
+        for ``SabreLayoutPass`` to adopt instead of searching: how the
+        engine runs the passes around a sweep it searched in seed
+        shards and merged.  The returned :class:`MappingResult` carries
+        the run's property set (``result.properties``) including
+        per-pass timings.
         """
         coupling.require_connected()
         if circuit.num_qubits > coupling.num_qubits:
@@ -142,6 +147,7 @@ class Pipeline:
             initial_layout=initial_layout,
             seeds=list(seeds) if seeds is not None else None,
             distance=distance,
+            layout_search=layout_search,
             properties=PropertySet(),
         )
         context.properties["pipeline.name"] = self.name

@@ -2,12 +2,16 @@
 shard planning, the automatic executor chooser, the ship-once
 shared-state layer, and executor downgrade reporting."""
 
+import os
 import warnings
 
 import pytest
 
 from repro.circuits import random_circuit
+from repro.core.bidirectional import SabreLayout, ShardSearch, TrialRecord
 from repro.core.heuristic import HeuristicConfig
+from repro.core.layout import Layout
+from repro.core.router import SabreRouter, SearchTrace
 from repro.engine import GLOBAL_CACHE, run_trials
 from repro.engine.cache import get_flat_distance_matrix
 from repro.engine.shared import (
@@ -25,6 +29,30 @@ from repro.engine.shared import (
 from repro.engine.trials import _DOWNGRADES_WARNED
 from repro.exceptions import ReproError
 from repro.hardware import grid_device
+
+
+def _payload_types(obj):
+    """Every type reachable from ``obj`` through containers, instance
+    dicts and slots."""
+    types = set()
+    stack = [obj]
+    while stack:
+        item = stack.pop()
+        types.add(type(item))
+        if isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        elif isinstance(item, dict):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+        elif hasattr(type(item), "__slots__"):
+            stack.extend(
+                getattr(item, name)
+                for name in type(item).__slots__
+                if hasattr(item, name)
+            )
+    return types
 
 
 @pytest.fixture
@@ -104,30 +132,43 @@ class TestChooseExecutor:
 
 class TestShipOnce:
     def test_submission_payload_is_fingerprint_and_seeds_only(
-        self, device, workload
+        self, device, workload, monkeypatch
     ):
         """After the initializer ships the spec, a shard submission
         carries no circuit/coupling/distance payload — the worker entry
-        point takes exactly (fingerprint, seeds) and returns the shard's
-        one layout search."""
+        point takes exactly (fingerprint, seeds) — and returns only the
+        shard's search record: a trace plus per-seed trial records, no
+        circuit, no result, and no replay on the worker side."""
+        def no_replay(*args, **kwargs):
+            raise AssertionError("a shard worker replayed a trace")
+
         distance = get_flat_distance_matrix(device)
         spec, shm = build_sweep_spec(
             workload, device, None, 3, "paper_default", distance, True
         )
         try:
             _install_sweep(spec)  # simulate the pool initializer
-            results = _run_sweep_shard(spec.fingerprint, (0, 1))
-            assert len(results) == 1
+            with monkeypatch.context() as patch:
+                patch.setattr(SabreRouter, "_replay", no_replay)
+                record = _run_sweep_shard(spec.fingerprint, (0, 1))
         finally:
             _WORKER_SWEEPS.pop(spec.fingerprint, None)
             if shm is not None:
                 shm.close()
                 shm.unlink()
+        assert isinstance(record, ShardSearch)
+        assert isinstance(record.best, SearchTrace)
+        assert _payload_types(record) <= {
+            ShardSearch, SearchTrace, TrialRecord, Layout,
+            list, tuple, int,
+        }
         serial = run_trials(workload, device, [0, 1], executor="serial")
-        assert results[0].routing.circuit == serial.best_result.routing.circuit
-        assert [
-            t.best_swaps for t in results[0].layout_search.trials
-        ] == serial.trial_swaps
+        assert [t.best_swaps for t in record.trials] == serial.trial_swaps
+        assert record.best_trial_index == serial.winner_index
+        layout = SabreLayout(device, seeds=[0, 1], distance=distance)
+        forward_ir, _ = layout.lower(workload)
+        merged = layout.merge([record], forward_ir)
+        assert merged.routing.circuit == serial.best_result.routing.circuit
 
     def test_unknown_fingerprint_rejected(self):
         with pytest.raises(ReproError, match="no sweep"):
@@ -163,16 +204,16 @@ class TestShipOnce:
         try:
             _install_sweep(spec)
             via_bytes = [
-                r
+                _run_sweep_shard(spec.fingerprint, tuple(shard))
                 for shard in shards
-                for r in _run_sweep_shard(spec.fingerprint, tuple(shard))
             ]
         finally:
             _WORKER_SWEEPS.pop(spec.fingerprint, None)
         assert len(via_shm) == len(via_bytes) == len(shards)
         for a, b in zip(via_shm, via_bytes):
-            assert a.routing.circuit == b.routing.circuit
-            assert a.layout_search.trials == b.layout_search.trials
+            assert a.best == b.best
+            assert a.best_trial_index == b.best_trial_index
+            assert a.trials == b.trials
 
     def test_fingerprint_distinguishes_knobs(self, device, workload):
         distance = get_flat_distance_matrix(device)
@@ -238,6 +279,32 @@ class TestParallelExecutor:
                 par.best_result.routing.circuit
                 == serial.best_result.routing.circuit
             )
+
+    def test_parallel_sweep_replays_once_in_parent(
+        self, device, workload, monkeypatch
+    ):
+        """Shard workers send back search records; the parent merges
+        them and replays the one winner.  A forked worker inherits the
+        patched replay and would fail the sweep if it called it."""
+        parent = os.getpid()
+        calls = []
+        replay = SabreRouter._replay
+
+        def counted_replay(self, *args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a shard worker replayed a trace")
+            calls.append(1)
+            return replay(self, *args, **kwargs)
+
+        monkeypatch.setattr(SabreRouter, "_replay", counted_replay)
+        par = run_trials(
+            workload, device, [0, 1, 2, 3], executor="parallel", jobs=2
+        )
+        assert par.executor == "parallel"
+        assert len(calls) == 1
+        assert par.best_result.layout_search.best_trial_index == (
+            par.winner_index
+        )
 
     def test_per_seed_path_shards(self, device, workload):
         """Non-g_add objectives keep one pipeline per seed, on the same
