@@ -9,7 +9,7 @@ Two ways to run it:
 - standalone sweep, printing the quality-vs-trials curve and the
   process-pool speedup table (``--smoke`` shrinks it to a seconds-long
   CI check; ``--parallel-workers N`` adds an identity leg that shards
-  a best-of-K sweep across N ship-once workers and asserts the winner
+  a best-of-K sweep across N pool workers and asserts the winner
   matches the serial executor and the direct search byte-for-byte)::
 
       PYTHONPATH=src python benchmarks/bench_trials.py [--smoke] \
@@ -134,7 +134,7 @@ def _parallel_smoke(workers: int) -> None:
     """Parallel-executor identity + liveness check for CI.
 
     Shards a best-of-K sweep on a routing-heavy circuit across
-    ``workers`` ship-once workers and asserts parallel == serial ==
+    ``workers`` pool workers and asserts parallel == serial ==
     direct: the same winner, byte for byte, and the same per-seed SWAP
     counts — including on 1-core runners, where the pool is
     oversubscribed and the check proves the sharded path still
@@ -180,7 +180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=0,
         metavar="N",
         help="also run a parallel-executor identity leg sharded across N "
-        "ship-once workers (0 = skip)",
+        "pool workers (0 = skip)",
     )
     args = parser.parse_args(argv)
 

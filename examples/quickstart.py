@@ -76,7 +76,7 @@ def main() -> None:
         f"{best.added_gates} (per-trial swaps: {best.trial_swaps})"
     )
 
-    # Whole-suite batching: compile_many fans (circuit, seed) jobs
+    # Whole-suite batching: compile_many fans (circuit, seed-shard) jobs
     # across processes and reports per-circuit winners with timing.
     from repro import compile_many
 

@@ -17,14 +17,15 @@ package supplies those three layers:
   seed shard) and merges and replays the winner in the parent; other
   objectives run one pipeline per seed.
 - :mod:`repro.engine.shared` — the parallel executor's machinery:
-  shard planning, the automatic executor chooser, and the ship-once
-  shared-state layer (fingerprint-keyed worker caches, shared-memory
-  distance tables).
+  shard planning, the automatic executor chooser, the start-method
+  resolver, and the shard runner (one worker pool that runs
+  ``(sweep_index, seeds)`` jobs for ``run_trials`` and
+  ``compile_many`` alike).
 - :mod:`repro.engine.ensemble` — the predicate deciding which sweeps
   may run as the plain layout search.
 - :mod:`repro.engine.batch` — ``compile_many``: fan a whole suite's
-  (circuit, seed-shard) or (circuit, seed) jobs across workers and
-  reduce to per-circuit winners by the same rule as ``run_trials``.
+  (circuit, seed-shard) jobs across the same shard runner and finish
+  each circuit with ``run_trials``' own code.
 
 ``repro.core.compiler.compile_circuit`` fronts the trial engine via its
 ``executor``/``objective``/``jobs`` options; the CLI exposes them as

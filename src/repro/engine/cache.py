@@ -204,33 +204,6 @@ class DeviceCache:
                 self._hits += 1
             return self._thaw_flat(self._flat[key])
 
-    def seed_flat_distance(
-        self,
-        coupling: CouplingGraph,
-        flat: FlatDistance,
-        edge_weights: Optional[Dict[Tuple[int, int], float]] = None,
-        method: str = "floyd-warshall",
-    ) -> bool:
-        """Pre-seed the store with an externally computed matrix.
-
-        The parallel executor's worker initializer
-        (:mod:`repro.engine.shared`) ships each sweep's distance table
-        across the process boundary once; installing it here means any
-        code path in the worker that resolves the device's distance
-        itself hits the cache instead of re-running Floyd-Warshall.
-        Returns ``True`` if installed, ``False`` if the fingerprint was
-        already present (first store wins, matching
-        :meth:`flat_distance_matrix`).  Hit/miss counters are untouched
-        — a seed is neither.
-        """
-        key = coupling_fingerprint(coupling, edge_weights, method)
-        frozen = (flat.n, flat.buf.tobytes(), flat.symmetric)
-        with self._lock:
-            if key in self._flat:
-                return False
-            self._flat[key] = frozen
-            return True
-
     @staticmethod
     def _thaw_flat(frozen: Tuple[int, bytes, bool]) -> FlatDistance:
         n, raw, symmetric = frozen

@@ -1,16 +1,11 @@
-"""The parallel executor: seed shards over a ship-once worker pool.
+"""The parallel executor: seed shards on one plain worker pool.
 
+Best-of-K quality comes from independent random restarts, so spreading
+a sweep across workers only needs each worker to get its seed shard.
 :func:`repro.engine.trials.run_trials` under ``executor="parallel"``
-splits its seed list into contiguous shards and runs each shard in a
-worker process.  On the search path a worker runs only the layout
-search's restart loop over its seeds
-(:meth:`~repro.core.bidirectional.SabreLayout.search`) and sends back a
-:class:`~repro.core.bidirectional.ShardSearch` record: the shard's best
-search trace, its trial index and the per-seed trial records, with no
-circuit in it.  The parent merges the records and replays the one
-winner.  On the per-seed path a worker runs one single-trial pipeline
-per seed (:func:`repro.engine.trials.run_shard`) and sends back their
-results.  This module holds the pieces:
+and :func:`repro.engine.batch.compile_many` with ``jobs > 1`` both hand
+their work to one runner, :func:`run_shards`.  This module holds the
+pieces:
 
 - **Shard planning** (:func:`plan_shards`): partition the K seeds into
   P contiguous, balanced shards.  Trials are seed-independent, so
@@ -20,48 +15,59 @@ results.  This module holds the pieces:
 - **An executor chooser** (:func:`choose_executor`): the rule behind
   ``executor="auto"`` — serial for one trial or one worker, parallel
   otherwise.
-- **The ship-once layer** (:class:`SweepSpec` / :func:`run_parallel_sweep`):
-  one :class:`~concurrent.futures.ProcessPoolExecutor` whose
-  *initializer* installs the sweep's immutable inputs — circuit,
-  coupling, config, pipeline name — into a fingerprint-keyed
-  worker-side cache exactly once per worker.  The distance matrix
-  travels through :class:`multiprocessing.shared_memory.SharedMemory`,
-  so even on large devices the workers map the parent's table
-  zero-copy instead of unpickling their own.  After the initializer
-  runs, each shard submission carries only ``(fingerprint, seeds)``.
+- **The shard runner** (:class:`Sweep` / :func:`run_shards`): one
+  :class:`~concurrent.futures.ProcessPoolExecutor` whose initializer
+  stores the list of sweeps in each worker; every submission is then
+  ``(sweep_index, seeds)``.  On a search sweep a worker runs only the
+  layout search's restart loop over its seeds
+  (:meth:`~repro.core.bidirectional.SabreLayout.search`) and sends back
+  a :class:`~repro.core.bidirectional.ShardSearch` record with no
+  circuit in it; on a per-seed sweep it runs one single-trial pipeline
+  per seed and sends back their results (:meth:`Sweep.run`).
+- **The start-method resolver** (:func:`resolve_mp_context`), shared
+  with the service's worker tier.
 
-Fingerprints reuse :mod:`repro.engine.cache`'s content addresses
-(:func:`~repro.engine.cache.circuit_fingerprint` /
-:func:`~repro.engine.cache.coupling_fingerprint`), and every worker
-pre-seeds its process-local engine cache with the shipped distance so
-no code path ever repeats the Floyd-Warshall step.  The parent lowers a
-search-path circuit's IRs before the pool starts, so forked workers
-inherit them; spawned workers lower their own on first use.
+Under ``fork`` the initializer's arguments reach the workers without
+being pickled, and the parent lowers a search sweep's IRs before the
+pool starts, so the workers inherit them; under ``spawn`` and
+``forkserver`` the sweep list is pickled once per worker and each
+worker lowers its own IRs on first use.
 """
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.bidirectional import ShardSearch
+from repro.core.bidirectional import SabreLayout, ShardSearch
 from repro.core.heuristic import HeuristicConfig
 from repro.core.result import MappingResult
 from repro.core.scoring import FlatDistance
-from repro.engine.cache import circuit_fingerprint, coupling_fingerprint
 from repro.exceptions import ReproError
 from repro.hardware.coupling import CouplingGraph
 
-#: Environment knob selecting the multiprocessing start method for the
-#: sweep pool — the same variable the service worker tier honours
-#: (:data:`repro.service.workers.MP_START_METHOD_ENV`), so one setting
-#: governs every process boundary in a deployment.
+#: Environment knob selecting the multiprocessing start method
+#: (``fork`` / ``spawn`` / ``forkserver``) of every process pool: the
+#: engine's shard runner and the service's worker lanes.
 MP_START_METHOD_ENV = "REPRO_MP_START_METHOD"
+
+
+def resolve_mp_context(
+    start_method: Optional[str] = None,
+) -> multiprocessing.context.BaseContext:
+    """The multiprocessing context a process pool should use.
+
+    Explicit argument first, then :data:`MP_START_METHOD_ENV`, then the
+    platform default.  Unknown names raise the stdlib's ``ValueError``
+    listing the valid methods.
+    """
+    method = start_method or os.environ.get(MP_START_METHOD_ENV) or None
+    return multiprocessing.get_context(method)
 
 
 # ----------------------------------------------------------------------
@@ -159,165 +165,93 @@ def choose_executor(
 
 
 # ----------------------------------------------------------------------
-# Ship-once sweep state
+# The shard runner
 # ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _DistanceHandle:
-    """How one sweep's distance matrix reaches the workers.
+class Sweep:
+    """One circuit's sweep, as every worker receives it.
 
-    ``shm_name`` names a :class:`~multiprocessing.shared_memory.
-    SharedMemory` block the workers attach zero-copy; ``raw`` is the
-    pickled-bytes fallback for hosts where shared memory is
-    unavailable.  Exactly one of the two is set.
+    ``circuit`` is the working circuit: for a ``search`` sweep it is
+    already in the router's basis and the worker runs the layout
+    search's restart loop on it; otherwise the worker runs
+    ``pipeline`` (a preset name) once per seed.  The distance matrix
+    travels with the sweep, so no worker repeats the Floyd-Warshall
+    step.
     """
 
-    n: int
-    symmetric: bool
-    shm_name: Optional[str] = None
-    raw: Optional[bytes] = None
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Everything immutable a parallel sweep ships to each worker, once.
-
-    Crosses the process boundary exactly once per worker (via the pool
-    initializer); afterwards shard submissions reference it by
-    ``fingerprint`` only.
-    """
-
-    fingerprint: str
     circuit: QuantumCircuit
     coupling: CouplingGraph
     config: Optional[HeuristicConfig]
     num_traversals: int
+    distance: FlatDistance
     pipeline: str
     search: bool
-    distance: _DistanceHandle
+
+    def layout(self, seeds: Sequence[int]) -> SabreLayout:
+        """This sweep's layout search over ``seeds``."""
+        return SabreLayout(
+            self.coupling,
+            config=self.config,
+            num_traversals=self.num_traversals,
+            seeds=seeds,
+            distance=self.distance,
+        )
+
+    def run(
+        self, seeds: Sequence[int]
+    ) -> Union[ShardSearch, List[MappingResult]]:
+        """One seed shard of this sweep, in this process: the layout
+        search's restart loop over ``seeds`` without the replay, or one
+        single-trial pipeline per seed."""
+        if self.search:
+            layout = self.layout(seeds)
+            return layout.search(*layout.lower(self.circuit))
+        from repro.engine.trials import _run_one_trial
+
+        return [
+            _run_one_trial(
+                self.circuit, self.coupling, self.config, seed,
+                self.num_traversals, self.distance, self.pipeline,
+            )
+            for seed in seeds
+        ]
 
 
-def sweep_fingerprint(
-    circuit: QuantumCircuit,
-    coupling: CouplingGraph,
-    config: Optional[HeuristicConfig],
-    num_traversals: int,
-    pipeline: str,
-    distance: FlatDistance,
-) -> str:
-    """Content address of one sweep's shared state (sha256 hex digest).
+#: One job's output and the seconds its shard took.
+ShardOutput = Tuple[Union[ShardSearch, List[MappingResult]], float]
 
-    Built from the engine cache's circuit/coupling fingerprints plus
-    every knob that changes a trial's output, and a digest of the
-    actual distance buffer (callers may pass custom matrices that the
-    coupling fingerprint alone cannot distinguish).
-    """
-    distance_digest = hashlib.sha256(distance.buf.tobytes()).hexdigest()
-    parts = (
-        "repro-sweep-v1",
-        circuit_fingerprint(circuit),
-        coupling_fingerprint(coupling),
-        repr(config),
-        num_traversals,
-        pipeline,
-        distance.n,
-        distance.symmetric,
-        distance_digest,
-    )
-    return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
+#: The pool's sweeps, stored in each worker by the pool initializer.
+_SWEEPS: List[Sweep] = []
 
 
-@dataclass
-class _WorkerSweep:
-    """One installed sweep in a worker process."""
-
-    spec: SweepSpec
-    distance: FlatDistance
-    shm: Optional[object] = None  # keeps the mapping alive
+def _init_worker(sweeps: List[Sweep]) -> None:
+    """Pool initializer: store the pool's sweeps in this worker."""
+    global _SWEEPS
+    _SWEEPS = sweeps
 
 
-#: Worker-process sweep cache, keyed by sweep fingerprint.  Installed
-#: by the pool initializer; shard submissions only ever look up.
-_WORKER_SWEEPS: Dict[str, _WorkerSweep] = {}
+def _timed_shard(sweep: Sweep, seeds: Sequence[int]) -> ShardOutput:
+    started = time.perf_counter()
+    output = sweep.run(seeds)
+    return output, time.perf_counter() - started
 
 
-def _attach_distance(handle: _DistanceHandle):
-    """Materialise a worker-side FlatDistance from its transport handle.
+def _run_job(sweep_index: int, seeds: Tuple[int, ...], trace_ctx=None):
+    """Worker entry point: one seed shard of one stored sweep.
 
-    Shared-memory blocks attach zero-copy: the worker's ``FlatDistance``
-    wraps a ``memoryview`` of the parent's table cast to doubles —
-    ``len``, indexing, and ``numpy.frombuffer`` all work on it, so both
-    scorers consume it unchanged.
-    """
-    if handle.shm_name is not None:
-        from multiprocessing import shared_memory
-
-        # Attaching re-registers the segment with the resource tracker
-        # (Python < 3.13 has no ``track=False``), but pool workers share
-        # the parent's tracker process and registration is
-        # set-idempotent there, so the parent's single ``unlink`` still
-        # unregisters exactly once.  Workers never close or unlink: they
-        # exit via ``os._exit`` when the pool shuts down, and the
-        # parent owns the segment's lifecycle.
-        shm = shared_memory.SharedMemory(name=handle.shm_name)
-        size = handle.n * handle.n * 8
-        view = shm.buf[:size].cast("d")
-        return FlatDistance(handle.n, view, handle.symmetric), shm
-    if handle.raw is None:  # pragma: no cover — constructor invariant
-        raise ReproError("distance handle carries neither shm nor bytes")
-    from array import array
-
-    buf = array("d")
-    buf.frombytes(handle.raw)
-    return FlatDistance(handle.n, buf, handle.symmetric), None
-
-
-def _install_sweep(spec: SweepSpec) -> None:
-    """Idempotently install one sweep's shared state in this worker."""
-    if spec.fingerprint in _WORKER_SWEEPS:
-        return
-    distance, shm = _attach_distance(spec.distance)
-    # Pre-seed the process-local engine cache: any path in this worker
-    # that resolves the device's distance itself now hits instead of
-    # re-running Floyd-Warshall.
-    from repro.engine.cache import GLOBAL_CACHE
-
-    GLOBAL_CACHE.seed_flat_distance(spec.coupling, distance)
-    _WORKER_SWEEPS[spec.fingerprint] = _WorkerSweep(
-        spec=spec, distance=distance, shm=shm
-    )
-
-
-def _init_sweep_worker(spec: SweepSpec) -> None:
-    """Pool initializer: the one crossing of the heavy payload."""
-    _install_sweep(spec)
-
-
-def _run_sweep_shard(
-    fingerprint: str, seeds: Tuple[int, ...], trace_ctx=None
-):
-    """Worker entry point: run one shard of seeds against installed state.
-
-    The submission payload is exactly ``(fingerprint, seeds)`` — no
-    circuit, coupling, config, or distance ever rides along — and the
-    return value is what :func:`_execute_shard` returns.
+    The submission payload is ``(sweep_index, seeds)`` plus the trace
+    context; the return value is the shard's :data:`ShardOutput`.
     ``trace_ctx`` (``(trace_id, parent_span_id, profile?)``) is the
     traced-request extension: when set, the shard records a
     ``shard.sweep`` span (plus its ``layout.traversal`` or per-seed
     pipeline spans and, with ``profile``, router-step aggregates) and
     the return value becomes ``(output, serialized_span_batch)``.
     """
-    sweep = _WORKER_SWEEPS.get(fingerprint)
-    if sweep is None:
-        raise ReproError(
-            f"sweep worker has no sweep {fingerprint[:12]}…; the pool "
-            "initializer did not run (or ran for a different sweep)"
-        )
+    sweep = _SWEEPS[sweep_index]
     if trace_ctx is None:
-        return _execute_shard(sweep, seeds)
-    import time as _time
-
+        return _timed_shard(sweep, seeds)
     from repro.telemetry.profile import profiled_routing
     from repro.telemetry.trace import Tracer, span, tracing
 
@@ -329,148 +263,40 @@ def _run_sweep_shard(
             shard_span.set("seeds", len(seeds))
             if profile:
                 with profiled_routing() as profiler:
-                    output = _execute_shard(sweep, seeds)
+                    output = _timed_shard(sweep, seeds)
                 if not profiler.empty:
                     tracer.add_raw(
                         "router.profile",
                         shard_span.span_id,
-                        start=_time.time(),
+                        start=time.time(),
                         wall_seconds=profiler.scoring_seconds,
                         attrs=profiler.to_dict(),
                     )
             else:
-                output = _execute_shard(sweep, seeds)
+                output = _timed_shard(sweep, seeds)
     return output, tracer.export()
 
 
-def _execute_shard(
-    sweep: _WorkerSweep, seeds: Tuple[int, ...]
-) -> Union[ShardSearch, List[MappingResult]]:
-    """The shard's actual sweep (shared by both trace modes): the layout
-    search's restart loop on the search path, one pipeline per seed
-    otherwise."""
-    from repro.engine.trials import run_shard, search_shard
+def run_shards(
+    sweeps: Sequence[Sweep],
+    jobs: Sequence[Tuple[int, Sequence[int]]],
+    workers: int,
+) -> List[ShardOutput]:
+    """Run ``(sweep_index, seeds)`` jobs on one pool of ``workers``.
 
-    spec = sweep.spec
-    if spec.search:
-        return search_shard(
-            spec.circuit,
-            spec.coupling,
-            spec.config,
-            seeds,
-            spec.num_traversals,
-            sweep.distance,
-        )
-    return run_shard(
-        spec.circuit,
-        spec.coupling,
-        spec.config,
-        seeds,
-        spec.num_traversals,
-        sweep.distance,
-        spec.pipeline,
-    )
-
-
-def _mp_context():
-    """The sweep pool's start-method context (honours the service's
-    ``REPRO_MP_START_METHOD`` knob; platform default otherwise)."""
-    method = os.environ.get(MP_START_METHOD_ENV, "").strip().lower()
-    if method:
-        try:
-            return multiprocessing.get_context(method)
-        except ValueError:
-            pass
-    return multiprocessing.get_context()
-
-
-def build_sweep_spec(
-    circuit: QuantumCircuit,
-    coupling: CouplingGraph,
-    config: Optional[HeuristicConfig],
-    num_traversals: int,
-    pipeline: str,
-    distance: FlatDistance,
-    search: bool,
-    use_shared_memory: bool = True,
-) -> Tuple[SweepSpec, Optional[object]]:
-    """Build one sweep's ship-once spec; returns ``(spec, shm_or_None)``.
-
-    The caller owns the returned shared-memory block (close + unlink
-    after the pool is done); ``None`` means the distance travels as
-    bytes inside the spec instead.
-    """
-    raw = distance.buf.tobytes()
-    handle = None
-    shm = None
-    if use_shared_memory:
-        try:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(create=True, size=len(raw))
-            shm.buf[: len(raw)] = raw
-            handle = _DistanceHandle(
-                distance.n, distance.symmetric, shm_name=shm.name
-            )
-        except Exception:
-            shm = None
-    if handle is None:
-        handle = _DistanceHandle(distance.n, distance.symmetric, raw=raw)
-    spec = SweepSpec(
-        fingerprint=sweep_fingerprint(
-            circuit, coupling, config, num_traversals, pipeline, distance
-        ),
-        circuit=circuit,
-        coupling=coupling,
-        config=config,
-        num_traversals=num_traversals,
-        pipeline=pipeline,
-        search=search,
-        distance=handle,
-    )
-    return spec, shm
-
-
-def run_parallel_sweep(
-    circuit: QuantumCircuit,
-    coupling: CouplingGraph,
-    shards: Sequence[Sequence[int]],
-    config: Optional[HeuristicConfig] = None,
-    num_traversals: int = 3,
-    distance: Optional[FlatDistance] = None,
-    pipeline: str = "paper_default",
-    search: bool = True,
-) -> List[Union[ShardSearch, List[MappingResult]]]:
-    """Run pre-planned seed shards across a ship-once worker pool.
-
-    One worker per shard; each worker's initializer installs the sweep
-    spec (heavy payload crosses once), then every shard submission is
-    just ``(fingerprint, seeds)``.  Returns one output per shard, in
-    shard order: with ``search``, the shard's
-    :class:`~repro.core.bidirectional.ShardSearch` (``circuit`` must
-    then be in the router's basis); otherwise one
+    The initializer stores ``sweeps`` in every worker once; each job
+    then ships only its sweep index and seeds.  Returns one
+    ``(output, seconds)`` pair per job, in job order: with a search
+    sweep the output is the shard's
+    :class:`~repro.core.bidirectional.ShardSearch`, otherwise one
     :class:`MappingResult` per seed.
 
-    Raises whatever the pool raises (``BrokenProcessPool``, ``OSError``)
-    — the caller downgrades to the serial sweep.
+    Raises ``ValueError`` for an unknown start method, and whatever the
+    pool raises (``BrokenProcessPool``, ``OSError``) otherwise.
     """
-    if not shards or not any(shards):
-        raise ReproError(
-            "run_parallel_sweep needs at least one shard of seeds"
-        )
-    if distance is None:
-        from repro.engine.cache import get_flat_distance_matrix
-
-        distance = get_flat_distance_matrix(coupling)
-    elif not isinstance(distance, FlatDistance):
-        distance = FlatDistance.from_matrix(distance)
-    spec, shm = build_sweep_spec(
-        circuit, coupling, config, num_traversals, pipeline, distance,
-        search,
-    )
-    # Traced request?  Ship the trace context into every shard so the
+    # Traced request?  Ship the trace context into every job so the
     # shard's spans (and router-profile aggregates) parent under this
-    # sweep; untraced requests pass None and shards return bare lists.
+    # sweep; untraced requests pass None.
     from repro.telemetry.profile import active_router_profiler
     from repro.telemetry.trace import current_span_id, current_tracer
 
@@ -481,40 +307,28 @@ def run_parallel_sweep(
         trace_ctx = (
             tracer.trace_id, current_span_id(), profiler is not None
         )
-    try:
-        with ProcessPoolExecutor(
-            max_workers=len(shards),
-            mp_context=_mp_context(),
-            initializer=_init_sweep_worker,
-            initargs=(spec,),
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _run_sweep_shard, spec.fingerprint, tuple(shard),
-                    trace_ctx,
-                )
-                for shard in shards
-            ]
-            outputs = [future.result() for future in futures]
-        if trace_ctx is not None:
-            traced, outputs = outputs, []
-            for output, spans in traced:
-                outputs.append(output)
-                tracer.add_spans(spans)
-                if profiler is not None:
-                    # Fold the shards' router aggregates into the
-                    # parent's profiler so the top-level router.profile
-                    # span covers the whole sweep.
-                    for span_dict in spans:
-                        if span_dict.get("name") == "router.profile":
-                            profiler.merge_dict(
-                                span_dict.get("attrs") or {}
-                            )
-    finally:
-        if shm is not None:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(jobs)),
+        mp_context=resolve_mp_context(),
+        initializer=_init_worker,
+        initargs=(list(sweeps),),
+    ) as pool:
+        futures = [
+            pool.submit(_run_job, index, tuple(seeds), trace_ctx)
+            for index, seeds in jobs
+        ]
+        outputs = [future.result() for future in futures]
+    if trace_ctx is None:
+        return outputs
+    traced, outputs = outputs, []
+    for output, spans in traced:
+        outputs.append(output)
+        tracer.add_spans(spans)
+        if profiler is not None:
+            # Fold the shards' router aggregates into the parent's
+            # profiler so the top-level router.profile span covers the
+            # whole sweep.
+            for span_dict in spans:
+                if span_dict.get("name") == "router.profile":
+                    profiler.merge_dict(span_dict.get("attrs") or {})
     return outputs

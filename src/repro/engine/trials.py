@@ -15,17 +15,23 @@ Two kinds of sweep share one entry point, :func:`run_trials`:
   :func:`repro.engine.ensemble.ensemble_eligible`): the sweep is the
   restart loop of one :class:`~repro.core.bidirectional.SabreLayout`
   over the seed list.  ``serial`` runs that loop over every seed in
-  process; ``parallel`` runs it over contiguous seed shards in a
-  ship-once worker pool (:mod:`repro.engine.shared`), and each worker
-  sends back only a small :class:`~repro.core.bidirectional.ShardSearch`
-  record (best trace, its trial, per-seed records).  Both end in the
-  same merge in this process: every shard's best is offered to one
-  :class:`~repro.core.bidirectional.BestForward` in shard order
+  process; ``parallel`` runs it over contiguous seed shards on the
+  shard runner's worker pool (:func:`repro.engine.shared.run_shards`),
+  and each worker sends back only a small
+  :class:`~repro.core.bidirectional.ShardSearch` record (best trace,
+  its trial, per-seed records).  Both end in the same merge in this
+  process (:func:`_finish_search`): every shard's best is offered to
+  one :class:`~repro.core.bidirectional.BestForward` in shard order
   (lowest ``(num_swaps, depth)``, earliest on ties, which is what one
   search over all seeds keeps), the winner alone is replayed into a
   circuit, and the pipeline's remaining passes run on it.
 - **The per-seed path** (every other objective or pipeline): one
-  single-trial pipeline per seed, ranked by :func:`select_winner`.
+  single-trial pipeline per seed, in process or in seed shards on the
+  same pool, ranked by :func:`select_winner` (:func:`_rank_seeds`).
+
+:func:`repro.engine.batch.compile_many` plans, runs and finishes each
+of its circuits' sweeps with the same helpers (:func:`_plan_sweep`,
+:func:`_run_planned`, :func:`_finish_sweep`).
 
 Determinism contract: given the same circuit, device, seed list,
 objective, and configuration, :func:`run_trials` returns the same
@@ -52,13 +58,21 @@ from repro.circuits.decompositions import (
 from repro.core.bidirectional import SabreLayout, ShardSearch
 from repro.core.heuristic import HeuristicConfig
 from repro.core.result import MappingResult
+from repro.core.scoring import FlatDistance
 from repro.engine.cache import get_flat_distance_matrix
+from repro.engine.shared import (
+    ShardOutput,
+    Sweep,
+    choose_executor,
+    plan_shards,
+    run_shards,
+)
 from repro.exceptions import ReproError
 from repro.hardware.coupling import CouplingGraph
 
 #: Executor names accepted by :func:`run_trials` / ``compile_many``:
 #: ``"serial"`` sweeps in process, ``"parallel"`` shards the seed list
-#: across a ship-once worker pool (:mod:`repro.engine.shared`), and
+#: across a worker pool (:func:`repro.engine.shared.run_shards`), and
 #: ``"auto"`` picks between them from K and the worker count
 #: (:func:`repro.engine.shared.choose_executor`).  Both produce the
 #: same trials and winner; when ``parallel`` cannot run it downgrades
@@ -232,8 +246,8 @@ def _run_one_trial(
     pipeline: str = "paper_default",
 ) -> MappingResult:
     """One fully seeded trial: a single-trial pipeline execution
-    (module-level so pools can pickle its arguments — pipelines travel
-    as preset names, not objects).
+    (pipelines travel as preset names, not objects, so a
+    :class:`~repro.engine.shared.Sweep` pickles).
 
     ``num_trials=1`` with ``executor=None`` keeps this on the direct
     :class:`~repro.core.bidirectional.SabreLayout` path; the trial seed
@@ -254,107 +268,130 @@ def _run_one_trial(
     )
 
 
-def run_shard(
+#: A sweep as the parent holds it: the :class:`Sweep` its workers
+#: receive and, on a search sweep, the parent's layout search over
+#: every seed and that search's ``(forward, reverse)`` IRs.
+_PlannedSweep = Tuple[
+    Sweep, Optional[SabreLayout], Optional[Tuple[FlatDag, Optional[FlatDag]]]
+]
+
+
+def _plan_sweep(
     circuit: QuantumCircuit,
     coupling: CouplingGraph,
     config: Optional[HeuristicConfig],
     seeds: Sequence[int],
     num_traversals: int,
-    distance: Sequence[Sequence[float]],
+    distance: FlatDistance,
     pipeline: str,
-) -> List[MappingResult]:
-    """One contiguous run of a per-seed sweep's seeds, in this process:
-    one single-trial pipeline per seed."""
+    search: bool,
+) -> _PlannedSweep:
+    """One circuit's sweep, ready to run on a pool or in this process.
+
+    A search sweep's circuit is decomposed here, as the pipeline's
+    ``DecomposeToBasis`` would, because the search (and every shard of
+    it) routes the decomposed circuit.  Its IRs are lowered before any
+    pool starts: forked workers inherit them, and the replay needs the
+    forward one.
+    """
+    if search and needs_cx_decomposition(circuit):
+        circuit = decompose_to_cx_basis(circuit)
+    sweep = Sweep(
+        circuit, coupling, config, num_traversals, distance, pipeline, search
+    )
+    layout = irs = None
+    if search:
+        layout = sweep.layout(seeds)
+        irs = layout.lower(circuit)
+    return sweep, layout, irs
+
+
+def _run_planned(
+    planned: Sequence[_PlannedSweep],
+    seeds: Sequence[int],
+    shard_plan: Optional[List[List[int]]],
+    workers: int = 1,
+) -> List[List[ShardOutput]]:
+    """Each planned sweep's shard outputs, one list per sweep.
+
+    With a ``shard_plan``, every (sweep, shard) pair is one job on a
+    pool of ``workers`` (:func:`repro.engine.shared.run_shards`);
+    without one, each sweep runs whole in this process, a search sweep
+    on the parent's own layout search and IRs.
+    """
+    if shard_plan is None:
+        outputs = []
+        for sweep, layout, irs in planned:
+            started = time.perf_counter()
+            output = layout.search(*irs) if sweep.search else sweep.run(seeds)
+            outputs.append([(output, time.perf_counter() - started)])
+        return outputs
+    jobs = [
+        (index, shard)
+        for index in range(len(planned))
+        for shard in shard_plan
+    ]
+    flat = run_shards([sweep for sweep, _, _ in planned], jobs, workers)
+    count = len(shard_plan)
     return [
-        _run_one_trial(
-            circuit, coupling, config, seed, num_traversals, distance,
-            pipeline,
-        )
-        for seed in seeds
+        flat[index * count : (index + 1) * count]
+        for index in range(len(planned))
     ]
 
 
-def _search_layout(
-    circuit: QuantumCircuit,
-    coupling: CouplingGraph,
-    config: Optional[HeuristicConfig],
+def _finish_sweep(
+    planned: _PlannedSweep,
     seeds: Sequence[int],
-    num_traversals: int,
-    distance: Sequence[Sequence[float]],
-) -> Tuple[QuantumCircuit, SabreLayout]:
-    """A search-path sweep's basis circuit and its layout search.
+    shards: Sequence[ShardOutput],
+    objective: str,
+    search_seconds: float,
+) -> Tuple[List[TrialResult], int]:
+    """Per-seed trials and the winner index of one finished sweep.
 
-    The circuit is decomposed here, as the pipeline's
-    ``DecomposeToBasis`` would, because the search (and every shard of
-    it) routes the decomposed circuit.
+    ``shards`` are the sweep's shard outputs in seed order.  A search
+    sweep ends in :func:`_finish_search`; a per-seed sweep in
+    :func:`_rank_seeds`.
     """
-    working = (
-        decompose_to_cx_basis(circuit)
-        if needs_cx_decomposition(circuit)
-        else circuit
+    sweep, layout, irs = planned
+    outputs = [output for output, _ in shards]
+    if sweep.search:
+        return _finish_search(
+            sweep, layout, irs[0], outputs, search_seconds
+        )
+    return _rank_seeds(
+        seeds, [result for output in outputs for result in output], objective
     )
-    layout = SabreLayout(
-        coupling,
-        config=config,
-        num_traversals=num_traversals,
-        seeds=seeds,
-        distance=distance,
-    )
-    return working, layout
-
-
-def search_shard(
-    circuit: QuantumCircuit,
-    coupling: CouplingGraph,
-    config: Optional[HeuristicConfig],
-    seeds: Sequence[int],
-    num_traversals: int,
-    distance: Sequence[Sequence[float]],
-) -> ShardSearch:
-    """One seed shard of a search-path sweep: the layout search's
-    restart loop over ``seeds`` on ``circuit`` (already in the router's
-    basis), without the replay.  What a shard worker runs."""
-    layout = SabreLayout(
-        coupling,
-        config=config,
-        num_traversals=num_traversals,
-        seeds=seeds,
-        distance=distance,
-    )
-    return layout.search(*layout.lower(circuit))
 
 
 def _finish_search(
-    working: QuantumCircuit,
+    sweep: Sweep,
     layout: SabreLayout,
     forward_ir: FlatDag,
     shards: Sequence[ShardSearch],
-    coupling: CouplingGraph,
-    distance: Sequence[Sequence[float]],
-    pipeline: str,
     search_seconds: float,
 ) -> Tuple[List[TrialResult], int]:
     """Per-seed trials and the winner index of a search-path sweep.
 
     ``shards`` are ``layout``'s restart loops over consecutive seed
-    shards, in seed order, searched on ``working``'s IRs (``forward_ir``
-    the forward one).  They are merged and the winner replayed once
-    (:meth:`SabreLayout.merge`), then ``pipeline`` runs on
-    ``working`` with that search in place of its own, so the winner's
-    :class:`MappingResult` goes through the same post-passes and
-    metrics as a direct compile.  Its ``runtime_seconds`` adds
-    ``search_seconds``, the time the shards took, to the merge's own.
+    shards, in seed order, searched on the sweep circuit's IRs
+    (``forward_ir`` the forward one).  They are merged and the winner
+    replayed once (:meth:`SabreLayout.merge`), then the sweep's
+    pipeline runs on its circuit with that search in place of its own,
+    so the winner's :class:`MappingResult` goes through the same
+    post-passes and metrics as a direct compile.  Its
+    ``runtime_seconds`` adds ``search_seconds``, the time the shards
+    took, to the merge's own.
     """
     from repro.pipeline.runner import get_pipeline
 
     search = layout.merge(shards, forward_ir)
-    result = get_pipeline(pipeline).run(
-        working,
-        coupling,
+    result = get_pipeline(sweep.pipeline).run(
+        sweep.circuit,
+        sweep.coupling,
         config=layout.config,
         seeds=layout.seeds,
         num_traversals=layout.num_traversals,
-        distance=distance,
+        distance=sweep.distance,
         executor=None,
         layout_search=search,
     )
@@ -371,6 +408,26 @@ def _finish_search(
     ]
     trials[search.best_trial_index].result = result
     return trials, search.best_trial_index
+
+
+def _rank_seeds(
+    seeds: Sequence[int],
+    results: Sequence[MappingResult],
+    objective: str,
+) -> Tuple[List[TrialResult], int]:
+    """Per-seed trials and the winner index of a per-seed sweep, ranked
+    by :func:`select_winner`."""
+    trials = [
+        TrialResult(
+            seed=seed,
+            result=result,
+            value=objective_value(result, objective),
+            num_swaps=result.num_swaps,
+            first_pass_swaps=result.first_pass_swaps,
+        )
+        for seed, result in zip(seeds, results)
+    ]
+    return trials, select_winner(trials)
 
 
 #: Downgrade kinds already warned about this process (warn once each,
@@ -419,8 +476,8 @@ def run_trials(
             ``"property:<key>"`` to rank by a value the trial pipeline
             recorded in its PropertySet.
         executor: one of :data:`EXECUTORS` — ``"serial"``,
-            ``"parallel"`` (contiguous seed shards across a ship-once
-            worker pool), or ``"auto"`` (serial for one trial or one
+            ``"parallel"`` (contiguous seed shards across a worker
+            pool), or ``"auto"`` (serial for one trial or one
             worker, else parallel).  Both give the same trials and
             winner; the one that actually ran is recorded on the
             outcome.
@@ -463,10 +520,11 @@ def run_trials(
             f"{sorted(OBJECTIVES)} or '{PROPERTY_OBJECTIVE_PREFIX}<key>'"
         )
     if distance is None:
-        # Flattened form: the router consumes it as-is, and its single
-        # contiguous buffer pickles far smaller than a list-of-lists
-        # when shards fan out across a process pool.
         distance = get_flat_distance_matrix(coupling)
+    else:
+        # One flat buffer: what the router consumes, and what every
+        # worker of a parallel sweep receives.
+        distance = FlatDistance.from_matrix(distance)
 
     # Traced requests get one "engine.trials" span covering the whole
     # sweep (recorded once the effective executor is known); untraced
@@ -480,23 +538,13 @@ def run_trials(
         started_perf = time.perf_counter()
 
     from repro.engine.ensemble import ensemble_eligible
-    from repro.engine.shared import (
-        choose_executor,
-        plan_shards,
-        run_parallel_sweep,
-    )
 
-    search = objective == "g_add" and ensemble_eligible(
-        pipeline, config, distance
+    started = time.perf_counter()
+    planned = _plan_sweep(
+        circuit, coupling, config, seeds, num_traversals, distance,
+        pipeline,
+        objective == "g_add" and ensemble_eligible(pipeline, config, distance),
     )
-    if search:
-        started = time.perf_counter()
-        circuit, layout = _search_layout(
-            circuit, coupling, config, seeds, num_traversals, distance
-        )
-        # Lowered before any pool starts: forked workers inherit both
-        # IRs, and the replay needs the forward one here.
-        irs = layout.lower(circuit)
     requested = executor
     if executor == "auto":
         # A choice, not a downgrade: "auto" promises nothing beyond
@@ -504,7 +552,7 @@ def run_trials(
         executor = choose_executor(len(seeds), jobs=jobs).executor
     downgrade_reason: Optional[str] = None
     shard_plan: Optional[List[List[int]]] = None
-    shards: Optional[list] = None
+    shards: Optional[List[ShardOutput]] = None
     if executor == "parallel":
         if len(seeds) == 1:
             downgrade_reason = _note_downgrade(
@@ -518,16 +566,7 @@ def run_trials(
             )
             shard_plan = plan_shards(seeds, width)
             try:
-                shards = run_parallel_sweep(
-                    circuit,
-                    coupling,
-                    shard_plan,
-                    config=config,
-                    num_traversals=num_traversals,
-                    distance=distance,
-                    pipeline=pipeline,
-                    search=search,
-                )
+                [shards] = _run_planned([planned], seeds, shard_plan, width)
             except (BrokenProcessPool, OSError) as exc:
                 shard_plan = None
                 downgrade_reason = _note_downgrade(
@@ -536,33 +575,11 @@ def run_trials(
                 )
     if shards is None:
         executor = "serial"
-        shards = [
-            layout.search(*irs)
-            if search
-            else run_shard(
-                circuit, coupling, config, seeds, num_traversals,
-                distance, pipeline,
-            )
-        ]
-
-    if search:
-        trials, winner_index = _finish_search(
-            circuit, layout, irs[0], shards, coupling, distance, pipeline,
-            search_seconds=time.perf_counter() - started,
-        )
-    else:
-        results = [result for shard in shards for result in shard]
-        trials = [
-            TrialResult(
-                seed=seed,
-                result=result,
-                value=objective_value(result, objective),
-                num_swaps=result.num_swaps,
-                first_pass_swaps=result.first_pass_swaps,
-            )
-            for seed, result in zip(seeds, results)
-        ]
-        winner_index = select_winner(trials)
+        [shards] = _run_planned([planned], seeds, None)
+    trials, winner_index = _finish_sweep(
+        planned, seeds, shards, objective,
+        search_seconds=time.perf_counter() - started,
+    )
     if tracer is not None:
         tracer.add_raw(
             "engine.trials",

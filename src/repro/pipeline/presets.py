@@ -116,13 +116,6 @@ PRESETS: Dict[str, PresetSpec] = {
         {"num_trials": 1, "num_traversals": 1},
         "single-trial single-traversal (lowest latency)",
     ),
-    # The paper flow with the engine choosing serial or parallel per
-    # sweep from K and the core count.
-    "sweep_auto": (
-        _paper_passes,
-        {"executor": "auto"},
-        "best-of-K trials on the automatically chosen executor",
-    ),
     # Try to *prove* a zero-SWAP mapping first (subgraph embedding);
     # fall through to the full search when none exists.
     "best_effort": (

@@ -44,14 +44,9 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional
 
+from repro.engine.shared import resolve_mp_context
 from repro.exceptions import ReproError
 from repro.service import faults
-
-#: Environment knob selecting the multiprocessing start method for the
-#: worker tier (``fork`` / ``spawn`` / ``forkserver``).  CI runs the
-#: service test module under both ``fork`` and ``spawn`` through this.
-MP_START_METHOD_ENV = "REPRO_MP_START_METHOD"
-
 
 #: Seconds a freshly built lane waits for its worker process to prove
 #: it survived fork/spawn bootstrap before recycling it.  Normal
@@ -111,19 +106,6 @@ class QueueFullError(ReproError):
     def __init__(self, message: str, retry_after: float = 1.0) -> None:
         self.retry_after = retry_after
         super().__init__(message)
-
-
-def resolve_mp_context(
-    start_method: Optional[str] = None,
-) -> multiprocessing.context.BaseContext:
-    """The multiprocessing context the worker tier should use.
-
-    Explicit argument first, then :data:`MP_START_METHOD_ENV`, then the
-    platform default (``fork`` on Linux).  Unknown names raise the
-    stdlib's ``ValueError`` listing the valid methods.
-    """
-    method = start_method or os.environ.get(MP_START_METHOD_ENV) or None
-    return multiprocessing.get_context(method)
 
 
 def apply_worker_fault(token: Optional[str], hard: bool) -> None:

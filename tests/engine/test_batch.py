@@ -5,7 +5,7 @@ import pytest
 from repro.bench_circuits import suite
 from repro.circuits import random_circuit
 from repro.core import compile_circuit
-from repro.engine import GLOBAL_CACHE, compile_many
+from repro.engine import GLOBAL_CACHE, compile_many, run_trials
 from repro.exceptions import ReproError
 from repro.hardware import grid_device
 
@@ -65,6 +65,52 @@ class TestCompileMany:
         assert row.num_swaps == direct.num_swaps == 9
         assert row.result.routing.circuit == direct.routing.circuit
         assert row.routed_depth == direct.routed_depth
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_per_seed_batch_matches_run_trials(self, grid3x3, jobs):
+        """A non-g_add batch runs one pipeline per seed, in process or
+        in (circuit, seed-shard) jobs on the pool, and ranks each
+        circuit exactly as run_trials does."""
+        circuits = [
+            random_circuit(7, 25, seed=s, two_qubit_fraction=0.6)
+            for s in range(3)
+        ]
+        report = compile_many(
+            circuits, grid3x3, num_trials=3, seed=0, jobs=jobs,
+            objective="depth",
+        )
+        for circuit, row in zip(circuits, report.reports):
+            alone = run_trials(circuit, grid3x3, [0, 1, 2], objective="depth")
+            assert row.winning_seed == alone.winner.seed
+            assert row.trial_swaps == alone.trial_swaps
+            assert row.objective_value == alone.winner.value
+            assert (
+                row.result.routing.circuit
+                == alone.best_result.routing.circuit
+            )
+
+    @pytest.mark.parametrize(
+        "executor, jobs, ran",
+        [
+            ("auto", 1, "serial"),
+            ("parallel", 1, "serial"),
+            ("serial", 2, "serial"),
+            ("auto", 2, "parallel"),
+            ("parallel", 2, "parallel"),
+        ],
+    )
+    def test_report_records_executor_that_ran(
+        self, grid3x3, executor, jobs, ran
+    ):
+        circuits = [
+            random_circuit(6, 15, seed=s, two_qubit_fraction=0.5)
+            for s in range(2)
+        ]
+        report = compile_many(
+            circuits, grid3x3, num_trials=2, jobs=jobs, executor=executor
+        )
+        assert report.executor == ran
+        assert f"executor={ran} " in report.summary_lines()[0]
 
     def test_keep_results_flag(self, grid3x3):
         circuits = [random_circuit(5, 10, seed=0, two_qubit_fraction=0.5)]

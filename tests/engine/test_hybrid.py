@@ -1,6 +1,6 @@
 """Tests for the parallel executor's machinery (repro.engine.shared):
-shard planning, the automatic executor chooser, the ship-once
-shared-state layer, and executor downgrade reporting."""
+shard planning, the automatic executor chooser, the shard runner, the
+start-method resolver, and executor downgrade reporting."""
 
 import os
 import warnings
@@ -9,22 +9,18 @@ import pytest
 
 from repro.circuits import random_circuit
 from repro.core.bidirectional import SabreLayout, ShardSearch, TrialRecord
-from repro.core.heuristic import HeuristicConfig
 from repro.core.layout import Layout
 from repro.core.router import SabreRouter, SearchTrace
-from repro.engine import GLOBAL_CACHE, run_trials
+from repro.engine import run_trials
 from repro.engine.cache import get_flat_distance_matrix
 from repro.engine.shared import (
+    MP_START_METHOD_ENV,
     ExecutorDecision,
-    SweepSpec,
-    _install_sweep,
-    _run_sweep_shard,
-    _WORKER_SWEEPS,
-    build_sweep_spec,
+    Sweep,
+    _init_worker,
+    _run_job,
     choose_executor,
     plan_shards,
-    run_parallel_sweep,
-    sweep_fingerprint,
 )
 from repro.engine.trials import _DOWNGRADES_WARNED
 from repro.exceptions import ReproError
@@ -134,28 +130,30 @@ class TestShipOnce:
     def test_submission_payload_is_fingerprint_and_seeds_only(
         self, device, workload, monkeypatch
     ):
-        """After the initializer ships the spec, a shard submission
-        carries no circuit/coupling/distance payload — the worker entry
-        point takes exactly (fingerprint, seeds) — and returns only the
-        shard's search record: a trace plus per-seed trial records, no
-        circuit, no result, and no replay on the worker side."""
+        """After the initializer stores the pool's sweeps, a shard
+        submission carries no circuit/coupling/distance payload — the
+        worker entry point takes exactly (sweep_index, seeds) — and
+        returns only the shard's search record and its seconds: a trace
+        plus per-seed trial records, no circuit, no result, and no
+        replay on the worker side."""
         def no_replay(*args, **kwargs):
             raise AssertionError("a shard worker replayed a trace")
 
         distance = get_flat_distance_matrix(device)
-        spec, shm = build_sweep_spec(
-            workload, device, None, 3, "paper_default", distance, True
+        other = Sweep(
+            workload, device, None, 3, distance, "paper_default", False
+        )
+        sweep = Sweep(
+            workload, device, None, 3, distance, "paper_default", True
         )
         try:
-            _install_sweep(spec)  # simulate the pool initializer
+            _init_worker([other, sweep])  # simulate the pool initializer
             with monkeypatch.context() as patch:
                 patch.setattr(SabreRouter, "_replay", no_replay)
-                record = _run_sweep_shard(spec.fingerprint, (0, 1))
+                record, seconds = _run_job(1, (0, 1))
         finally:
-            _WORKER_SWEEPS.pop(spec.fingerprint, None)
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+            _init_worker([])
+        assert seconds >= 0.0
         assert isinstance(record, ShardSearch)
         assert isinstance(record.best, SearchTrace)
         assert _payload_types(record) <= {
@@ -169,92 +167,6 @@ class TestShipOnce:
         forward_ir, _ = layout.lower(workload)
         merged = layout.merge([record], forward_ir)
         assert merged.routing.circuit == serial.best_result.routing.circuit
-
-    def test_unknown_fingerprint_rejected(self):
-        with pytest.raises(ReproError, match="no sweep"):
-            _run_sweep_shard("deadbeef" * 8, (0,))
-
-    def test_install_is_idempotent(self, device, workload):
-        distance = get_flat_distance_matrix(device)
-        spec, shm = build_sweep_spec(
-            workload, device, None, 3, "paper_default", distance, True,
-            use_shared_memory=False,
-        )
-        assert shm is None  # bytes fallback requested
-        try:
-            _install_sweep(spec)
-            first = _WORKER_SWEEPS[spec.fingerprint]
-            _install_sweep(spec)
-            assert _WORKER_SWEEPS[spec.fingerprint] is first
-        finally:
-            _WORKER_SWEEPS.pop(spec.fingerprint, None)
-
-    def test_bytes_fallback_matches_shared_memory(self, device, workload):
-        """Hosts without usable shared memory ship the distance as
-        bytes; the sweep's results must not depend on the transport."""
-        shards = [[0, 1], [2]]
-        distance = get_flat_distance_matrix(device)
-        via_shm = run_parallel_sweep(
-            workload, device, shards, distance=distance
-        )
-        spec, shm = build_sweep_spec(
-            workload, device, None, 3, "paper_default", distance, True,
-            use_shared_memory=False,
-        )
-        try:
-            _install_sweep(spec)
-            via_bytes = [
-                _run_sweep_shard(spec.fingerprint, tuple(shard))
-                for shard in shards
-            ]
-        finally:
-            _WORKER_SWEEPS.pop(spec.fingerprint, None)
-        assert len(via_shm) == len(via_bytes) == len(shards)
-        for a, b in zip(via_shm, via_bytes):
-            assert a.best == b.best
-            assert a.best_trial_index == b.best_trial_index
-            assert a.trials == b.trials
-
-    def test_fingerprint_distinguishes_knobs(self, device, workload):
-        distance = get_flat_distance_matrix(device)
-        base = sweep_fingerprint(
-            workload, device, None, 3, "paper_default", distance
-        )
-        assert base != sweep_fingerprint(
-            workload, device, None, 1, "paper_default", distance
-        )
-        assert base != sweep_fingerprint(
-            workload, device, HeuristicConfig(mode="basic"), 3,
-            "paper_default", distance,
-        )
-        assert base == sweep_fingerprint(
-            workload, device, None, 3, "paper_default", distance
-        )
-
-    def test_worker_cache_preseeded(self, device, workload):
-        """The initializer seeds the worker's engine cache with the
-        shipped distance, so in-worker resolution hits, never
-        recomputes."""
-        distance = get_flat_distance_matrix(device)
-        fresh_device = grid_device(3, 3)
-        spec, shm = build_sweep_spec(
-            workload, fresh_device, None, 3, "paper_default", distance,
-            True, use_shared_memory=False,
-        )
-        try:
-            _install_sweep(spec)
-            # Same structural fingerprint -> the seeded entry answers.
-            before = GLOBAL_CACHE.stats()["misses"]
-            resolved = get_flat_distance_matrix(fresh_device)
-            assert GLOBAL_CACHE.stats()["misses"] == before
-            assert resolved.buf == distance.buf
-        finally:
-            _WORKER_SWEEPS.pop(spec.fingerprint, None)
-
-    def test_seed_flat_distance_first_store_wins(self, device):
-        flat = get_flat_distance_matrix(device)
-        # Already cached by the fetch above -> seeding is a no-op.
-        assert GLOBAL_CACHE.seed_flat_distance(device, flat) is False
 
 
 class TestParallelExecutor:
@@ -361,12 +273,12 @@ class TestParallelExecutor:
     ):
         from concurrent.futures.process import BrokenProcessPool
 
-        import repro.engine.shared as shared
+        import repro.engine.trials as trials
 
         def broken(*args, **kwargs):
             raise BrokenProcessPool("worker died")
 
-        monkeypatch.setattr(shared, "run_parallel_sweep", broken)
+        monkeypatch.setattr(trials, "run_shards", broken)
         _DOWNGRADES_WARNED.clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -382,6 +294,17 @@ class TestParallelExecutor:
         )
         serial = run_trials(workload, device, [0, 1])
         assert outcome.trial_swaps == serial.trial_swaps
+
+    def test_unknown_start_method_raises(
+        self, device, workload, monkeypatch
+    ):
+        """An unknown start method is a configuration error, not a
+        reason to run on the platform default or to downgrade."""
+        monkeypatch.setenv(MP_START_METHOD_ENV, "bogus")
+        with pytest.raises(ValueError):
+            run_trials(
+                workload, device, [0, 1], executor="parallel", jobs=2
+            )
 
     def test_jobs_validation(self, device, workload):
         with pytest.raises(ValueError, match="jobs"):
