@@ -4,7 +4,11 @@ Three benchmark families, one report (``BENCH_router.json``):
 
 - **Scorer cases** — one routing traversal (``SabreRouter.run``) per
   case under the production ``vector`` scorer against the
-  paper-literal ``reference`` scorer.
+  paper-literal ``reference`` scorer.  One more, untimed traversal
+  per case runs under the router profiler and reports
+  ``bounded_share``: the share of scored candidates whose look-ahead
+  sum the vector scorer's lower bound skipped (informational, never
+  gated).
 - **Layout cases** — a full ``SabreLayout`` trial sweep (bidirectional
   traversals x random restarts, the way users actually compile) under
   the compile-once shared-IR path vs the frozen pre-IR baseline
@@ -83,6 +87,7 @@ from repro.engine import run_trials
 from repro.engine.cache import clear_cache
 from repro.engine.trials import _run_one_trial
 from repro.hardware import CouplingGraph, grid_device, ibm_q20_tokyo
+from repro.telemetry.profile import profiled_routing
 
 #: Allowed relative drop in a case's speedup before the gate fails.
 REGRESSION_TOLERANCE = 0.25
@@ -313,6 +318,10 @@ def run_case(case: Case) -> dict:
         device, circuit, "vector", layout, case.repeats
     )
     assert ref is not None and vector is not None
+    with profiled_routing() as prof:
+        SabreRouter(
+            device, config=HeuristicConfig(scorer="vector"), seed=ROUTER_SEED
+        ).run(circuit, initial_layout=layout)
     identical = (
         vector.circuit == ref.circuit
         and vector.swap_positions == ref.swap_positions
@@ -328,6 +337,9 @@ def run_case(case: Case) -> dict:
         "vector_seconds": round(vector_seconds, 6),
         "vector_speedup": round(ref_seconds / vector_seconds, 3),
         "num_swaps": vector.num_swaps,
+        "bounded_share": round(
+            prof.bounded_total / max(prof.candidates_total, 1), 3
+        ),
         "identical": identical,
     }
 
@@ -478,6 +490,7 @@ def run_suite(
             f"  {row['name']:26s} ref={row['reference_seconds'] * 1000:9.1f}ms"
             f"  vector={row['vector_seconds'] * 1000:8.1f}ms"
             f"  speedup=x{row['vector_speedup']:<5.2f}"
+            f"  bounded={row['bounded_share']:.2f}"
             f"  identical={row['identical']}"
         )
     print("layout sweeps: shared-IR vs legacy per-run-DAG")

@@ -23,7 +23,9 @@ Candidate scoring has two interchangeable implementations, selected by
   replays only the winning forward traversal.  The search loop scores
   every front with a scalar delta loop
   (:meth:`~repro.core.scoring.VectorBlock.score_scalar`) that adjusts
-  only the Eq. 2 terms of the two moved qubits.  It redoes no per-front
+  only the Eq. 2 terms of the two moved qubits, and skips the
+  look-ahead sum of any candidate whose exact lower bound already
+  loses to the best score so far.  It redoes no per-front
   work that does not depend on the layout: the look-ahead set ``E`` is
   a function of the front alone, so the frontier serves it from a
   front-keyed memo that lives for one layout search
@@ -714,7 +716,9 @@ class SabreRouter:
                 t0 = time.perf_counter()
                 best = score_scalar(l2p, p2l, decay, uses_decay)
                 profiler.add_scalar(time.perf_counter() - t0)
-                profiler.record_step(scorer.scalar_candidates, len(best))
+                profiler.record_step(
+                    scorer.scalar_candidates, len(best), scorer.scalar_bounded
+                )
             if on_winner_set is not None:
                 on_winner_set(best)
             qa, qb = best[0] if len(best) == 1 else rng.choice(best)

@@ -29,13 +29,27 @@ matrix entries.  Sums therefore agree with the reference scorer up to
 float-addition ordering, which the differential suite
 (``tests/core/test_differential.py``) pins down to identical winner sets
 and identical routed circuits.
+
+The look-ahead sum is also *bounded*.  One SWAP moves each look-ahead
+term by at most the device's ``spread`` (:func:`device_spread`), so
+before walking a candidate's look-ahead partners the scorer computes
+its exact front term plus ``W * (sum_E - spread * k) / |E|`` (``k``
+partners) plus its exact penalty term.  That is a lower bound on its
+score: the decay factor is at least 1 (``decay_delta >= 0``) and
+multiplies a non-negative sum (a matrix with a negative entry gets an
+infinite spread, which disables the bound).  A candidate whose bound
+exceeds the best score so far by more than ``2 * SCORE_EPSILON`` would
+neither reset nor join the winner list, so skipping it leaves the
+list, its order, and hence the RNG draws unchanged; the second epsilon
+absorbs float rounding.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from operator import sub
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -154,6 +168,32 @@ class FlatDistance:
         return f"FlatDistance(n={self.n}, symmetric={self.symmetric})"
 
 
+def device_spread(
+    flat: FlatDistance, edges: Iterable[Tuple[int, int]]
+) -> float:
+    """The largest ``|D[a][x] - D[b][x]|`` over device edges ``(a, b)``
+    and physical qubits ``x``.
+
+    A SWAP on edge ``(a, b)`` moves a look-ahead gate's qubit from ``a``
+    to ``b`` while its partner stays at ``x``, so each look-ahead term
+    changes by at most this much.  It is 1.0 on every unit-hop matrix
+    and is read off the actual matrix, so weighted (noise-aware)
+    matrices stay exact.  A matrix with a negative entry gets ``inf``,
+    which disables the bound.  The row differences run in C through
+    ``map`` rather than numpy, whose first reductions in a process add
+    a few hundred KB of resident memory to every pool worker.
+    """
+    buf = flat.buf
+    n = flat.n
+    if min(buf, default=0.0) < 0.0:
+        return float("inf")
+    rows = [buf[q * n : (q + 1) * n] for q in range(n)]
+    return max(
+        (max(map(abs, map(sub, rows[a], rows[b]))) for a, b in edges),
+        default=0.0,
+    )
+
+
 class VectorDevice:
     """Device-constant candidate tables for the ``vector`` scorer.
 
@@ -165,9 +205,11 @@ class VectorDevice:
         neighbors: the adjacency lists the device was built from.
         cand_memo: candidate lists for :meth:`VectorBlock.score_scalar`,
             keyed by the front's home tuple (see :meth:`front_candidates`).
+        spread: the most one SWAP can move one look-ahead term (see
+            :func:`device_spread`); bounds a candidate's look-ahead sum.
     """
 
-    __slots__ = ("n", "neighbors", "cand_memo", "_edge_cands")
+    __slots__ = ("n", "neighbors", "cand_memo", "spread", "_edge_cands")
 
     def __init__(
         self, flat: FlatDistance, neighbors: Sequence[Sequence[int]]
@@ -186,6 +228,7 @@ class VectorDevice:
                 for nb in nbs
             )
         }
+        self.spread = device_spread(flat, self._edge_cands)
 
     def front_candidates(
         self, homes: Tuple[int, ...]
@@ -254,6 +297,9 @@ class VectorBlock:
         self._touched: List[int] = []
         #: Candidate count of the last :meth:`score_scalar` call.
         self.scalar_candidates = 0
+        #: Candidates of that call whose look-ahead loops the lower
+        #: bound skipped.
+        self.scalar_bounded = 0
 
     def set_front(
         self,
@@ -315,6 +361,14 @@ class VectorBlock:
         per-logical-qubit decay table (read only when ``uses_decay``).
         The size of the candidate list is left in
         :attr:`scalar_candidates` for the router profiler.
+
+        A candidate with look-ahead partners first gets a lower bound
+        from its exact front and penalty terms and the device's
+        ``spread`` (see the module docstring); when that bound is more
+        than ``2 * SCORE_EPSILON`` above the best score so far, the
+        candidate cannot join the winner list and its partner loops are
+        skipped.  How many were skipped is left in
+        :attr:`scalar_bounded`.
         """
         buf = self.buf
         n = self.device.n
@@ -341,7 +395,12 @@ class VectorBlock:
         basic = self._basic
         penalty = self._penalty
         ext_const = weight * (sum_e + 0.0) / len_e if len_e else 0.0
+        # Per look-ahead partner, the most a SWAP can lower the E sum's
+        # weighted mean (inf disables the bound; see device_spread).
+        slack = weight * self.device.spread / len_e if len_e else 0.0
         best_score = float("inf")
+        cutoff = best_score
+        bounded = 0
         best: List[Tuple[int, int]] = []
         for pa, pb, row_a, row_b in cand:
             qa = p2l[pa]
@@ -355,6 +414,8 @@ class VectorBlock:
             if other >= 0 and other != qa:
                 po = l2p[other]
                 delta += buf[row_a + po] - buf[row_b + po]
+            if penalty:
+                cost = penalty * (buf[row_a + pb] - 1.0)
             if basic:
                 score = sum_f + delta
             else:
@@ -363,6 +424,16 @@ class VectorBlock:
                     pe_a = pe[qa]
                     pe_b = pe[qb]
                     if pe_a or pe_b:
+                        # Lower bound (module docstring): every partner
+                        # term drops by at most ``spread``.
+                        low = score + ext_const - slack * (
+                            len(pe_a) + len(pe_b)
+                        )
+                        if penalty:
+                            low += cost
+                        if low > cutoff:
+                            bounded += 1
+                            continue
                         delta = 0.0
                         for other in pe_a:
                             if other != qb:
@@ -380,10 +451,12 @@ class VectorBlock:
                 db = decay[qb]
                 score *= da if da >= db else db
             if penalty:
-                score += penalty * (buf[row_a + pb] - 1.0)
+                score += cost
             if score < best_score - SCORE_EPSILON:
                 best_score = score
+                cutoff = score + 2.0 * SCORE_EPSILON
                 best = [(qa, qb)]
             elif score <= best_score + SCORE_EPSILON:
                 best.append((qa, qb))
+        self.scalar_bounded = bounded
         return best

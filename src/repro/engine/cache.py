@@ -88,25 +88,63 @@ def coupling_fingerprint(
     )
 
 
+class _GatesKey:
+    """A gate tuple that hashes once.
+
+    Tuples do not cache their hash, so a tuple-keyed IR lookup rehashed
+    every gate on each dict probe (two gets and an insert per miss, a
+    get and a ``move_to_end`` per hit).  This wrapper hashes the gates
+    at construction and compares by content, so equal gate sequences
+    from distinct circuits still share one cache entry.
+    """
+
+    __slots__ = ("gates", "_hash")
+
+    def __init__(self, gates: Tuple[object, ...]) -> None:
+        self.gates = gates
+        self._hash = hash(gates)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes, so a pickled key
+        # (it travels inside a pickled circuit's memo) rehashes on load.
+        return (_GatesKey, (self.gates,))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _GatesKey):
+            return NotImplemented
+        return self._hash == other._hash and self.gates == other.gates
+
+
 def circuit_fingerprint(circuit: QuantumCircuit) -> Fingerprint:
     """Content identity of a circuit for IR cache keying.
 
     Keyed on the gate sequence itself (gates are immutable, hashable
     value objects), not object identity — a circuit rebuilt per request
     or mutated after a previous fetch fingerprints to the state it is
-    in *now*, so stale IRs are unreachable by construction.  Hashing is
-    ``O(g)``, roughly two orders of magnitude cheaper than re-lowering.
+    in *now*, so stale IRs are unreachable by construction.  The gate
+    sequence is wrapped in a :class:`_GatesKey` memoised on the
+    circuit's mutation counter, so each circuit state hashes its gates
+    once however many lookups it makes.
 
     The name is part of the key: the IR carries it into routed-output
     naming (``<name>_routed``), so two gate-identical circuits with
     different names must not share an IR or the second would inherit
     the first's name downstream.
     """
+    memo = circuit.__dict__.get("_gates_key")
+    if memo is None or memo[0] != circuit._mutations:
+        memo = (circuit._mutations, _GatesKey(circuit.gates))
+        circuit.__dict__["_gates_key"] = memo
     return (
         circuit.name,
         circuit.num_qubits,
         circuit.num_clbits,
-        circuit.gates,
+        memo[1],
     )
 
 

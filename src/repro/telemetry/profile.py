@@ -12,7 +12,10 @@ run:
   flat and seed-sensitivity is high, cf. Steinberg et al. §IV);
 - **scorer time** — seconds inside the vector scorer's delta loop
   (``score_scalar``: ``scalar_seconds``/``scalar_calls``), separating
-  "thinking" from bookkeeping.
+  "thinking" from bookkeeping;
+- **bounded candidates** — how many scored candidates the vector
+  scorer's look-ahead lower bound rejected without walking their
+  look-ahead partners (``bounded_total``, at most ``candidates_total``).
 
 Activation mirrors the tracer: thread-local, via
 :func:`profiled_routing`.  The router checks
@@ -39,7 +42,7 @@ class RouterProfiler:
 
     __slots__ = (
         "steps", "candidates_total", "candidates_max", "tie_total",
-        "tie_max", "scalar_seconds", "scalar_calls",
+        "tie_max", "scalar_seconds", "scalar_calls", "bounded_total",
     )
 
     def __init__(self) -> None:
@@ -50,14 +53,19 @@ class RouterProfiler:
         self.tie_max = 0
         self.scalar_seconds = 0.0
         self.scalar_calls = 0
+        self.bounded_total = 0
 
     # -- hot hooks (router inner loop) --------------------------------
 
-    def record_step(self, candidates: int, tie_size: int) -> None:
+    def record_step(
+        self, candidates: int, tie_size: int, bounded: int = 0
+    ) -> None:
         """One routing search step.  ``candidates`` < 0 means the call
         site could not count them cheaply (recorded as a step, skipped
-        in candidate stats); ``tie_size`` < 1 likewise."""
+        in candidate stats); ``tie_size`` < 1 likewise.  ``bounded`` is
+        how many of the candidates the look-ahead bound skipped."""
         self.steps += 1
+        self.bounded_total += bounded
         if candidates >= 0:
             self.candidates_total += candidates
             if candidates > self.candidates_max:
@@ -87,6 +95,7 @@ class RouterProfiler:
         self.tie_max = max(self.tie_max, other.tie_max)
         self.scalar_seconds += other.scalar_seconds
         self.scalar_calls += other.scalar_calls
+        self.bounded_total += other.bounded_total
 
     def merge_dict(self, payload: Dict[str, object]) -> None:
         """Merge a :meth:`to_dict` payload (cross-process batches)."""
@@ -98,6 +107,7 @@ class RouterProfiler:
         other.tie_max = int(payload.get("tie_max", 0))
         other.scalar_seconds = float(payload.get("scalar_seconds", 0.0))
         other.scalar_calls = int(payload.get("scalar_calls", 0))
+        other.bounded_total = int(payload.get("bounded_total", 0))
         self.merge(other)
 
     def to_dict(self) -> Dict[str, object]:
@@ -110,6 +120,7 @@ class RouterProfiler:
             "tie_max": self.tie_max,
             "scalar_seconds": round(self.scalar_seconds, 6),
             "scalar_calls": self.scalar_calls,
+            "bounded_total": self.bounded_total,
         }
         if self.steps:
             payload["candidates_mean"] = round(

@@ -8,11 +8,18 @@ import pytest
 
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.circuits.flatdag import FlatDag, FrontierState
+from repro.circuits.gates import Gate
 from repro.core import FlatDistance, HeuristicConfig, Layout, SabreRouter
 from repro.core.heuristic import score_layout
-from repro.core.scoring import SCORE_EPSILON, VectorBlock, VectorDevice
+from repro.core.scoring import (
+    SCORE_EPSILON,
+    VectorBlock,
+    VectorDevice,
+    device_spread,
+)
 from repro.exceptions import MappingError
 from repro.hardware import distance_matrix, grid_device, line_device
+from repro.hardware.distance import weighted_floyd_warshall
 
 
 class TestFlatDistance:
@@ -67,11 +74,14 @@ def _front_of(circuit):
     return frontier
 
 
-def _front_block(device, frontier, config):
+def _front_block(device, frontier, config, dist=None):
     """A VectorBlock holding ``frontier``'s front layer (the scalar
-    delta loop's state); also returns the front and extended gates for
-    the reference scorer."""
-    flat = FlatDistance.from_matrix(distance_matrix(device))
+    delta loop's state) over ``dist`` (the hop-count matrix by
+    default); also returns the front and extended gates for the
+    reference scorer."""
+    if dist is None:
+        dist = distance_matrix(device)
+    flat = FlatDistance.from_matrix(dist)
     neighbors = [device.neighbors(q) for q in range(device.num_qubits)]
     block = VectorBlock(VectorDevice(flat, neighbors), config, flat.buf.tolist())
     dag = frontier.dag
@@ -85,6 +95,39 @@ def _front_block(device, frontier, config):
         [dag.pairs[i] for i in front], [dag.pairs[i] for i in ext]
     )
     return block, [dag.gates[i] for i in front], [dag.gates[i] for i in ext]
+
+
+def _reference_winners(
+    edges, layout, front_gates, extended, dist, config, decay
+):
+    """The winner set of the paper-literal full recomputation over the
+    candidate ``edges``, in order."""
+    want = []
+    best = float("inf")
+    for pa, pb in edges:
+        qa, qb = layout.logical(pa), layout.logical(pb)
+        layout.swap_logical(qa, qb)
+        score = score_layout(front_gates, extended, layout.l2p, dist, config)
+        layout.swap_logical(qa, qb)
+        if config.uses_decay:
+            score *= max(decay[qa], decay[qb])
+        if config.swap_cost_penalty:
+            score += config.swap_cost_penalty * (dist[pa][pb] - 1.0)
+        if score < best - SCORE_EPSILON:
+            best, want = score, [(qa, qb)]
+        elif score <= best + SCORE_EPSILON:
+            want.append((qa, qb))
+    return want
+
+
+def _weighted_distance(device, seed):
+    """A noise-aware style matrix: every edge weighs 1.0-2.5."""
+    rng = random.Random(seed)
+    weights = {
+        (min(a, b), max(a, b)): 1.0 + 1.5 * rng.random()
+        for a, b in device.edges
+    }
+    return weighted_floyd_warshall(device, weights)
 
 
 def _front_homes(frontier, layout):
@@ -104,38 +147,51 @@ class TestDeltaScoring:
     @pytest.mark.parametrize("mode", ["basic", "lookahead", "decay"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_reference_score(self, mode, seed):
+        """Also covers the look-ahead lower bound: on weighted matrices
+        its per-device spread is not 1, the penalty term joins it, and
+        the random circuits start from multi-gate fronts."""
+        for weighted, penalty in (
+            (False, 0.0), (True, 0.0), (False, 0.5), (True, 0.5)
+        ):
+            self._check_against_reference(mode, seed, weighted, penalty)
+
+    @staticmethod
+    def _check_against_reference(mode, seed, weighted, penalty):
         device = grid_device(4, 4)
         circuit = random_circuit(16, 60, seed=seed, two_qubit_fraction=0.8)
         layout = Layout.random(16, seed=seed + 100)
-        config = HeuristicConfig(mode=mode)
+        config = HeuristicConfig(mode=mode, swap_cost_penalty=penalty)
+        dist = (
+            _weighted_distance(device, seed)
+            if weighted
+            else distance_matrix(device)
+        )
         frontier = _front_of(circuit)
-        block, front_gates, extended = _front_block(device, frontier, config)
+        block, front_gates, extended = _front_block(
+            device, frontier, config, dist
+        )
+        assert len(front_gates) > 1
+        assert (block.device.spread != 1.0) == weighted
         router = SabreRouter(device, config=config)
-        dist = distance_matrix(device)
         rng = random.Random(seed)
+        bounded = 0
         for _ in range(40):
             decay = [1.0 + rng.randrange(4) * 1e-3 for _ in range(16)]
             got = block.score_scalar(
                 layout.l2p, layout.p2l, decay, config.uses_decay
             )
-            want = []
-            best = float("inf")
-            for pa, pb in router._swap_candidates(frontier, layout):
-                qa, qb = layout.logical(pa), layout.logical(pb)
-                layout.swap_logical(qa, qb)
-                score = score_layout(
-                    front_gates, extended, layout.l2p, dist, config
-                )
-                layout.swap_logical(qa, qb)
-                if config.uses_decay:
-                    score *= max(decay[qa], decay[qb])
-                if score < best - SCORE_EPSILON:
-                    best, want = score, [(qa, qb)]
-                elif score <= best + SCORE_EPSILON:
-                    want.append((qa, qb))
+            bounded += block.scalar_bounded
+            assert block.scalar_bounded < block.scalar_candidates
+            want = _reference_winners(
+                router._swap_candidates(frontier, layout), layout,
+                front_gates, extended, dist, config, decay,
+            )
             assert got == want
             qa, qb = rng.choice(want)
             layout.swap_logical(qa, qb)
+        # The bound must actually skip candidates here, or this test
+        # would not cover it.
+        assert (bounded > 0) == config.uses_lookahead
 
     def test_front_partner_is_scalar(self):
         device = line_device(5)
@@ -148,6 +204,94 @@ class TestDeltaScoring:
         assert partner[4] == 0
         assert partner[1] == 2
         assert partner[3] == -1
+
+
+class TestLookaheadBound:
+    """The lower bound that lets ``score_scalar`` skip a candidate's
+    look-ahead loops must never change the winner set."""
+
+    @pytest.mark.parametrize("mode", ["lookahead", "decay"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("penalty", [0.0, 0.5])
+    def test_random_sets_match_reference(self, mode, weighted, penalty):
+        """Arbitrary fronts and look-ahead sets, installed directly,
+        reach the bound's worst case (every partner term dropping by
+        the full spread) far more often than circuit fronts do."""
+        config = HeuristicConfig(mode=mode, swap_cost_penalty=penalty)
+        bounded = 0
+        for trial in range(150):
+            rng = random.Random(trial)
+            device = line_device(6) if trial % 2 else grid_device(2, 3)
+            n = device.num_qubits
+            dist = (
+                _weighted_distance(device, trial)
+                if weighted
+                else distance_matrix(device)
+            )
+            flat = FlatDistance.from_matrix(dist)
+            neighbors = [device.neighbors(q) for q in range(n)]
+            block = VectorBlock(
+                VectorDevice(flat, neighbors), config, flat.buf.tolist()
+            )
+            qubits = rng.sample(range(n), 4)
+            fpairs = [tuple(qubits[:2])]
+            if rng.random() < 0.5:
+                fpairs.append(tuple(qubits[2:]))
+            epairs = [
+                tuple(rng.sample(range(n), 2))
+                for _ in range(rng.randint(1, 6))
+            ]
+            block.set_front(fpairs, epairs)
+            layout = Layout.random(n, seed=trial)
+            decay = [1.0 + rng.randrange(4) * 1e-3 for _ in range(n)]
+            got = block.score_scalar(
+                layout.l2p, layout.p2l, decay, config.uses_decay
+            )
+            bounded += block.scalar_bounded
+            homes = {layout.physical(q) for pair in fpairs for q in pair}
+            edges = sorted(
+                {(min(p, nb), max(p, nb)) for p in homes for nb in neighbors[p]}
+            )
+            want = _reference_winners(
+                edges, layout, [Gate("cx", pair) for pair in fpairs],
+                [Gate("cx", pair) for pair in epairs], dist, config, decay,
+            )
+            assert got == want, trial
+        assert bounded > 0
+
+    def test_negative_entry_disables_bound(self):
+        device = grid_device(3, 3)
+        dist = [list(row) for row in distance_matrix(device)]
+        dist[0][8] = dist[8][0] = -1.0
+        circuit = random_circuit(9, 40, seed=4, two_qubit_fraction=0.9)
+        layout = Layout.random(9, seed=7)
+        config = HeuristicConfig(mode="lookahead")
+        frontier = _front_of(circuit)
+        block, front_gates, extended = _front_block(
+            device, frontier, config, dist
+        )
+        assert block.device.spread == float("inf")
+        router = SabreRouter(device, config=config)
+        decay = [1.0] * 9
+        for _ in range(20):
+            got = block.score_scalar(layout.l2p, layout.p2l, decay, False)
+            assert block.scalar_bounded == 0
+            assert got == _reference_winners(
+                router._swap_candidates(frontier, layout), layout,
+                front_gates, extended, dist, config, decay,
+            )
+            layout.swap_logical(*got[0])
+
+    def test_spread_reads_the_matrix(self):
+        device = line_device(4)
+        edges = [(0, 1), (1, 2), (2, 3)]
+        flat = FlatDistance.from_matrix(distance_matrix(device))
+        assert device_spread(flat, edges) == 1.0
+        weights = {(0, 1): 1.0, (1, 2): 3.0, (2, 3): 1.5}
+        weighted = FlatDistance.from_matrix(
+            weighted_floyd_warshall(device, weights)
+        )
+        assert device_spread(weighted, edges) == 3.0
 
 
 class TestIncrementalCandidates:

@@ -194,6 +194,86 @@ class TestFingerprint:
         assert coupling_fingerprint(device, w1) == coupling_fingerprint(device, w2)
 
 
+class TestCircuitFingerprint:
+    def test_one_gate_hash_per_circuit_state(self, monkeypatch):
+        """The IR key hashes each gate once per circuit state, not once
+        per dict probe, and a repeat lookup hashes none."""
+        from repro.circuits import random_circuit
+        from repro.circuits.gates import Gate
+
+        circuit = random_circuit(4, 30, seed=2)
+        calls = []
+        original = Gate.__hash__
+
+        def counting_hash(gate):
+            calls.append(1)
+            return original(gate)
+
+        monkeypatch.setattr(Gate, "__hash__", counting_hash)
+        cache = DeviceCache()
+        first = cache.flat_dag(circuit)
+        assert len(calls) == circuit.num_gates
+        assert cache.flat_dag(circuit) is first
+        cache.flat_dag(circuit, "reverse")
+        assert len(calls) == circuit.num_gates
+        assert cache.cache_info().hits == 1
+
+    def test_content_keyed_across_instances(self):
+        from repro.circuits import random_circuit
+
+        cache = DeviceCache()
+        first = cache.flat_dag(random_circuit(4, 30, seed=2))
+        assert cache.flat_dag(random_circuit(4, 30, seed=2)) is first
+        renamed = random_circuit(4, 30, seed=2)
+        renamed.name = "other"
+        assert cache.flat_dag(renamed) is not first
+
+    def test_pickled_circuit_rehashes_its_key(self):
+        """A circuit shipped to a worker carries its memoised key, and
+        string hashes differ between processes: the key must hash as
+        the receiving process would."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        write = (
+            "import pickle, sys\n"
+            "from repro.circuits import random_circuit\n"
+            "from repro.engine.cache import circuit_fingerprint\n"
+            "c = random_circuit(4, 30, seed=2)\n"
+            "circuit_fingerprint(c)\n"
+            "sys.stdout.write(pickle.dumps(c).hex())\n"
+        )
+        read = (
+            "import pickle, sys\n"
+            "c = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            "key = c.__dict__['_gates_key'][1]\n"
+            "assert hash(key) == hash(c.gates), 'stale hash'\n"
+        )
+
+        def run(code, seed, stdin=None):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            return subprocess.run(
+                [sys.executable, "-c", code], input=stdin, env=env,
+                capture_output=True, text=True, timeout=60, check=True,
+            ).stdout
+
+        run(read, "2", run(write, "1"))
+
+    def test_mutated_circuit_misses(self):
+        from repro.circuits import random_circuit
+
+        cache = DeviceCache()
+        circuit = random_circuit(4, 30, seed=2)
+        first = cache.flat_dag(circuit)
+        circuit.cx(0, 1)
+        second = cache.flat_dag(circuit)
+        assert second is not first
+        assert second.num_nodes == first.num_nodes + 1
+        assert cache.cache_info().misses == 2
+
+
 class TestDeviceObjects:
     def test_named_device_shared(self):
         cache = DeviceCache()

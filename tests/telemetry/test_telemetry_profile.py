@@ -28,6 +28,13 @@ class TestRecordStep:
         assert prof.candidates_max == 0
         assert prof.tie_total == 3
 
+    def test_bounded_candidates_sum(self):
+        prof = RouterProfiler()
+        prof.record_step(8, 1, 5)
+        prof.record_step(4, 2)
+        assert prof.bounded_total == 5
+        assert prof.to_dict()["bounded_total"] == 5
+
     def test_zero_tie_skips_tie_stats(self):
         prof = RouterProfiler()
         prof.record_step(5, 0)
@@ -57,10 +64,10 @@ class TestRecordStep:
 class TestMerge:
     def test_merge_sums_and_maxes(self):
         a = RouterProfiler()
-        a.record_step(4, 2)
+        a.record_step(4, 2, 1)
         a.add_scalar(0.1)
         b = RouterProfiler()
-        b.record_step(9, 5)
+        b.record_step(9, 5, 3)
         b.add_scalar(0.2)
         a.merge(b)
         assert a.steps == 2
@@ -68,11 +75,12 @@ class TestMerge:
         assert a.candidates_max == 9
         assert a.tie_max == 5
         assert a.scalar_calls == 2
+        assert a.bounded_total == 4
         assert abs(a.scalar_seconds - 0.3) < 1e-12
 
     def test_merge_dict_round_trips(self):
         source = RouterProfiler()
-        source.record_step(6, 3)
+        source.record_step(6, 3, 2)
         source.add_scalar(0.125)
         target = RouterProfiler()
         target.merge_dict(source.to_dict())
@@ -135,3 +143,21 @@ class TestRouterIntegration:
         assert payload["scalar_calls"] == payload["steps"]
         assert "kernel_calls" not in payload
         assert prof.scoring_seconds == prof.scalar_seconds > 0.0
+
+    def test_table2_row_reports_bounded_candidates(self):
+        """The look-ahead bound skips some, never all, of a Table II
+        row's candidates: a bound that silently stopped firing (or
+        skipped everything) shows here."""
+        from repro import compile_circuit
+        from repro.bench_circuits import build_benchmark
+        from repro.hardware import ibm_q20_tokyo
+
+        with profiled_routing() as prof:
+            compile_circuit(
+                build_benchmark("qft_10"),
+                ibm_q20_tokyo(),
+                pipeline="paper_default",
+                seed=0,
+            )
+        assert 0 < prof.bounded_total < prof.candidates_total
+        assert prof.to_dict()["bounded_total"] == prof.bounded_total
