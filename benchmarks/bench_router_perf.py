@@ -1,14 +1,16 @@
-"""Router perf benchmark: per-step scorer AND end-to-end layout sweeps.
+"""Router perf benchmark: one traversal AND end-to-end layout sweeps.
 
 Three benchmark families, one report (``BENCH_router.json``):
 
-- **Scorer cases** — one routing traversal (``SabreRouter.run``) per
-  case under the production ``vector`` scorer against the
-  paper-literal ``reference`` scorer.  One more, untimed traversal
-  per case runs under the router profiler and reports
-  ``bounded_share``: the share of scored candidates whose look-ahead
-  sum the vector scorer's lower bound skipped (informational, never
-  gated).
+- **Scorer cases** — one routing traversal per case: the production
+  router (``SabreRouter.run``, the ``vector`` column) against the
+  paper-literal legacy oracle
+  (:class:`repro.core.legacy.LegacyDagRouter`, the ``reference``
+  column), which rescores every candidate in full over a fresh object
+  DAG.  One more, untimed traversal per case runs under the router
+  profiler and reports ``bounded_share``: the share of scored
+  candidates whose look-ahead sum the delta scorer's lower bound
+  skipped (informational, never gated).
 - **Layout cases** — a full ``SabreLayout`` trial sweep (bidirectional
   traversals x random restarts, the way users actually compile) under
   the compile-once shared-IR path vs the frozen pre-IR baseline
@@ -79,6 +81,7 @@ from repro.circuits.decompositions import decompose_to_cx_basis
 from repro.core import (
     HeuristicConfig,
     Layout,
+    LegacyDagRouter,
     LegacySabreLayout,
     SabreLayout,
     SabreRouter,
@@ -103,6 +106,9 @@ LAYOUT_SEED = 9
 
 #: Router tie-break seed.
 ROUTER_SEED = 0
+
+#: The scorer cases' two columns: production router and legacy oracle.
+ROUTERS = {"vector": SabreRouter, "reference": LegacyDagRouter}
 
 
 @dataclass(frozen=True)
@@ -292,11 +298,9 @@ def _time_router(
     layout: Layout,
     repeats: int,
 ):
-    """Best-of-``repeats`` wall-clock for one traversal; returns
-    ``(seconds, result)``."""
-    router = SabreRouter(
-        device, config=HeuristicConfig(scorer=scorer), seed=ROUTER_SEED
-    )
+    """Best-of-``repeats`` wall-clock for one traversal of the
+    ``scorer`` column's router; returns ``(seconds, result)``."""
+    router = ROUTERS[scorer](device, seed=ROUTER_SEED)
     best = math.inf
     result = None
     for _ in range(repeats):
@@ -307,7 +311,7 @@ def _time_router(
 
 
 def run_case(case: Case) -> dict:
-    """Measure one case under both scorers and check identity."""
+    """Measure one case on both routers and check identity."""
     device = case.device_builder()
     circuit = case.circuit_builder()
     layout = Layout.random(device.num_qubits, seed=LAYOUT_SEED)
@@ -319,9 +323,9 @@ def run_case(case: Case) -> dict:
     )
     assert ref is not None and vector is not None
     with profiled_routing() as prof:
-        SabreRouter(
-            device, config=HeuristicConfig(scorer="vector"), seed=ROUTER_SEED
-        ).run(circuit, initial_layout=layout)
+        SabreRouter(device, seed=ROUTER_SEED).run(
+            circuit, initial_layout=layout
+        )
     identical = (
         vector.circuit == ref.circuit
         and vector.swap_positions == ref.swap_positions
@@ -353,7 +357,7 @@ def run_trials_case(case: TrialsCase) -> dict:
     device = case.device_builder()
     circuit = case.circuit_builder()
     seeds = list(range(101, 101 + case.num_trials))
-    config = HeuristicConfig(scorer="vector")
+    config = HeuristicConfig()
 
     def warm():
         clear_cache()
@@ -504,7 +508,7 @@ def run_suite(
             f"  speedup=x{row['speedup']:<5.2f}"
             f"  identical={row['identical']}"
         )
-    print("trials sweeps: serial executor vs per-seed pipelines (vector)")
+    print("trials sweeps: serial executor vs per-seed pipelines")
     trials_results = []
     for trials_case in trials_cases:
         row = run_trials_case(trials_case)
@@ -556,7 +560,7 @@ def run_suite(
 def check_regression(report: dict, baseline_path: str) -> List[str]:
     """Compare per-case speedups against a checked-in baseline.
 
-    Covers all three families: scorer cases (vector vs reference),
+    Covers all three families: scorer cases (router vs legacy oracle),
     layout cases (shared-IR vs legacy) and the gated trials cases
     (serial executor vs per-seed pipelines).  Returns a list of
     failure messages (empty = pass).  Ratios are machine-relative, so
@@ -568,7 +572,7 @@ def check_regression(report: dict, baseline_path: str) -> List[str]:
     failures = []
     compared = 0
     for kind, diverged in (
-        ("cases", "scorers diverged"),
+        ("cases", "router and legacy oracle diverged"),
         ("layout_cases", "shared-IR and legacy layout sweeps diverged"),
         ("trials_cases", "serial executor and per-seed pipelines diverged"),
     ):
@@ -611,13 +615,11 @@ def check_regression(report: dict, baseline_path: str) -> List[str]:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scorer", ["vector", "reference"])
+@pytest.mark.parametrize("scorer", list(ROUTERS))
 def test_router_scorers_qft20(benchmark, tokyo, scorer):
     circuit = qft(20)
     layout = Layout.random(tokyo.num_qubits, seed=LAYOUT_SEED)
-    router = SabreRouter(
-        tokyo, config=HeuristicConfig(scorer=scorer), seed=ROUTER_SEED
-    )
+    router = ROUTERS[scorer](tokyo, seed=ROUTER_SEED)
     result = benchmark.pedantic(
         router.run,
         args=(circuit,),
@@ -642,14 +644,12 @@ def test_layout_sweep_qft16(benchmark, tokyo, path):
     benchmark.extra_info.update({"path": path, "swaps": result.num_swaps})
 
 
-@pytest.mark.parametrize("scorer", ["vector", "reference"])
+@pytest.mark.parametrize("scorer", list(ROUTERS))
 def test_router_scorers_deep_grid(benchmark, scorer):
     device = grid_device(10, 10)
     circuit = random_circuit(100, 5000, seed=6, two_qubit_fraction=0.8)
     layout = Layout.random(device.num_qubits, seed=LAYOUT_SEED)
-    router = SabreRouter(
-        device, config=HeuristicConfig(scorer=scorer), seed=ROUTER_SEED
-    )
+    router = ROUTERS[scorer](device, seed=ROUTER_SEED)
     result = benchmark.pedantic(
         router.run,
         args=(circuit,),
@@ -682,7 +682,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="BASELINE",
         default=None,
         help="compare speedups against a baseline BENCH_router.json; exit "
-        f"non-zero on a >{REGRESSION_TOLERANCE:.0%} drop or a scorer mismatch",
+        f"non-zero on a >{REGRESSION_TOLERANCE:.0%} drop or a routing mismatch",
     )
     args = parser.parse_args(argv)
 
@@ -690,7 +690,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     layout_cases = SMOKE_LAYOUT_CASES if args.smoke else FULL_LAYOUT_CASES
     trials_cases = SMOKE_TRIALS_CASES if args.smoke else FULL_TRIALS_CASES
     label = "smoke" if args.smoke else "full"
-    print(f"router perf ({label}): vector scorer vs reference scorer")
+    print(f"router perf ({label}): router vs legacy oracle")
     report = run_suite(cases, layout_cases, trials_cases, smoke=args.smoke)
     summary = report["summary"]
     print(

@@ -98,7 +98,12 @@ def figure6_swap_candidates() -> None:
     frontier = FrontierState(FlatDag.from_circuit(circ))
     frontier.drain_nonrouting()
     layout = Layout.trivial(9)
-    candidates = router._swap_candidates(frontier, layout)
+    homes = tuple(
+        layout.physical(q)
+        for i in frontier.front_list()
+        for q in frontier.dag.pairs[i]
+    )
+    candidates = [c[:2] for c in router._vdev.front_candidates(homes)]
     print(f"device has {device.num_edges} edges; "
           f"only {len(candidates)} are SWAP candidates:")
     print(" ", candidates)

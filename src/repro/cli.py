@@ -27,10 +27,10 @@ named preset, ``--noise-aware`` / ``--bridge`` /
 ``--legalize-directions`` compose extension passes onto it,
 ``--trials`` sets the best-of-K seed pool, ``--jobs`` shards the seeds
 across that many worker processes (``--executor parallel``; ``serial``
-keeps them in process, same result either way), ``--scorer`` selects
-the scoring implementation, ``--objective`` picks the winner metric,
-and ``--verbose`` prints the executor-decision report and the per-pass
-timing breakdown recorded in the result's property set.
+keeps them in process, same result either way), ``--objective`` picks
+the winner metric, and ``--verbose`` prints the executor-decision
+report and the per-pass timing breakdown recorded in the result's
+property set.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
         decay_delta=args.delta,
         extended_set_size=args.extended_set,
         extended_set_weight=args.weight,
-        scorer=args.scorer,
     )
     # Extension flags compose passes onto the chosen preset; a bare
     # --pipeline <preset> runs the preset verbatim.
@@ -481,14 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     map_p.add_argument("--traversals", type=int, default=None)
     map_p.add_argument(
         "--heuristic", default="decay", choices=("basic", "lookahead", "decay")
-    )
-    map_p.add_argument(
-        "--scorer",
-        default="vector",
-        choices=("vector", "reference"),
-        help="candidate-SWAP scoring implementation: the production "
-        "vector scorer (default) or the paper-literal reference scorer, "
-        "the differential oracle; both route identically",
     )
     map_p.add_argument(
         "--executor",

@@ -15,10 +15,13 @@ circuit is the mirror image of the original's.  SABRE exploits this:
 
 The paper uses 3 traversals (forward-backward-forward) and keeps the
 best of 5 random restarts (§V "Algorithm Configuration"), so one
-traversal in fifteen is kept.  With the vector scorer, a layout
-search therefore routes every traversal without building its circuit (the router's search mode,
+traversal in fifteen is kept.  A layout search therefore routes every
+traversal without building its circuit (the router's search mode,
 :meth:`~repro.core.router.SabreRouter.search`) and builds only the
-winner's, by replaying its recorded SWAPs (:class:`BestForward`).
+winner's, by replaying its recorded SWAPs (:class:`BestForward`).  The
+paper-literal oracle for a whole search is
+:class:`~repro.core.legacy.LegacySabreLayout`, which emits every
+traversal.
 
 The restart loop (:meth:`SabreLayout.search`) and the replay
 (:meth:`SabreLayout.merge`) are separate steps joined by a small
@@ -88,12 +91,10 @@ class ShardSearch:
     """What one restart loop over a seed list leaves behind.
 
     The output of :meth:`SabreLayout.search` and the input of
-    :meth:`SabreLayout.merge`.  With the vector scorer it holds no
-    circuit: ``best`` is the loop's best forward
-    :class:`~repro.core.router.SearchTrace` (a ``reference``-scorer
-    loop keeps its emitted :class:`~repro.core.router.RoutingResult`),
-    so the record pickles small when a worker process runs the loop
-    over one shard of a sweep's seeds.
+    :meth:`SabreLayout.merge`.  It holds no circuit: ``best`` is the
+    loop's best forward :class:`~repro.core.router.SearchTrace`, so the
+    record pickles small when a worker process runs the loop over one
+    shard of a sweep's seeds.
 
     Attributes:
         best: the best forward traversal, first of equal
@@ -103,7 +104,7 @@ class ShardSearch:
         trials: one :class:`TrialRecord` per seed, in seed order.
     """
 
-    best: Union[SearchTrace, RoutingResult]
+    best: SearchTrace
     best_trial_index: int
     trials: List[TrialRecord]
 
@@ -179,10 +180,10 @@ class SabreLayout:
         reverse IRs, through the engine cache.
 
         Each is lowered at most once per circuit content and process,
-        so a repeat compilation of the same circuit pays nothing.  With
-        the vector scorer both IRs' folded tables are built too, so a
-        caller that lowers before forking a worker pool hands the
-        workers everything a search reads.
+        so a repeat compilation of the same circuit pays nothing.  Both
+        IRs' folded tables are built too, so a caller that lowers
+        before forking a worker pool hands the workers everything a
+        search reads.
         """
         from repro.engine.cache import get_flat_dag
 
@@ -190,10 +191,9 @@ class SabreLayout:
         reverse_ir = None
         if self.num_traversals > 1:
             reverse_ir = get_flat_dag(circuit, direction="reverse")
-        if self.router.scorer == "vector":
-            forward_ir.folded()
-            if reverse_ir is not None:
-                reverse_ir.folded()
+        forward_ir.folded()
+        if reverse_ir is not None:
+            reverse_ir.folded()
         return forward_ir, reverse_ir
 
     def search(
@@ -210,7 +210,7 @@ class SabreLayout:
         resets, so the restarts, which revisit the same fronts, walk
         each front's extended set once per search.
 
-        With the vector scorer every traversal runs in search mode
+        Every traversal runs in search mode
         (:meth:`SabreRouter.search`): no routed circuit is built and no
         depth recomputed during the sweep, because
         :class:`~repro.core.router.SearchTrace` carries the selection
@@ -223,13 +223,11 @@ class SabreLayout:
         traversal records one ``layout.traversal`` span with attrs
         ``trial``, ``dir``, ``swaps`` and ``depth``.
         """
-        router = self.router
-        searching = router.scorer == "vector"
-        route = router.search if searching else router.run
-        forward_frontier = FrontierState(forward_ir, folded=searching)
+        route = self.router.search
+        forward_frontier = FrontierState(forward_ir, folded=True)
         reverse_frontier = None
         if reverse_ir is not None:
-            reverse_frontier = FrontierState(reverse_ir, folded=searching)
+            reverse_frontier = FrontierState(reverse_ir, folded=True)
         best = BestForward()
         trials: List[TrialRecord] = []
         for trial, trial_seed in enumerate(self.seeds):
@@ -286,11 +284,11 @@ class SabreLayout:
         in seed order.  The first shard's best starts one
         :class:`BestForward` and the others' bests are offered to it in
         order, which keeps the earliest of equal keys, so the merge
-        keeps exactly what one search over the whole list keeps.  A
+        keeps exactly what one search over the whole list keeps.  The
         winning trace is replayed over ``forward_ir`` (the IR it was
         searched on) with this search's router, byte-identical to the
-        ``reference`` scorer's emitting traversal, which is the
-        differential oracle.
+        emitting traversal of the legacy oracle
+        (:class:`~repro.core.legacy.LegacySabreLayout`).
         """
         first = shards[0]
         best = BestForward(first.best, first.best_trial_index)
@@ -306,30 +304,24 @@ class BestForward:
 
     :meth:`SabreLayout.search` keeps one instance across all its
     trials, and :meth:`SabreLayout.merge` one across its shards' bests.
-    Candidates are offered in search order and ranked by
-    ``(num_swaps, depth)``; the first of equal keys wins.  A candidate
-    is either an emitted :class:`~repro.core.router.RoutingResult` (the
-    ``reference`` scorer) or a :class:`~repro.core.router.SearchTrace`;
-    :meth:`result` replays a winning trace into the byte-identical
-    circuit, so exactly one circuit is ever built for a search-mode
-    sweep.  Depth is read only once a second candidate arrives, so a
+    Candidates are :class:`~repro.core.router.SearchTrace` s, offered
+    in search order and ranked by ``(num_swaps, depth)``; the first of
+    equal keys wins.  :meth:`result` replays the winning trace into
+    its circuit, so exactly one circuit is ever built for a sweep.
+    Depth is read only once a second candidate arrives, so a
     search with one forward traversal in total never computes it.
     """
 
     __slots__ = ("best", "key", "trial")
 
     def __init__(
-        self,
-        best: Optional[Union[RoutingResult, SearchTrace]] = None,
-        trial: int = 0,
+        self, best: Optional[SearchTrace] = None, trial: int = 0
     ) -> None:
         self.best = best
         self.key: Optional[Tuple[int, int]] = None
         self.trial = trial
 
-    def offer(
-        self, candidate: Union[RoutingResult, SearchTrace], trial: int = 0
-    ) -> None:
+    def offer(self, candidate: SearchTrace, trial: int = 0) -> None:
         """Keep ``candidate`` if it beats the best so far."""
         if self.best is None:
             self.best = candidate
@@ -349,23 +341,21 @@ class BestForward:
         forward_ir: FlatDag,
         trials: List[TrialRecord],
     ) -> BidirectionalResult:
-        """The winner as a search result, replayed if it is a trace.
-        The replay emits every single-qubit gate in its drain order, so
-        it runs on a fresh unfolded frontier over ``forward_ir``."""
-        routing = self.best
-        if routing is None:
+        """The winner as a search result, its trace replayed.  The
+        replay emits every single-qubit gate in its drain order, so it
+        runs on a fresh unfolded frontier over ``forward_ir``."""
+        trace = self.best
+        if trace is None:
             raise MappingError("no forward traversal was offered")
-        if isinstance(routing, SearchTrace):
-            trace = routing
-            routing = router._replay(
-                forward_ir,
-                trace.initial_layout.copy(),
-                FrontierState(forward_ir),
-                trace,
-            )
-            # The trace already carries the replayed circuit's depth,
-            # so ranking this winner against another never recomputes it.
-            routing._depth = trace.depth
+        routing = router._replay(
+            forward_ir,
+            trace.initial_layout.copy(),
+            FrontierState(forward_ir),
+            trace,
+        )
+        # The trace already carries the replayed circuit's depth, so
+        # ranking this winner against another never recomputes it.
+        routing._depth = trace.depth
         return BidirectionalResult(
             routing=routing,
             initial_layout=routing.initial_layout,

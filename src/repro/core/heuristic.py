@@ -12,12 +12,11 @@ Three stacked designs, selectable via :class:`HeuristicConfig.mode`:
   steers search toward non-overlapping (parallel) SWAPs and exposes the
   gate-count/depth trade-off of Fig. 8.
 
-Every candidate SWAP is scored with that one cost function, computed by
-one of two implementations (:attr:`HeuristicConfig.scorer`): the
-production ``"vector"`` scorer of :mod:`repro.core.scoring`, or the
-paper-literal :func:`score_layout` (``"reference"``), kept as the
-differential oracle and as the fallback for asymmetric distance
-matrices.
+Every candidate SWAP is scored with that one cost function.  The
+router computes it in :mod:`repro.core.scoring`; the paper-literal
+:func:`score_layout` here is what the legacy oracle
+(:mod:`repro.core.legacy`) scores with, and the differential suites
+pin the two to identical winner sets.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ from repro.exceptions import MappingError
 
 #: Valid heuristic modes, weakest to strongest.
 MODES = ("basic", "lookahead", "decay")
-
-#: Scorer implementations, production first (:attr:`HeuristicConfig.scorer`).
-SCORERS = ("vector", "reference")
 
 
 @dataclass(frozen=True)
@@ -58,13 +54,6 @@ class HeuristicConfig:
             the term vanishes; with a noise-weighted matrix it makes
             the router pay for executing 3 CNOTs on a noisy coupler
             (see :mod:`repro.extensions.noise_aware`).
-        scorer: candidate-SWAP scoring implementation.  The default
-            ``"vector"`` scores every front with a scalar ``O(deg)``
-            delta loop over the flat distance buffer
-            (:mod:`repro.core.scoring`); ``"reference"`` recomputes the
-            full Eq. 2 sum per candidate exactly as written in the
-            paper.  Both produce identical
-            routed circuits (the differential suite enforces it).
     """
 
     mode: str = "decay"
@@ -73,7 +62,6 @@ class HeuristicConfig:
     decay_delta: float = 0.001
     decay_reset_interval: int = 5
     swap_cost_penalty: float = 0.0
-    scorer: str = "vector"
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -96,10 +84,6 @@ class HeuristicConfig:
             raise MappingError("decay_reset_interval must be >= 1")
         if self.swap_cost_penalty < 0.0:
             raise MappingError("swap_cost_penalty must be >= 0")
-        if self.scorer not in SCORERS:
-            raise MappingError(
-                f"unknown scorer {self.scorer!r}; choose from {SCORERS}"
-            )
 
     @property
     def uses_lookahead(self) -> bool:

@@ -8,26 +8,32 @@ set, per-iteration front re-sort), and emitted output through
 validated ``Gate.remapped`` copies.  This module preserves that loop
 **verbatim** for two jobs:
 
-- **Differential oracle** — the shared-IR/reset path must route
-  byte-identical circuits to per-run-DAG construction for every
-  heuristic mode and scorer; ``tests/core/test_flatdag_differential.py``
-  pins the two paths against each other.  It is the only routing
-  oracle that shares no :class:`~repro.circuits.flatdag.FlatDag` or
-  :class:`~repro.circuits.flatdag.FrontierState` code with production.
-- **Perf baseline** — ``benchmarks/bench_router_perf.py`` times
-  end-to-end :class:`LegacySabreLayout` trial sweeps against the
-  shared-IR :class:`~repro.core.bidirectional.SabreLayout` so the
-  speedup the IR buys is measured where users feel it.
+- **Differential oracle** — the production router must route
+  byte-identical circuits to this loop for every heuristic mode,
+  distance matrix (symmetric or not), penalty and escape-hatch
+  setting; the differential suites (``tests/core/test_differential.py``,
+  ``tests/core/test_flatdag_differential.py``,
+  ``tests/property/test_scoring_properties.py``) pin the two against
+  each other.  It is the only routing oracle that shares no
+  :class:`~repro.circuits.flatdag.FlatDag`,
+  :class:`~repro.circuits.flatdag.FrontierState` or
+  :mod:`repro.core.scoring` code with production.
+- **Perf baseline** — ``benchmarks/bench_router_perf.py`` times one
+  :class:`LegacyDagRouter` traversal against one production traversal,
+  and end-to-end :class:`LegacySabreLayout` trial sweeps against the
+  shared-IR :class:`~repro.core.bidirectional.SabreLayout`, so the
+  speedup is measured where users feel it.
 
-Whatever :attr:`HeuristicConfig.scorer` says, candidates are scored
-with the paper-literal reference formula
-(:func:`~repro.core.heuristic.score_layout`).  Like the ``reference``
-scorer, this code is deliberately *not* kept fast — it is kept
-*faithful*.  The one behavioural deviation from the
-pre-IR code: the livelock escape's closest-gate selection iterates the
-front in ascending node order (the old code iterated a set, whose
-order on distance ties was an accident of hashing), so both paths
-break escape ties identically.
+Candidates are scored with the paper-literal formula
+(:func:`~repro.core.heuristic.score_layout`): each candidate SWAP is
+applied to the layout, the full Eq. 2 sum recomputed, and the SWAP
+undone.  This code is deliberately *not* kept fast — it is kept
+*faithful*.  Two deviations from the pre-IR code: the livelock
+escape's closest-gate selection iterates the front in ascending node
+order (the old code iterated a set, whose order on distance ties was
+an accident of hashing), so both paths break escape ties identically;
+and :class:`LegacySabreLayout` walks the layout's seed list, so it
+searches any seed list the production search takes.
 """
 
 from __future__ import annotations
@@ -46,16 +52,17 @@ from repro.core.bidirectional import (
 )
 from repro.core.heuristic import DecayTracker, score_layout
 from repro.core.layout import Layout
-from repro.core.router import _SCORE_EPSILON, RoutingResult, SabreRouter
+from repro.core.router import RoutingResult, SabreRouter
+from repro.core.scoring import SCORE_EPSILON
 from repro.exceptions import MappingError
 
 
 class LegacyDagRouter(SabreRouter):
     """The pre-IR :class:`SabreRouter`: lower-per-run, object frontier.
 
-    Scoring (the reference formula, decay, tie-breaking) matches the
-    production router's reference path, so any output difference
-    between the two isolates the IR/frontier rework.
+    Scores with the paper-literal formula; decay, tie-breaking and the
+    escape hatch follow the production router's rules, so any output
+    difference between the two is a fault in one of them.
     """
 
     def run(
@@ -103,7 +110,7 @@ class LegacyDagRouter(SabreRouter):
         num_escapes = 0
         stall = 0
 
-        self._dag_emit_ready(dag_frontier, layout, out)
+        self._dag_flush_nonrouting(dag_frontier, layout, out)
         front_gates: List[Gate] = []
         extended: List[Gate] = []
         front_dirty = True
@@ -132,7 +139,7 @@ class LegacyDagRouter(SabreRouter):
                     else []
                 )
                 front_dirty = False
-            self._dag_insert_best_swap(
+            self._dag_pick_swap(
                 dag_frontier, layout, out, swap_positions, decay, rng,
                 front_gates, extended,
             )
@@ -151,7 +158,7 @@ class LegacyDagRouter(SabreRouter):
     # Pre-IR main-loop pieces (object-DAG walkers)
     # ------------------------------------------------------------------
 
-    def _dag_emit_ready(
+    def _dag_flush_nonrouting(
         self, frontier: DagFrontier, layout: Layout, out: QuantumCircuit
     ) -> None:
         l2p = layout.l2p
@@ -175,10 +182,10 @@ class LegacyDagRouter(SabreRouter):
         for index in sorted(ready):
             frontier.execute_front_gate(index)
             out.append(frontier.dag.nodes[index].gate.remapped(l2p))
-        self._dag_emit_ready(frontier, layout, out)
+        self._dag_flush_nonrouting(frontier, layout, out)
         return True
 
-    def _dag_swap_candidates(
+    def _dag_candidates(
         self, frontier: DagFrontier, layout: Layout
     ) -> List[Tuple[int, int]]:
         l2p = layout.l2p
@@ -190,7 +197,7 @@ class LegacyDagRouter(SabreRouter):
                     candidates.add((p, nb) if p < nb else (nb, p))
         return sorted(candidates)
 
-    def _dag_insert_best_swap(
+    def _dag_pick_swap(
         self,
         frontier: DagFrontier,
         layout: Layout,
@@ -209,7 +216,7 @@ class LegacyDagRouter(SabreRouter):
         best_score = float("inf")
         best: List[Tuple[int, int]] = []
         dist = self.dist
-        for pa, pb in self._dag_swap_candidates(frontier, layout):
+        for pa, pb in self._dag_candidates(frontier, layout):
             qa, qb = p2l[pa], p2l[pb]
             layout.swap_logical(qa, qb)
             score = score_layout(front_gates, extended, l2p, dist, config)
@@ -218,10 +225,10 @@ class LegacyDagRouter(SabreRouter):
                 score *= decay.factor(qa, qb)
             if penalty:
                 score += penalty * (dist[pa][pb] - 1.0)
-            if score < best_score - _SCORE_EPSILON:
+            if score < best_score - SCORE_EPSILON:
                 best_score = score
                 best = [(qa, qb)]
-            elif score <= best_score + _SCORE_EPSILON:
+            elif score <= best_score + SCORE_EPSILON:
                 best.append((qa, qb))
         if not best:
             raise MappingError(
@@ -301,8 +308,7 @@ class LegacySabreLayout(SabreLayout):
         best: Optional[BidirectionalResult] = None
         best_key = None
         trials: List[TrialRecord] = []
-        for trial in range(self.num_trials):
-            trial_seed = self.seed + trial
+        for trial, trial_seed in enumerate(self.seeds):
             layout = Layout.random(self.coupling.num_qubits, seed=trial_seed)
             first_pass_swaps = 0
             best_swaps = None

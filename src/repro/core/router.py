@@ -5,65 +5,60 @@ the end, executing every hardware-compatible gate immediately and
 inserting the best-scoring SWAP whenever the front layer is stuck.
 
 The search-space reduction that gives SABRE its exponential speedup
-(§IV-C1) lives in :meth:`SabreRouter._swap_candidates`: only SWAPs on
-physical edges touching a front-layer qubit are considered ("only the
-SWAPs that associate with at least one qubit in the front layer are the
-candidate SWAPs"), i.e. ``O(N)`` candidates instead of the ``O(exp(N))``
-mapping combinations of the A* baseline.
+(§IV-C1) lives in :meth:`~repro.core.scoring.VectorDevice.front_candidates`:
+only SWAPs on physical edges touching a front-layer qubit are
+considered ("only the SWAPs that associate with at least one qubit in
+the front layer are the candidate SWAPs"), i.e. ``O(N)`` candidates
+instead of the ``O(exp(N))`` mapping combinations of the A* baseline.
 
-Candidate scoring has two interchangeable implementations, selected by
-:attr:`HeuristicConfig.scorer`:
+A traversal is split in two.  :meth:`SabreRouter.search` makes every
+SWAP decision and builds no circuit; it returns a :class:`SearchTrace`
+(the SWAP record, the SWAP count and the depth the circuit would
+have).  :meth:`SabreRouter._replay` turns a trace into its routed
+circuit.  :meth:`SabreRouter.run` is the two in sequence, and a layout
+search replays only the winning forward traversal.  The search loop
+(:meth:`SabreRouter._search`) scores every front with a scalar delta
+loop (:meth:`~repro.core.scoring.VectorBlock.score_scalar`) that
+adjusts only the Eq. 2 terms of the two moved qubits, and skips the
+look-ahead sum of any candidate whose exact lower bound already loses
+to the best score so far.  On an asymmetric distance matrix, where
+that delta arithmetic would not be exact, the loop scores with
+:meth:`~repro.core.scoring.VectorBlock.score_full` instead, chosen once
+per traversal.  The loop redoes no per-front work that does not depend
+on the layout: the look-ahead set ``E`` is a function of the front
+alone, so the frontier serves it from a front-keyed memo that lives
+for one layout search
+(:meth:`~repro.circuits.flatdag.FrontierState.extended_pairs`), and
+the sorted candidate list is memoised per front-home tuple on the
+device.  Search runs over a *folded* frontier that executes two-qubit
+gates and barriers only — SABRE's heuristic never looks at a
+single-qubit gate — and adds each single-qubit chain to the depth
+counters as one precomputed tail
+(:meth:`~repro.circuits.flatdag.FlatDag.folded`).  It executes ready
+gates in one inlined cascade over a worklist, touching the frontier's
+buffers directly.  The replay keeps the unfolded frontier and its
+batch order, which fixes the order of the emitted gates.  The search
+may execute ready gates in any order: at each SWAP decision the front,
+the layout, the per-wire depth counters, the RNG stream and the decay
+table are the same whatever order they ran in.
 
-- ``vector`` (the default, and the production path) — a traversal is
-  split in two.  :meth:`SabreRouter.search` makes every SWAP decision
-  and builds no circuit; it returns a :class:`SearchTrace` (the SWAP
-  record, the SWAP count and the depth the circuit would have).
-  :meth:`SabreRouter._replay` turns a trace into its routed circuit.
-  :meth:`SabreRouter.run` is the two in sequence, and a layout search
-  replays only the winning forward traversal.  The search loop scores
-  every front with a scalar delta loop
-  (:meth:`~repro.core.scoring.VectorBlock.score_scalar`) that adjusts
-  only the Eq. 2 terms of the two moved qubits, and skips the
-  look-ahead sum of any candidate whose exact lower bound already
-  loses to the best score so far.  It redoes no per-front
-  work that does not depend on the layout: the look-ahead set ``E`` is
-  a function of the front alone, so the frontier serves it from a
-  front-keyed memo that lives for one layout search
-  (:meth:`~repro.circuits.flatdag.FrontierState.extended_pairs`), and
-  the sorted candidate list is memoised per front-home tuple on the
-  device (:meth:`~repro.core.scoring.VectorDevice.front_candidates`).
-  Search runs over a *folded* frontier that executes two-qubit gates
-  and barriers only — SABRE's heuristic never looks at a single-qubit
-  gate — and adds each single-qubit chain to the depth counters as one
-  precomputed tail (:meth:`~repro.circuits.flatdag.FlatDag.folded`).
-  It executes ready gates in one inlined cascade over a worklist,
-  touching the frontier's buffers directly.  The replay keeps the
-  unfolded frontier and its batch order, which fixes the order of the
-  emitted gates.
-- ``reference`` — the paper-literal path, run by the scalar loop of
-  :meth:`SabreRouter.run`: regenerate the candidates from scratch,
-  temporarily apply each SWAP and recompute the full Eq. 2 sum
-  (:func:`repro.core.heuristic.score_layout`).  It is the differential
-  oracle, and the fallback for asymmetric distance matrices, where the
-  vector scorer's delta arithmetic would not be exact.
+The paper-literal oracle is :class:`~repro.core.legacy.LegacyDagRouter`
+(and :class:`~repro.core.legacy.LegacySabreLayout` for whole layout
+searches): it regenerates the candidates from scratch, temporarily
+applies each SWAP and recomputes the full Eq. 2 sum
+(:func:`repro.core.heuristic.score_layout`) over its own object DAG.
+It walks the same sorted candidate order, so it produces identical
+winner sets, identical tie-breaks and identical routed circuits for
+identical seeds; the differential suites enforce this.
 
-Both walk the same sorted candidate order and therefore produce
-identical winner sets, identical tie-breaks, and identical routed
-circuits for identical seeds — the differential test suite enforces
-this.  The search may execute ready gates in any order: at each SWAP
-decision the front, the layout, the per-wire depth counters, the RNG
-stream and the decay table are the same whatever order they ran in.
-
-The traversal itself runs over the compile-once flat IR of
+The traversal runs over the compile-once flat IR of
 :mod:`repro.circuits.flatdag`: :meth:`SabreRouter.run` accepts either a
 :class:`~repro.circuits.circuit.QuantumCircuit` (lowered on the spot —
 the thin-wrapper entry point) or a prebuilt shared
 :class:`~repro.circuits.flatdag.FlatDag`, plus an optional reusable
 :class:`~repro.circuits.flatdag.FrontierState` so repeated traversals
 of one circuit (the bidirectional search, best-of-K trials) never
-re-lower or reallocate per pass.  The pre-IR per-run object-DAG loop is
-preserved verbatim in :mod:`repro.core.legacy` as the differential and
-perf baseline.
+re-lower or reallocate per pass.
 """
 
 from __future__ import annotations
@@ -77,22 +72,14 @@ from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.depth import circuit_depth
 from repro.circuits.flatdag import FlatDag, FrontierState
-from repro.circuits.gates import Gate, remap_gate, swap_gate
-from repro.core.heuristic import DecayTracker, HeuristicConfig, score_layout
+from repro.circuits.gates import remap_gate, swap_gate
+from repro.core.heuristic import HeuristicConfig
 from repro.core.layout import Layout
-from repro.core.scoring import (
-    SCORE_EPSILON,
-    FlatDistance,
-    VectorBlock,
-    VectorDevice,
-)
+from repro.core.scoring import FlatDistance, VectorBlock, VectorDevice
 from repro.exceptions import MappingError
 from repro.telemetry.profile import active_router_profiler
 from repro.hardware.coupling import CouplingGraph
 from repro.hardware.distance import bfs_flat_distance
-
-#: Scores within this tolerance are considered tied (random tie-break).
-_SCORE_EPSILON = SCORE_EPSILON
 
 
 @dataclass
@@ -251,16 +238,10 @@ class SabreRouter:
                 f"distance matrix is {self.flat_dist.n}x{self.flat_dist.n}, "
                 f"device has {coupling.num_qubits} qubits"
             )
-        # The nested view is only needed by the reference scorer and
+        # The nested view is only needed by the legacy oracle and
         # external readers; the `dist` property rebuilds it lazily from
-        # the flat buffer, so the vector path never pays the O(N^2) copy.
+        # the flat buffer, so routing never pays the O(N^2) copy.
         self._dist_nested: Optional[List[List[float]]] = None
-        self.scorer = self.config.scorer
-        if self.scorer == "vector" and not self.flat_dist.symmetric:
-            # The vector scorer skips gates between the two swapped
-            # qubits, which is only exact for symmetric matrices (all
-            # in-repo matrices are).  Fall back rather than mis-score.
-            self.scorer = "reference"
         self.neighbors: List[List[int]] = [
             coupling.neighbors(q) for q in range(coupling.num_qubits)
         ]
@@ -270,14 +251,9 @@ class SabreRouter:
         #: Adjacency as sets for the O(1) executability test in the
         #: main loop (bypasses CouplingGraph's bounds-checked API).
         self._adjacency: List[Set[int]] = [set(nbs) for nbs in self.neighbors]
-        if self.scorer == "vector":
-            #: Device-constant candidate tables, shared read-only by
-            #: every run's VectorBlock.
-            self._vdev: Optional[VectorDevice] = VectorDevice(
-                self.flat_dist, self.neighbors
-            )
-        else:
-            self._vdev = None
+        #: Device-constant candidate tables, shared read-only by every
+        #: run's VectorBlock.
+        self._vdev = VectorDevice(self.flat_dist, self.neighbors)
         if stall_limit is None:
             stall_limit = max(64, 16 * coupling.diameter())
         self.stall_limit = stall_limit
@@ -295,9 +271,10 @@ class SabreRouter:
     def dist(self) -> List[List[float]]:
         """Nested list-of-lists view of the distance matrix.
 
-        Kept for the reference scorer and external consumers; the hot
-        paths use :attr:`flat_dist` directly.  Materialised lazily when
-        the router was constructed from a :class:`FlatDistance`.
+        Kept for the legacy oracle (:mod:`repro.core.legacy`) and
+        external consumers; routing reads :attr:`flat_dist` directly.
+        Materialised lazily when the router was constructed from a
+        :class:`FlatDistance`.
         """
         if self._dist_nested is None:
             self._dist_nested = self.flat_dist.to_matrix()
@@ -332,114 +309,22 @@ class SabreRouter:
         between runs, so concurrent trials routing through one router
         instance stay independent and deterministic.
 
-        With the vector scorer a run is :meth:`search` on a folded
-        frontier (sharing ``frontier``'s look-ahead memo) followed by
-        :meth:`_replay` of its trace on ``frontier``.
+        A run is :meth:`search` on a folded frontier (sharing
+        ``frontier``'s look-ahead memo) followed by :meth:`_replay` of
+        its trace on ``frontier``.
         """
         ir, layout, rng, frontier = self._prepare(
             circuit, initial_layout, seed, frontier
         )
-        if self.scorer == "vector":
-            trace = self._search(
-                ir,
-                layout.copy(),
-                rng,
-                FrontierState(ir, ext_memo=frontier.ext_memo, folded=True),
-            )
-            result = self._replay(ir, layout, frontier, trace)
-            result._depth = trace.depth
-            return result
-        n_physical = self.coupling.num_qubits
-        # The reference path regenerates candidates from scratch and
-        # rescores in full, so it keeps no scoring state between steps.
-        decay = DecayTracker(
-            n_physical,
-            self.config.decay_delta,
-            self.config.decay_reset_interval,
+        trace = self._search(
+            ir,
+            layout.copy(),
+            rng,
+            FrontierState(ir, ext_memo=frontier.ext_memo, folded=True),
         )
-
-        out = QuantumCircuit(
-            n_physical, f"{ir.name}_routed", max(ir.num_clbits, 1)
-        )
-        swap_positions: List[int] = []
-        initial = layout.copy()
-        num_escapes = 0
-        stall = 0
-
-        # Hot-loop locals: every name bound here is read thousands of
-        # times per traversal; ``l2p`` is the layout's live table (the
-        # list object survives swaps, only its entries change).
-        l2p = layout.l2p
-        emit = out.append_unchecked
-        gates = ir.gates
-        qubit_a = ir.qubit_a
-        qubit_b = ir.qubit_b
-        adjacency = self._adjacency
-        uses_lookahead = self.config.uses_lookahead
-        ext_size = self.config.extended_set_size
-
-        self._emit_ready(frontier, l2p, emit)
-        front_gates: List[Gate] = []
-        extended: List[Gate] = []
-        front_dirty = True
-        # Checked once per traversal, not once per SWAP: disabled-mode
-        # cost is a single thread-local read for the whole run.
-        profiler = active_router_profiler()
-        while not frontier.done:
-            # Execute every front-layer gate whose operands are coupled
-            # (Algorithm 1 lines 8-16).  The cached ascending front
-            # list makes the ready scan allocation- and sort-free.
-            ready = [
-                index
-                for index in frontier.front_list()
-                if l2p[qubit_b[index]] in adjacency[l2p[qubit_a[index]]]
-            ]
-            if ready:
-                frontier.execute_front_batch(ready)
-                for index in ready:
-                    emit(remap_gate(gates[index], l2p))
-                self._emit_ready(frontier, l2p, emit)
-                decay.reset()
-                stall = 0
-                front_dirty = True
-                continue
-            if stall >= self.stall_limit:
-                self._escape(
-                    frontier,
-                    layout,
-                    lambda qa, qb: self._apply_swap(
-                        qa, qb, layout, out, swap_positions
-                    ),
-                )
-                num_escapes += 1
-                stall = 0
-                decay.reset()
-                front_dirty = True
-                continue
-            if front_dirty:
-                # F and E only change when a gate executes, so the gate
-                # lists are shared across consecutive SWAP selections.
-                front_gates = [gates[i] for i in frontier.front_list()]
-                extended = (
-                    [gates[i] for i in frontier.extended_nodes(ext_size)]
-                    if uses_lookahead
-                    else []
-                )
-                front_dirty = False
-            self._insert_best_swap(
-                frontier, layout, out, swap_positions, decay, rng,
-                front_gates, extended, profiler,
-            )
-            stall += 1
-
-        return RoutingResult(
-            circuit=out,
-            initial_layout=initial,
-            final_layout=layout,
-            num_swaps=len(swap_positions),
-            swap_positions=swap_positions,
-            num_forced_escapes=num_escapes,
-        )
+        result = self._replay(ir, layout, frontier, trace)
+        result._depth = trace.depth
+        return result
 
     def search(
         self,
@@ -456,14 +341,8 @@ class SabreRouter:
         a :class:`SearchTrace` instead of building a routed circuit.
         :meth:`_replay` turns the trace into the routed circuit, which
         is what :meth:`run` returns.  ``frontier``, when given, must be
-        folded.  Vector scorer only: the ``reference`` scorer is the
-        differential oracle and keeps its single emitting loop.
+        folded.
         """
-        if self.scorer != "vector":
-            raise MappingError(
-                "search mode needs the vector scorer; this router "
-                f"resolved to {self.scorer!r}"
-            )
         ir, layout, rng, frontier = self._prepare(
             circuit, initial_layout, seed, frontier, folded=True
         )
@@ -519,7 +398,7 @@ class SabreRouter:
         return ir, layout, rng, frontier
 
     # ------------------------------------------------------------------
-    # Vector path: search loop + replay
+    # Search loop + replay
     # ------------------------------------------------------------------
 
     def _search(
@@ -529,8 +408,8 @@ class SabreRouter:
         rng: random.Random,
         frontier: FrontierState,
     ) -> SearchTrace:
-        """One search-mode traversal (vector scorer) over a reset,
-        folded ``frontier``; mutates ``layout`` into the final layout.
+        """One search-mode traversal over a reset, folded ``frontier``;
+        mutates ``layout`` into the final layout.
 
         The loop makes the SWAP decisions of Algorithm 1 but builds no
         circuit.  It tracks only what traversal selection needs — the
@@ -575,9 +454,15 @@ class SabreRouter:
         ready_other = frontier._ready_other
         drain_nonrouting = frontier.drain_nonrouting
         extended_pairs = frontier.extended_pairs
-        scorer = VectorBlock(self._vdev, config, self._buf_list)
-        set_front = scorer.set_front
-        score_scalar = scorer.score_scalar
+        block = VectorBlock(self._vdev, config, self._buf_list)
+        set_front = block.set_front
+        # The delta loop is exact on symmetric matrices only (see
+        # repro.core.scoring); any other matrix is scored in full.
+        score = (
+            block.score_scalar
+            if self.flat_dist.symmetric
+            else block.score_full
+        )
         uses_lookahead = config.uses_lookahead
         uses_decay = config.uses_decay
         ext_size = config.extended_set_size
@@ -711,13 +596,13 @@ class SabreRouter:
                 )
                 front_dirty = False
             if profiler is None:
-                best = score_scalar(l2p, p2l, decay, uses_decay)
+                best = score(l2p, p2l, decay, uses_decay)
             else:
                 t0 = time.perf_counter()
-                best = score_scalar(l2p, p2l, decay, uses_decay)
+                best = score(l2p, p2l, decay, uses_decay)
                 profiler.add_scalar(time.perf_counter() - t0)
                 profiler.record_step(
-                    scorer.scalar_candidates, len(best), scorer.scalar_bounded
+                    block.scalar_candidates, len(best), block.scalar_bounded
                 )
             if on_winner_set is not None:
                 on_winner_set(best)
@@ -758,8 +643,9 @@ class SabreRouter:
         executed gates (same layouts, same front layers).  Its batch
         order — each ready batch ascending, then the single-qubit gates
         and directives it released — defines the emitted gate sequence,
-        which the reference scorer's loop in :meth:`run` matches gate
-        for gate.  ``frontier`` must be unfolded and freshly reset over
+        which the legacy oracle's emitting loop
+        (:class:`~repro.core.legacy.LegacyDagRouter`) matches gate for
+        gate.  ``frontier`` must be unfolded and freshly reset over
         ``ir``; ``layout`` must equal ``trace.initial_layout`` (pass a
         copy).
         """
@@ -867,110 +753,6 @@ class SabreRouter:
             num_forced_escapes=trace.num_forced_escapes,
         )
 
-    # ------------------------------------------------------------------
-    # Main-loop pieces
-    # ------------------------------------------------------------------
-
-    def _emit_ready(
-        self, frontier: FrontierState, l2p: Sequence[int], emit
-    ) -> None:
-        """Flush ready non-routing gates (1q, measure, barrier) to output."""
-        gates = frontier.dag.gates
-        for index in frontier.drain_nonrouting():
-            emit(remap_gate(gates[index], l2p))
-
-    def _swap_candidates(
-        self, frontier: FrontierState, layout: Layout
-    ) -> List[Tuple[int, int]]:
-        """Physical edges adjacent to at least one front-layer qubit.
-
-        This is the §IV-C1 search-space reduction: SWAPs entirely within
-        the "low priority" qubit set cannot unblock the front layer, so
-        only edges touching ``pi(q)`` for ``q`` in a front gate qualify.
-
-        From-scratch reference implementation; the vector scorer memoises
-        the same lists per front-home tuple
-        (:meth:`~repro.core.scoring.VectorDevice.front_candidates`; the
-        candidate-order tests assert both always agree).
-        """
-        l2p = layout.l2p
-        qubit_a = frontier.dag.qubit_a
-        qubit_b = frontier.dag.qubit_b
-        candidates: Set[Tuple[int, int]] = set()
-        for index in frontier.front:
-            for q in (qubit_a[index], qubit_b[index]):
-                p = l2p[q]
-                for nb in self.neighbors[p]:
-                    candidates.add((p, nb) if p < nb else (nb, p))
-        return sorted(candidates)
-
-    def _insert_best_swap(
-        self,
-        frontier: FrontierState,
-        layout: Layout,
-        out: QuantumCircuit,
-        swap_positions: List[int],
-        decay: DecayTracker,
-        rng: random.Random,
-        front_gates: List[Gate],
-        extended: List[Gate],
-        profiler=None,
-    ) -> None:
-        """Score all candidate SWAPs and apply the best one (lines 17-25).
-
-        The reference path: from-scratch candidate generation plus a
-        full Eq. 2 rescoring per candidate — the differential-testing
-        oracle and the bench baseline.
-        """
-        p2l = layout.p2l
-        l2p = layout.l2p
-        config = self.config
-        uses_decay = config.uses_decay
-        penalty = config.swap_cost_penalty
-        best_score = float("inf")
-        best: List[Tuple[int, int]] = []
-        dist = self.dist
-        cands = self._swap_candidates(frontier, layout)
-        for pa, pb in cands:
-            qa, qb = p2l[pa], p2l[pb]
-            layout.swap_logical(qa, qb)
-            score = score_layout(front_gates, extended, l2p, dist, config)
-            layout.swap_logical(qa, qb)
-            if uses_decay:
-                score *= decay.factor(qa, qb)
-            if penalty:
-                score += penalty * (dist[pa][pb] - 1.0)
-            if score < best_score - _SCORE_EPSILON:
-                best_score = score
-                best = [(qa, qb)]
-            elif score <= best_score + _SCORE_EPSILON:
-                best.append((qa, qb))
-        if not best:
-            raise MappingError(
-                "no SWAP candidates found; is the coupling graph connected?"
-            )
-        if profiler is not None:
-            profiler.record_step(len(cands), len(best))
-        if self.on_winner_set is not None:
-            self.on_winner_set(best)
-        qa, qb = best[0] if len(best) == 1 else rng.choice(best)
-        self._apply_swap(qa, qb, layout, out, swap_positions)
-        decay.record_swap(qa, qb)
-
-    def _apply_swap(
-        self,
-        qa: int,
-        qb: int,
-        layout: Layout,
-        out: QuantumCircuit,
-        swap_positions: List[int],
-    ) -> None:
-        """Emit a physical SWAP gate and update the mapping."""
-        l2p = layout.l2p
-        swap_positions.append(out.num_gates)
-        out.append_unchecked(swap_gate(l2p[qa], l2p[qb]))
-        layout.swap_logical(qa, qb)
-
     def _escape(
         self,
         frontier: FrontierState,
@@ -984,8 +766,8 @@ class SabreRouter:
         Guarantees the next ready-front scan succeeds for that gate, so
         overall termination is unconditional.  Distance ties resolve to
         the lowest node id (the front list is ascending).  ``apply_swap``
-        is the caller's swap applicator (the scalar and vector paths
-        maintain different state, so the escape stays path-agnostic).
+        is the search loop's swap applicator, which keeps the loop's
+        SWAP record, depth counters and worklist in step.
         """
         l2p = layout.l2p
         buf = self.flat_dist.buf

@@ -1,6 +1,7 @@
-"""Flat distance buffer and the ``vector`` scorer for SABRE's hot loop.
+"""Flat distance buffer and the candidate scorer of SABRE's hot loop.
 
-The reference scorer (:func:`repro.core.heuristic.score_layout`) rescores
+The paper-literal scorer (:func:`repro.core.heuristic.score_layout`,
+which the legacy oracle :mod:`repro.core.legacy` runs) rescores
 the *entire* front layer ``F`` and extended set ``E`` for every candidate
 SWAP, making each search step ``O(|candidates| * (|F| + |E|))`` over a
 list-of-lists distance matrix.  A SWAP only moves two qubits, though, so
@@ -22,13 +23,16 @@ exploits that:
   width that occurs there.
 
 Exactness: a gate *between* the two swapped qubits keeps its distance
-(``D`` is symmetric for every matrix this project produces; the router
-falls back to the reference scorer otherwise), so its term is skipped
-entirely.  All remaining terms are adjusted by the difference of two
-matrix entries.  Sums therefore agree with the reference scorer up to
-float-addition ordering, which the differential suite
-(``tests/core/test_differential.py``) pins down to identical winner sets
-and identical routed circuits.
+when ``D`` is symmetric (every matrix this project produces is), so its
+term is skipped entirely.  All remaining terms are adjusted by the
+difference of two matrix entries.  Sums therefore agree with the
+paper-literal scorer up to float-addition ordering, which the
+differential suite (``tests/core/test_differential.py``) pins down to
+identical winner sets and identical routed circuits.  On an asymmetric
+matrix the partner tables lose the orientation a term needs, so the
+router scores with :meth:`VectorBlock.score_full` instead: each
+candidate SWAP is applied to the layout and the full Eq. 2 sum
+recomputed, as the paper writes it.
 
 The look-ahead sum is also *bounded*.  One SWAP moves each look-ahead
 term by at most the device's ``spread`` (:func:`device_spread`), so
@@ -78,8 +82,8 @@ class FlatDistance:
         buf: the flat row-major buffer, length ``n * n``.
         symmetric: True when ``D[a][b] == D[b][a]`` everywhere.  Every
             matrix built by :mod:`repro.hardware.distance` is symmetric;
-            the flag exists so the vector scorer can refuse (fall back
-            to the reference scorer) on exotic asymmetric inputs.
+            the router reads the flag once per traversal to score an
+            asymmetric input with :meth:`VectorBlock.score_full`.
     """
 
     __slots__ = ("n", "buf", "symmetric", "_np")
@@ -195,10 +199,10 @@ def device_spread(
 
 
 class VectorDevice:
-    """Device-constant candidate tables for the ``vector`` scorer.
+    """Device-constant candidate tables for the candidate scorer.
 
-    Built once per router (vector mode only) and shared read-only by
-    every :class:`VectorBlock`.
+    Built once per router and shared read-only by every
+    :class:`VectorBlock`.
 
     Attributes:
         n: physical qubit count.
@@ -264,7 +268,7 @@ class VectorDevice:
 
 
 class VectorBlock:
-    """One traversal's scoring state for the ``vector`` scorer.
+    """One traversal's scoring state.
 
     :meth:`set_front` installs a front and its look-ahead set as
     logical-qubit pairs.  The look-ahead pairs usually arrive as the
@@ -275,7 +279,8 @@ class VectorBlock:
     previous front touched are reset, so a refresh costs
     ``O(|F| + |E|)``.  :meth:`score_scalar` then scores every candidate
     SWAP against the current layout; candidate lists come from the
-    device's per-home-tuple memo.
+    device's per-home-tuple memo.  :meth:`score_full` is its exact
+    counterpart for asymmetric matrices.
     """
 
     def __init__(
@@ -307,7 +312,7 @@ class VectorBlock:
         epairs: Sequence[Tuple[int, int]],
     ) -> None:
         """Install a front and its look-ahead set, given as logical-qubit
-        pairs, for :meth:`score_scalar`.
+        pairs, for :meth:`score_scalar` and :meth:`score_full`.
 
         ``epairs`` may be a memoised tuple shared across refreshes (the
         router passes :meth:`FrontierState.extended_pairs
@@ -354,7 +359,7 @@ class VectorBlock:
         """The best-scoring candidate SWAPs ``(qa, qb)`` of the installed
         front under layout ``l2p``/``p2l``, before the tie-break.
 
-        Walks the same candidate order as the reference scorer,
+        Walks the same candidate order as the paper-literal scorer,
         adjusting the step's base sums by per-candidate deltas.  The
         candidate list comes from the device's per-home-tuple memo
         (:meth:`VectorDevice.front_candidates`).  ``decay`` is the
@@ -459,4 +464,66 @@ class VectorBlock:
             elif score <= best_score + SCORE_EPSILON:
                 best.append((qa, qb))
         self.scalar_bounded = bounded
+        return best
+
+    def score_full(
+        self,
+        l2p: List[int],
+        p2l: Sequence[int],
+        decay: Sequence[float],
+        uses_decay: bool,
+    ) -> List[Tuple[int, int]]:
+        """:meth:`score_scalar`'s winner list for any distance matrix.
+
+        Applies each candidate SWAP to ``l2p``, sums
+        ``D[l2p[a]][l2p[b]]`` over the installed front and look-ahead
+        pairs in order, and undoes the SWAP: the full Eq. 2 sum of
+        :func:`~repro.core.heuristic.score_layout`, exact on asymmetric
+        matrices, where the delta loop is not.  Decay, penalty and the
+        winner rule are :meth:`score_scalar`'s; no candidate is bounded.
+        """
+        buf = self.buf
+        n = self.device.n
+        fpairs = self._front_pairs
+        epairs = self._ext_pairs
+        cand = self.device.front_candidates(
+            tuple([l2p[q] for pair in fpairs for q in pair])
+        )
+        self.scalar_candidates = len(cand)
+        self.scalar_bounded = 0
+        len_f = len(fpairs)
+        len_e = len(epairs)
+        weight = self._weight
+        basic = self._basic
+        penalty = self._penalty
+        best_score = float("inf")
+        best: List[Tuple[int, int]] = []
+        for pa, pb, row_a, _ in cand:
+            qa = p2l[pa]
+            qb = p2l[pb]
+            l2p[qa] = pb
+            l2p[qb] = pa
+            score = 0.0
+            for a, b in fpairs:
+                score += buf[l2p[a] * n + l2p[b]]
+            if not basic:
+                score /= len_f
+                if len_e:
+                    sum_e = 0.0
+                    for a, b in epairs:
+                        sum_e += buf[l2p[a] * n + l2p[b]]
+                    score += weight * sum_e / len_e
+            l2p[qa] = pa
+            l2p[qb] = pb
+            if uses_decay:
+                da = decay[qa]
+                db = decay[qb]
+                score *= da if da >= db else db
+            if penalty:
+                score += penalty * (buf[row_a + pb] - 1.0)
+            if score < best_score - SCORE_EPSILON:
+                best_score = score
+                best = [(qa, qb)]
+            elif score <= best_score + SCORE_EPSILON:
+                best.append((qa, qb))
         return best

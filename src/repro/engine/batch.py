@@ -184,9 +184,7 @@ def compile_many(
     start = time.perf_counter()
     distance = get_flat_distance_matrix(coupling)
     seeds = [seed + t for t in range(num_trials)]
-    search = objective == "g_add" and ensemble_eligible(
-        pipeline, config, distance
-    )
+    search = objective == "g_add" and ensemble_eligible(pipeline)
     planned = [
         _plan_sweep(
             circuit, coupling, config, seeds, num_traversals, distance,

@@ -11,44 +11,19 @@ single-trial pipeline per seed.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
-
-from repro.core.heuristic import HeuristicConfig
-from repro.core.scoring import FlatDistance
 from repro.exceptions import ReproError
 
 
-def ensemble_eligible(
-    pipeline: str,
-    config: Optional[HeuristicConfig],
-    distance: Optional[Union[FlatDistance, Sequence[Sequence[float]]]],
-) -> bool:
+def ensemble_eligible(pipeline: str) -> bool:
     """Whether one layout search over many seeds reproduces this
-    configuration's per-seed trials.
+    pipeline's per-seed trials.
 
-    Three requirements:
-
-    - the scorer must be ``"vector"`` (the ``reference`` scorer is the
-      differential oracle and stays on per-seed pipelines);
-    - the distance matrix must be symmetric (otherwise the router
-      itself falls back to the reference scorer, see
-      :class:`~repro.core.router.SabreRouter`);
-    - the trial pipeline's routing stage must be the plain
-      ``SabreLayoutPass`` search: presets that pin layouts
-      (``PerfectEmbedding``), reroute per trial (``BaselineRoutePass``),
-      or rewrite the distance/config (``NoiseAwareDistance``) decide
-      per seed.
+    The trial pipeline's routing stage must be the plain
+    ``SabreLayoutPass`` search: presets that pin layouts
+    (``PerfectEmbedding``), reroute per trial (``BaselineRoutePass``),
+    or rewrite the distance/config (``NoiseAwareDistance``) decide per
+    seed.  Any heuristic configuration and distance matrix qualifies.
     """
-    if (config or HeuristicConfig()).scorer != "vector":
-        return False
-    if distance is not None:
-        flat = (
-            distance
-            if isinstance(distance, FlatDistance)
-            else FlatDistance.from_matrix(distance)
-        )
-        if not flat.symmetric:
-            return False
     from repro.pipeline.passes import (
         BaselineRoutePass,
         NoiseAwareDistance,

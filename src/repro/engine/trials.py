@@ -543,7 +543,7 @@ def run_trials(
     planned = _plan_sweep(
         circuit, coupling, config, seeds, num_traversals, distance,
         pipeline,
-        objective == "g_add" and ensemble_eligible(pipeline, config, distance),
+        objective == "g_add" and ensemble_eligible(pipeline),
     )
     requested = executor
     if executor == "auto":

@@ -10,10 +10,11 @@ run:
 - **winner-tie sizes** — how many candidates tied for best score
   before the random tie-break (large ties mean the cost function is
   flat and seed-sensitivity is high, cf. Steinberg et al. §IV);
-- **scorer time** — seconds inside the vector scorer's delta loop
-  (``score_scalar``: ``scalar_seconds``/``scalar_calls``), separating
-  "thinking" from bookkeeping;
-- **bounded candidates** — how many scored candidates the vector
+- **scorer time** — seconds inside the candidate scorer
+  (``score_scalar``, or ``score_full`` on an asymmetric matrix:
+  ``scalar_seconds``/``scalar_calls``), separating "thinking" from
+  bookkeeping;
+- **bounded candidates** — how many scored candidates the delta
   scorer's look-ahead lower bound rejected without walking their
   look-ahead partners (``bounded_total``, at most ``candidates_total``).
 

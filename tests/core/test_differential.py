@@ -1,15 +1,21 @@
-"""Differential suite: the vector scorer vs the reference scorer.
+"""Differential suite: the production router vs the legacy oracle.
 
-The production path — the vector scorer (a search loop that scores
-every front with a scalar delta loop over memoised candidate lists and
-look-ahead sets, then a replay of the SWAP record into a circuit) —
-must be *observationally identical* to the paper-literal reference
-path: same per-step winner sets, same tie-break draws, and therefore
+The production path (a search loop that scores every front over
+memoised candidate lists and look-ahead sets, then a replay of the
+SWAP record into a circuit) must be *observationally identical* to
+the paper-literal legacy oracle (:mod:`repro.core.legacy`), which
+rescores the full Eq. 2 sum per candidate over its own object DAG:
+same per-step winner sets, same tie-break draws, and therefore
 bit-for-bit identical routed circuits for identical seeds — across all
-heuristic modes, front widths, the noise-aware penalty path, and the
-livelock escape hatch.  A best-of-K sweep must in turn keep the same
-winner and per-seed counts whether it runs as the direct layout search
-or on the engine's serial or parallel executor.
+heuristic modes, front widths, symmetric and asymmetric distance
+matrices, the noise-aware penalty path, and the livelock escape hatch.
+A best-of-K sweep must in turn keep the same winner and per-seed
+counts whether it runs as the direct layout search or on the engine's
+serial or parallel executor.
+
+Test ids keep the ``vector``/``reference`` labels: ``vector`` is the
+production class, ``reference`` the legacy oracle (:data:`ROUTERS`,
+:data:`LAYOUTS`).
 """
 
 import hashlib
@@ -20,15 +26,15 @@ from repro.circuits import random_circuit
 from repro.core import (
     HeuristicConfig,
     Layout,
+    LegacyDagRouter,
     LegacySabreLayout,
     SabreLayout,
     SabreRouter,
     compile_circuit,
 )
-from repro.core.heuristic import SCORERS
 from repro.engine import run_trials
-from repro.exceptions import MappingError
 from repro.extensions.noise_aware import noise_weighted_distance
+from repro.exceptions import MappingError
 from repro.hardware import (
     NoiseModel,
     grid_device,
@@ -36,8 +42,30 @@ from repro.hardware import (
     line_device,
     ring_device,
 )
+from repro.hardware.distance import distance_matrix
 
 MODES = ["basic", "lookahead", "decay"]
+
+#: One traversal: the production router and the paper-literal oracle.
+ROUTERS = {"vector": SabreRouter, "reference": LegacyDagRouter}
+
+#: A whole layout search, production and oracle.
+LAYOUTS = {"vector": SabreLayout, "reference": LegacySabreLayout}
+
+
+def _asymmetric_distance(device, seed):
+    """The hop-count matrix with every off-diagonal entry scaled by its
+    own random factor in [1, 1.6): ``D[a][b] != D[b][a]`` almost
+    everywhere."""
+    import random
+
+    rng = random.Random(seed)
+    hops = distance_matrix(device)
+    return [
+        [0.0 if a == b else d * (1.0 + 0.6 * rng.random())
+         for b, d in enumerate(row)]
+        for a, row in enumerate(hops)
+    ]
 
 
 def _directive_circuit():
@@ -68,17 +96,21 @@ def _chain_circuit():
     return circuit
 
 
-def _run_all(device, circuit, mode="decay", seed=0, layout_seed=1, **cfg):
+def _run_all(
+    device, circuit, mode="decay", seed=0, layout_seed=1, distance=None,
+    stall_limit=None, **cfg
+):
     layout = Layout.random(device.num_qubits, seed=layout_seed)
-    results = {}
-    for scorer in SCORERS:
-        router = SabreRouter(
+    return {
+        label: cls(
             device,
-            config=HeuristicConfig(mode=mode, scorer=scorer, **cfg),
+            config=HeuristicConfig(mode=mode, **cfg),
             seed=seed,
-        )
-        results[scorer] = router.run(circuit, initial_layout=layout)
-    return results
+            distance=distance,
+            stall_limit=stall_limit,
+        ).run(circuit, initial_layout=layout)
+        for label, cls in ROUTERS.items()
+    }
 
 
 def _assert_identical(results):
@@ -121,41 +153,45 @@ class TestIdenticalRouting:
         noise = NoiseModel(edge_errors={(0, 1): 0.2, (5, 6): 0.1, (11, 12): 0.15})
         distance = noise_weighted_distance(tokyo, noise)
         circuit = random_circuit(20, 150, seed=11, two_qubit_fraction=0.8)
-        layout = Layout.random(20, seed=2)
-        results = {}
-        for scorer in SCORERS:
-            router = SabreRouter(
-                tokyo,
-                config=HeuristicConfig(scorer=scorer, swap_cost_penalty=1.0),
-                seed=4,
-                distance=distance,
+        _assert_identical(
+            _run_all(
+                tokyo, circuit, seed=4, layout_seed=2, distance=distance,
+                swap_cost_penalty=1.0,
             )
-            results[scorer] = router.run(circuit, initial_layout=layout)
-        _assert_identical(results)
+        )
 
     def test_escape_hatch_path(self):
         """Pathological stall_limit forces the escape hatch in all."""
         device = ring_device(8)
         circuit = random_circuit(8, 80, seed=0, two_qubit_fraction=1.0)
-        layout = Layout.random(8, seed=6)
-        results = {}
-        for scorer in SCORERS:
-            router = SabreRouter(
-                device,
-                config=HeuristicConfig(mode="basic", scorer=scorer),
-                seed=0,
-                stall_limit=2,
-            )
-            results[scorer] = router.run(circuit, initial_layout=layout)
+        results = _run_all(
+            device, circuit, mode="basic", layout_seed=6, stall_limit=2
+        )
         assert results["reference"].num_forced_escapes > 0
         _assert_identical(results)
 
+    @pytest.mark.parametrize("stall_limit", [1, 2, 3, 4])
+    def test_asymmetric_escape_hatch(self, stall_limit):
+        """The escape hatch on an asymmetric matrix: its closest-gate
+        pick reads the matrix in gate orientation, like the oracle."""
+        device = line_device(10)
+        escapes = 0
+        for seed in range(3):
+            circuit = random_circuit(10, 40, seed=seed, two_qubit_fraction=1.0)
+            results = _run_all(
+                device, circuit, mode="basic", seed=seed, layout_seed=seed,
+                distance=_asymmetric_distance(device, seed),
+                stall_limit=stall_limit,
+            )
+            _assert_identical(results)
+            escapes += results["reference"].num_forced_escapes
+        assert escapes > 0
+
     def test_bidirectional_search_identical(self, tokyo):
-        """The whole layout search.  With the vector scorer every
-        traversal routes in search mode and one winner is replayed.  It
-        must match the emitting reference scorer and the pre-IR
-        LegacySabreLayout, across traversal counts, the escape hatch
-        and directive circuits."""
+        """The whole layout search.  Every traversal routes in search
+        mode and one winner is replayed.  It must match the emitting
+        LegacySabreLayout oracle, across traversal counts, the escape
+        hatch and directive circuits."""
         plain = random_circuit(16, 100, seed=9, two_qubit_fraction=0.7)
         cases = [
             (tokyo, plain, "decay", 3, None),
@@ -175,16 +211,10 @@ class TestIdenticalRouting:
         ]
         for device, circuit, mode, num_traversals, stall_limit in cases:
             outputs = {}
-            searchers = [
-                (scorer, SabreLayout) for scorer in SCORERS
-            ] + [("legacy", LegacySabreLayout)]
-            for label, cls in searchers:
+            for label, cls in LAYOUTS.items():
                 searcher = cls(
                     device,
-                    config=HeuristicConfig(
-                        mode=mode,
-                        scorer="reference" if label == "legacy" else label,
-                    ),
+                    config=HeuristicConfig(mode=mode),
                     num_traversals=num_traversals,
                     seed=0,
                 )
@@ -194,38 +224,25 @@ class TestIdenticalRouting:
             reference = outputs["reference"]
             if stall_limit is not None:
                 assert reference.routing.num_forced_escapes > 0
-            for label in ("vector", "legacy"):
-                out = outputs[label]
-                assert out.routing.circuit == reference.routing.circuit
-                assert (
-                    out.routing.swap_positions
-                    == reference.routing.swap_positions
-                )
-                assert (
-                    out.routing.num_forced_escapes
-                    == reference.routing.num_forced_escapes
-                )
-                assert out.initial_layout == reference.initial_layout
-                assert out.best_trial_index == reference.best_trial_index
-                assert out.trials == reference.trials
+            out = outputs["vector"]
+            assert out.routing.circuit == reference.routing.circuit
+            assert (
+                out.routing.swap_positions == reference.routing.swap_positions
+            )
+            assert (
+                out.routing.num_forced_escapes
+                == reference.routing.num_forced_escapes
+            )
+            assert out.initial_layout == reference.initial_layout
+            assert out.best_trial_index == reference.best_trial_index
+            assert out.trials == reference.trials
 
     def test_compile_circuit_identical(self, tokyo):
         circuit = random_circuit(12, 80, seed=21, two_qubit_fraction=0.7)
-        results = {
-            scorer: compile_circuit(
-                circuit,
-                tokyo,
-                config=HeuristicConfig(scorer=scorer),
-                seed=0,
-                num_trials=2,
-            )
-            for scorer in SCORERS
-        }
-        assert (
-            results["vector"].routing.circuit
-            == results["reference"].routing.circuit
-        )
-        assert results["vector"].num_swaps == results["reference"].num_swaps
+        result = compile_circuit(circuit, tokyo, seed=0, num_trials=2)
+        oracle = LegacySabreLayout(tokyo, num_trials=2, seed=0).run(circuit)
+        assert result.routing.circuit == oracle.routing.circuit
+        assert result.num_swaps == oracle.num_swaps
 
 
 def _wide_front_circuit():
@@ -271,38 +288,36 @@ class TestWinnerSets:
             circuit = random_circuit(20, 120, seed=17, two_qubit_fraction=0.8)
         layout = Layout.random(device.num_qubits, seed=1 if wide else 3)
         widths = []
-        candidates_of = SabreRouter._swap_candidates
+        candidates_of = LegacyDagRouter._dag_candidates
 
         def spy(router, frontier, layout):
-            widths.append(len(frontier.front_list()))
+            widths.append(len(frontier.front))
             return candidates_of(router, frontier, layout)
 
-        monkeypatch.setattr(SabreRouter, "_swap_candidates", spy)
+        monkeypatch.setattr(LegacyDagRouter, "_dag_candidates", spy)
         traces = {}
-        for scorer in SCORERS:
-            router = SabreRouter(
-                device, config=HeuristicConfig(mode=mode, scorer=scorer), seed=0
-            )
+        for label, cls in ROUTERS.items():
+            router = cls(device, config=HeuristicConfig(mode=mode), seed=0)
             steps = []
             router.on_winner_set = lambda best, steps=steps: steps.append(
                 list(best)
             )
             router.run(circuit, initial_layout=layout)
-            traces[scorer] = steps
+            traces[label] = steps
         assert traces["vector"] == traces["reference"]
         assert len(traces["reference"]) > 0
         if wide:
             assert len(widths) == len(traces["reference"])
             assert sum(w >= 5 for w in widths) >= 0.75 * len(widths)
             assert max(widths) >= 10
-        # The layout search: the vector scorer's search-mode traversals
-        # fire the seam once per step, like the emitting scorers, and
-        # the replay of the winner fires it not at all.
+        # The layout search: the search-mode traversals fire the seam
+        # once per step, like the emitting oracle, and the replay of
+        # the winner fires it not at all.
         searches = {}
-        for scorer in SCORERS:
-            searcher = SabreLayout(
+        for label, cls in LAYOUTS.items():
+            searcher = cls(
                 device,
-                config=HeuristicConfig(mode=mode, scorer=scorer),
+                config=HeuristicConfig(mode=mode),
                 num_trials=2,
                 seed=0,
             )
@@ -311,7 +326,7 @@ class TestWinnerSets:
                 steps.append(list(best))
             )
             searcher.run(circuit)
-            searches[scorer] = steps
+            searches[label] = steps
         assert searches["vector"] == searches["reference"]
         assert len(searches["reference"]) > len(traces["reference"])
 
@@ -386,28 +401,55 @@ class TestExecutorIdentity:
     @pytest.mark.parametrize("num_traversals", [1, 3])
     @pytest.mark.parametrize("mode", MODES)
     def test_sweep_matches_reference_trials(self, mode, num_traversals):
-        """The vector sweep (one layout search over all seeds) against
-        the reference scorer's one-pipeline-per-seed trials: same
-        per-seed counts, and its winner is that seed's own circuit."""
+        """The engine sweep (one layout search over all seeds) against
+        the emitting LegacySabreLayout oracle over the same seeds: same
+        per-seed counts, same winner, same circuit."""
         device = grid_device(4, 4)
         circuit = random_circuit(16, 150, seed=23, two_qubit_fraction=0.8)
         seeds = [5, 6, 7]
-        outcomes = {
-            scorer: run_trials(
-                circuit,
-                device,
-                seeds=seeds,
-                config=HeuristicConfig(mode=mode, scorer=scorer),
-                num_traversals=num_traversals,
+        config = HeuristicConfig(mode=mode)
+        vec = run_trials(
+            circuit, device, seeds=seeds, config=config,
+            num_traversals=num_traversals,
+        )
+        ref = LegacySabreLayout(
+            device, config=config, seeds=seeds, num_traversals=num_traversals
+        ).run(circuit)
+        assert vec.trial_swaps == [t.best_swaps for t in ref.trials]
+        assert vec.first_pass_swaps == ref.best_first_pass_swaps
+        assert vec.winner_index == ref.best_trial_index
+        assert vec.best_result.routing.circuit == ref.routing.circuit
+        assert vec.best_result.initial_layout == ref.initial_layout
+
+    def test_asymmetric_matrix_sweep(self):
+        """An asymmetric matrix takes the search path too: the serial
+        and 2-worker parallel executors and the direct
+        ``compile_circuit(num_trials=K)`` search keep the oracle's
+        winner."""
+        device = grid_device(3, 3)
+        distance = _asymmetric_distance(device, 5)
+        circuit = random_circuit(9, 60, seed=5, two_qubit_fraction=0.8)
+        direct = compile_circuit(
+            circuit, device, distance=distance, seed=0, num_trials=4
+        )
+        oracle = LegacySabreLayout(
+            device, num_trials=4, seed=0, distance=distance
+        ).run(circuit)
+        assert direct.routing.circuit == oracle.routing.circuit
+        assert direct.trial_swaps == [t.final_swaps for t in oracle.trials]
+        for executor, jobs in (("serial", None), ("parallel", 2)):
+            outcome = run_trials(
+                circuit, device, seeds=[0, 1, 2, 3], distance=distance,
+                executor=executor, jobs=jobs,
             )
-            for scorer in ("vector", "reference")
-        }
-        vec, ref = outcomes["vector"], outcomes["reference"]
-        assert vec.trial_swaps == ref.trial_swaps
-        assert vec.first_pass_swaps == ref.first_pass_swaps
-        own = ref.trials[vec.winner_index].result
-        assert vec.best_result.routing.circuit == own.routing.circuit
-        assert vec.best_result.initial_layout == own.initial_layout
+            assert outcome.executor == executor
+            assert outcome.winner_index == oracle.best_trial_index
+            assert outcome.trial_swaps == [
+                t.best_swaps for t in oracle.trials
+            ]
+            assert (
+                outcome.best_result.routing.circuit == oracle.routing.circuit
+            )
 
     def test_replay_handles_directives(self):
         """Measure/reset/barrier directives ride through the no-emit
@@ -429,32 +471,49 @@ class TestExecutorIdentity:
 
 
 class TestScorerSelection:
-    def test_two_scorers_default_vector(self, line5):
-        assert SCORERS == ("vector", "reference")
-        assert HeuristicConfig().scorer == "vector"
-        assert SabreRouter(line5).scorer == "vector"
+    """The router has one loop; the distance matrix alone picks how it
+    scores (delta loop when symmetric, full sums otherwise).  The
+    retired ``scorer`` knob is an unknown argument, so old callers fail
+    loudly instead of silently getting the default."""
 
     def test_invalid_scorer_rejected(self):
-        with pytest.raises(MappingError, match="scorer"):
-            HeuristicConfig(scorer="warp")
+        with pytest.raises(TypeError, match="scorer"):
+            HeuristicConfig(scorer="vector")
 
     @pytest.mark.parametrize("name", ["auto", "fast"])
     def test_retired_scorer_names_rejected(self, name):
-        with pytest.raises(MappingError, match="scorer"):
+        with pytest.raises(TypeError, match="scorer"):
             HeuristicConfig(scorer=name)
 
-    def test_asymmetric_matrix_falls_back(self, line5):
-        """The vector scorer assumes D symmetric; asymmetric input must
-        silently use the reference scorer instead of mis-scoring."""
+    def test_asymmetric_matrix_exact(self, line5):
+        """Asymmetric matrices route exactly as the oracle routes them,
+        in every mode, with and without the SWAP-cost penalty: a line
+        whose leftward hops cost more, and grids and rings with every
+        entry scaled independently."""
         asym = [[0.0] * 5 for _ in range(5)]
         for i in range(5):
             for j in range(5):
                 if i != j:
                     asym[i][j] = abs(i - j) + (0.25 if i > j else 0.0)
-        router = SabreRouter(
-            line5, config=HeuristicConfig(scorer="vector"), distance=asym
-        )
-        assert router.scorer == "reference"
+        assert not SabreRouter(line5, distance=asym).flat_dist.symmetric
+        cases = [(line5, asym, 2)] + [
+            (device, _asymmetric_distance(device, seed), seed)
+            for device in (grid_device(3, 3), ring_device(6))
+            for seed in range(4)
+        ]
+        for device, distance, seed in cases:
+            circuit = random_circuit(
+                device.num_qubits, 40, seed=seed, two_qubit_fraction=0.8
+            )
+            for mode in MODES:
+                for penalty in (0.0, 1.0):
+                    _assert_identical(
+                        _run_all(
+                            device, circuit, mode=mode, seed=seed,
+                            layout_seed=seed, distance=distance,
+                            swap_cost_penalty=penalty,
+                        )
+                    )
 
 
 @pytest.fixture
@@ -504,16 +563,15 @@ def memo_audit(monkeypatch):
 
 
 class TestLookaheadMemo:
-    """The vector router's front-keyed look-ahead memo (one per layout
-    search and IR direction) must serve exactly the extended set a
-    fresh walk finds at every refresh, and routing must stay
-    byte-identical to the unmemoised reference scorer."""
+    """The router's front-keyed look-ahead memo (one per layout search
+    and IR direction) must serve exactly the extended set a fresh walk
+    finds at every refresh, and routing must stay byte-identical to the
+    unmemoised legacy oracle."""
 
     @staticmethod
-    def _search(device, circuit, scorer, stall_limit=None, **kwargs):
-        searcher = SabreLayout(
+    def _search(device, circuit, label, stall_limit=None, **kwargs):
+        searcher = LAYOUTS[label](
             device,
-            config=HeuristicConfig(scorer=scorer),
             num_traversals=3,
             num_trials=5,
             seed=0,
@@ -557,8 +615,8 @@ class TestLookaheadMemo:
 
         circuit = random_circuit(16, 160, seed=4, two_qubit_fraction=0.8)
         ir = FlatDag.from_circuit(circuit)
-        router = SabreRouter(tokyo, config=HeuristicConfig(scorer="vector"))
-        oracle = SabreRouter(tokyo, config=HeuristicConfig(scorer="reference"))
+        router = SabreRouter(tokyo)
+        oracle = LegacyDagRouter(tokyo)
         frontier = FrontierState(ir)
         for layout_seed in (1, 1, 2):
             layout = Layout.random(tokyo.num_qubits, seed=layout_seed)
@@ -566,7 +624,7 @@ class TestLookaheadMemo:
             warm = router.run(
                 ir, initial_layout=layout, seed=3, frontier=frontier
             )
-            expected = oracle.run(ir, initial_layout=layout, seed=3)
+            expected = oracle.run(circuit, initial_layout=layout, seed=3)
             assert warm.circuit == expected.circuit
             assert warm.swap_positions == expected.swap_positions
             assert warm.final_layout == expected.final_layout
@@ -579,22 +637,10 @@ class TestLookaheadMemo:
         device = grid_device(4, 4)
         circuit = random_circuit(16, 150, seed=23, two_qubit_fraction=0.8)
         seeds = [5, 6, 7]
-        outcomes = {
-            scorer: run_trials(
-                circuit,
-                device,
-                seeds=seeds,
-                config=HeuristicConfig(scorer=scorer),
-                num_traversals=3,
-            )
-            for scorer in ("vector", "reference")
-        }
-        vec, ref = outcomes["vector"], outcomes["reference"]
-        assert vec.trial_swaps == ref.trial_swaps
-        assert (
-            vec.best_result.routing.circuit
-            == ref.trials[vec.winner_index].result.routing.circuit
-        )
+        vec = run_trials(circuit, device, seeds=seeds, num_traversals=3)
+        ref = LegacySabreLayout(device, seeds=seeds).run(circuit)
+        assert vec.trial_swaps == [t.best_swaps for t in ref.trials]
+        assert vec.best_result.routing.circuit == ref.routing.circuit
         assert len(memo_audit["memos"]) == 2  # forward + reverse IR
         for dag_id, memos in memo_audit["memos"].items():
             assert len(memos) == 1
@@ -656,8 +702,8 @@ FOLD_DEVICES = {
 class TestFoldedSearch:
     """Search mode runs on a folded frontier (two-qubit gates and
     barriers only; single-qubit chains ride along as depth tails).  Its
-    trace, replayed on an unfolded frontier, must equal the reference
-    scorer's emitting traversal byte for byte, and its depth must equal
+    trace, replayed on an unfolded frontier, must equal the legacy
+    oracle's emitting traversal byte for byte, and its depth must equal
     ``circuit_depth`` of that circuit."""
 
     @pytest.mark.parametrize("stall_limit", [None, 2])
@@ -667,10 +713,8 @@ class TestFoldedSearch:
         from repro.circuits.flatdag import FlatDag, FrontierState
 
         device = FOLD_DEVICES[device_name]()
-        router = SabreRouter(device, config=HeuristicConfig(scorer="vector"))
-        oracle = SabreRouter(
-            device, config=HeuristicConfig(scorer="reference")
-        )
+        router = SabreRouter(device)
+        oracle = LegacyDagRouter(device)
         if stall_limit is not None:
             router.stall_limit = stall_limit
             oracle.stall_limit = stall_limit
@@ -686,7 +730,7 @@ class TestFoldedSearch:
                 replayed = router._replay(
                     ir, layout.copy(), FrontierState(ir), trace
                 )
-                emitted = oracle.run(ir, initial_layout=layout, seed=3)
+                emitted = oracle.run(circuit, initial_layout=layout, seed=3)
                 assert replayed.circuit == emitted.circuit
                 assert replayed.swap_positions == emitted.swap_positions
                 assert replayed.final_layout == emitted.final_layout
@@ -700,7 +744,7 @@ class TestFoldedSearch:
     def test_frontier_mode_must_match_traversal_mode(self, line5):
         from repro.circuits.flatdag import FlatDag, FrontierState
 
-        router = SabreRouter(line5, config=HeuristicConfig(scorer="vector"))
+        router = SabreRouter(line5)
         ir = FlatDag.from_circuit(_fold_circuits(5)[2])
         with pytest.raises(MappingError, match="folded"):
             router.search(ir, frontier=FrontierState(ir))
@@ -713,7 +757,7 @@ class TestFoldedSearch:
     ):
         """A K=3 sweep searches on folded frontiers: every forward trace
         it ranks replays to a circuit of the traced depth, and its
-        per-seed counts equal the emitting ``reference`` trials'."""
+        per-seed counts equal the emitting legacy oracle's."""
         from repro.circuits.depth import circuit_depth
         from repro.circuits.flatdag import FrontierState
         from repro.core.bidirectional import BestForward
@@ -730,29 +774,14 @@ class TestFoldedSearch:
 
         monkeypatch.setattr(BestForward, "offer", recording)
         seeds = [4, 5, 6]
-        router = SabreRouter(device, config=HeuristicConfig(scorer="vector"))
+        router = SabreRouter(device)
         for circuit in _fold_circuits(min(device.num_qubits, 8)):
             offered.clear()
-            vec = run_trials(
-                circuit,
-                device,
-                seeds=seeds,
-                config=HeuristicConfig(scorer="vector"),
-                num_traversals=3,
-            )
+            vec = run_trials(circuit, device, seeds=seeds, num_traversals=3)
             traces = [c for c in offered if isinstance(c, SearchTrace)]
-            ref = run_trials(
-                circuit,
-                device,
-                seeds=seeds,
-                config=HeuristicConfig(scorer="reference"),
-                num_traversals=3,
-            )
-            assert vec.trial_swaps == ref.trial_swaps
-            assert (
-                vec.best_result.routing.circuit
-                == ref.trials[vec.winner_index].result.routing.circuit
-            )
+            ref = LegacySabreLayout(device, seeds=seeds).run(circuit)
+            assert vec.trial_swaps == [t.best_swaps for t in ref.trials]
+            assert vec.best_result.routing.circuit == ref.routing.circuit
             assert len(traces) == 2 * len(seeds)
             ir = get_flat_dag(circuit)
             for trace in traces:

@@ -4,11 +4,20 @@ The compile-once flat IR must be *observationally invisible*: routing
 through a shared (cached, frontier-reused) :class:`FlatDag` must
 produce byte-identical circuits to the frozen pre-IR code path
 (:mod:`repro.core.legacy`), which re-lowers a fresh ``CircuitDag`` on
-every run — across all heuristic modes, both scorers, the noise-aware
-penalty path, and the livelock escape hatch.  A second axis pins the
-reuse story itself: one shared IR + one reset frontier must route
-identically to a fresh IR + fresh frontier per run.
+every run — across all heuristic modes, both of the router's scoring
+methods, the noise-aware penalty path, and the livelock escape hatch.
+A second axis pins the reuse story itself: one shared IR + one reset
+frontier must route identically to a fresh IR + fresh frontier per run.
+
+The ``scorer`` ids name the router's scoring method: ``vector`` is the
+delta loop (``VectorBlock.score_scalar``), which a symmetric matrix
+selects; ``reference`` is the full Eq. 2 recomputation
+(``VectorBlock.score_full``), selected here by handing the router the
+same matrix flagged asymmetric (:func:`_distance`).
 """
+
+from array import array
+
 
 import pytest
 
@@ -22,12 +31,23 @@ from repro.core import (
     SabreLayout,
     SabreRouter,
 )
+from repro.core.scoring import FlatDistance
 from repro.exceptions import MappingError
 from repro.extensions.noise_aware import noise_weighted_distance
 from repro.hardware import NoiseModel, grid_device, line_device, ring_device
+from repro.hardware.distance import bfs_flat_distance
 
 MODES = ["basic", "lookahead", "decay"]
 SCORERS = ["vector", "reference"]
+
+
+def _distance(device, scorer):
+    """The device's hop matrix; for ``reference`` flagged asymmetric, so
+    the router scores every candidate in full instead of by deltas."""
+    flat = bfs_flat_distance(device)
+    if scorer == "vector":
+        return flat
+    return FlatDistance(flat.n, array("d", flat.buf), symmetric=False)
 
 
 def _assert_identical(a, b):
@@ -46,10 +66,10 @@ class TestSharedIrVsFreshDag:
     def test_all_modes_and_scorers(self, tokyo, mode, scorer):
         circuit = random_circuit(20, 150, seed=5, two_qubit_fraction=0.8)
         layout = Layout.random(20, seed=2)
-        config = HeuristicConfig(mode=mode, scorer=scorer)
-        new = SabreRouter(tokyo, config=config, seed=3).run(
-            circuit, initial_layout=layout
-        )
+        config = HeuristicConfig(mode=mode)
+        new = SabreRouter(
+            tokyo, config=config, seed=3, distance=_distance(tokyo, scorer)
+        ).run(circuit, initial_layout=layout)
         old = LegacyDagRouter(tokyo, config=config, seed=3).run(
             circuit, initial_layout=layout
         )
@@ -113,9 +133,10 @@ class TestSharedIrVsFreshDag:
         """The whole bidirectional sweep: shared IRs + reset frontiers
         vs per-traversal re-lowering must pick identical winners."""
         circuit = random_circuit(16, 100, seed=9, two_qubit_fraction=0.7)
-        config = HeuristicConfig(scorer=scorer)
-        new = SabreLayout(tokyo, config=config, seed=0).run(circuit)
-        old = LegacySabreLayout(tokyo, config=config, seed=0).run(circuit)
+        new = SabreLayout(
+            tokyo, seed=0, distance=_distance(tokyo, scorer)
+        ).run(circuit)
+        old = LegacySabreLayout(tokyo, seed=0).run(circuit)
         assert new.routing.circuit == old.routing.circuit
         assert new.initial_layout == old.initial_layout
         assert new.best_trial_index == old.best_trial_index

@@ -129,6 +129,16 @@ class TestSwapBookkeeping:
         assert layout == result.final_layout
 
 
+def _candidates(router, frontier, layout):
+    """The router's §IV-C1 candidate SWAPs for ``frontier``'s front."""
+    homes = tuple(
+        layout.physical(q)
+        for i in frontier.front_list()
+        for q in frontier.dag.pairs[i]
+    )
+    return [c[:2] for c in router._vdev.front_candidates(homes)]
+
+
 class TestSwapCandidates:
     def test_paper_figure6_restriction(self, grid3x3):
         """Only edges touching front-layer qubit homes are candidates."""
@@ -137,7 +147,7 @@ class TestSwapCandidates:
         router = SabreRouter(grid3x3, seed=0)
         frontier = FrontierState(FlatDag.from_circuit(circ))
         frontier.drain_nonrouting()
-        candidates = router._swap_candidates(frontier, Layout.trivial(9))
+        candidates = _candidates(router, frontier, Layout.trivial(9))
         # edges incident to 0 or 8 only
         assert set(candidates) == {(0, 1), (0, 3), (5, 8), (7, 8)}
 
@@ -148,7 +158,7 @@ class TestSwapCandidates:
         router = SabreRouter(grid3x3, seed=0)
         frontier = FrontierState(FlatDag.from_circuit(circ))
         frontier.drain_nonrouting()
-        candidates = router._swap_candidates(frontier, Layout.trivial(9))
+        candidates = _candidates(router, frontier, Layout.trivial(9))
         assert len(candidates) == 8
 
 

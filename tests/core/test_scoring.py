@@ -1,5 +1,6 @@
-"""Unit tests for the flat distance buffer and the vector scorer's
-scalar delta loop and candidate memo (repro.core.scoring)."""
+"""Unit tests for the flat distance buffer and the candidate scorer's
+scalar delta loop, full-sum loop and candidate memo
+(repro.core.scoring)."""
 
 import pickle
 import random
@@ -9,7 +10,7 @@ import pytest
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.circuits.flatdag import FlatDag, FrontierState
 from repro.circuits.gates import Gate
-from repro.core import FlatDistance, HeuristicConfig, Layout, SabreRouter
+from repro.core import FlatDistance, HeuristicConfig, Layout
 from repro.core.heuristic import score_layout
 from repro.core.scoring import (
     SCORE_EPSILON,
@@ -65,6 +66,14 @@ class TestFlatDistance:
         clone = flat.copy()
         clone.buf[0] = 99.0
         assert flat.buf[0] != 99.0
+
+
+def _vector_device(device):
+    """The candidate tables a router builds for ``device``."""
+    return VectorDevice(
+        FlatDistance.from_matrix(distance_matrix(device)),
+        [device.neighbors(q) for q in range(device.num_qubits)],
+    )
 
 
 def _front_of(circuit):
@@ -130,6 +139,21 @@ def _weighted_distance(device, seed):
     return weighted_floyd_warshall(device, weights)
 
 
+def _rebuilt_candidates(device, frontier, layout):
+    """The §IV-C1 candidate SWAPs of ``frontier``'s front, rebuilt from
+    scratch: every device edge touching a front qubit's home, sorted."""
+    dag = frontier.dag
+    return sorted(
+        {
+            (min(p, nb), max(p, nb))
+            for i in frontier.front
+            for q in (dag.qubit_a[i], dag.qubit_b[i])
+            for p in (layout.physical(q),)
+            for nb in device.neighbors(p)
+        }
+    )
+
+
 def _front_homes(frontier, layout):
     dag = frontier.dag
     return tuple(
@@ -140,9 +164,9 @@ def _front_homes(frontier, layout):
 
 
 class TestDeltaScoring:
-    """The vector scorer's scalar delta loop (``score_scalar``) must
-    pick exactly the winner set of the reference full recomputation,
-    step after step, under non-trivial decay."""
+    """The scalar delta loop (``score_scalar``) must pick exactly the
+    winner set of the paper-literal full recomputation, step after
+    step, under non-trivial decay."""
 
     @pytest.mark.parametrize("mode", ["basic", "lookahead", "decay"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -172,7 +196,6 @@ class TestDeltaScoring:
         )
         assert len(front_gates) > 1
         assert (block.device.spread != 1.0) == weighted
-        router = SabreRouter(device, config=config)
         rng = random.Random(seed)
         bounded = 0
         for _ in range(40):
@@ -183,7 +206,7 @@ class TestDeltaScoring:
             bounded += block.scalar_bounded
             assert block.scalar_bounded < block.scalar_candidates
             want = _reference_winners(
-                router._swap_candidates(frontier, layout), layout,
+                _rebuilt_candidates(device, frontier, layout), layout,
                 front_gates, extended, dist, config, decay,
             )
             assert got == want
@@ -271,13 +294,12 @@ class TestLookaheadBound:
             device, frontier, config, dist
         )
         assert block.device.spread == float("inf")
-        router = SabreRouter(device, config=config)
         decay = [1.0] * 9
         for _ in range(20):
             got = block.score_scalar(layout.l2p, layout.p2l, decay, False)
             assert block.scalar_bounded == 0
             assert got == _reference_winners(
-                router._swap_candidates(frontier, layout), layout,
+                _rebuilt_candidates(device, frontier, layout), layout,
                 front_gates, extended, dist, config, decay,
             )
             layout.swap_logical(*got[0])
@@ -294,26 +316,62 @@ class TestLookaheadBound:
         assert device_spread(weighted, edges) == 3.0
 
 
+class TestFullScoring:
+    """``score_full`` (the router's scorer for asymmetric matrices) must
+    pick exactly the paper-literal winner set, step after step, and
+    leave the layout as it found it."""
+
+    @pytest.mark.parametrize("mode", ["basic", "lookahead", "decay"])
+    @pytest.mark.parametrize("penalty", [0.0, 0.5])
+    def test_matches_reference_on_asymmetric(self, mode, penalty):
+        device = grid_device(3, 3)
+        config = HeuristicConfig(mode=mode, swap_cost_penalty=penalty)
+        for seed in range(4):
+            rng = random.Random(seed)
+            dist = [
+                [d * (1.0 + 0.6 * rng.random()) for d in row]
+                for row in distance_matrix(device)
+            ]
+            circuit = random_circuit(9, 40, seed=seed, two_qubit_fraction=0.8)
+            layout = Layout.random(9, seed=seed)
+            frontier = _front_of(circuit)
+            block, front_gates, extended = _front_block(
+                device, frontier, config, dist
+            )
+            for _ in range(20):
+                decay = [1.0 + rng.randrange(4) * 1e-3 for _ in range(9)]
+                l2p = list(layout.l2p)
+                got = block.score_full(
+                    layout.l2p, layout.p2l, decay, config.uses_decay
+                )
+                assert layout.l2p == l2p
+                assert block.scalar_bounded == 0
+                want = _reference_winners(
+                    _rebuilt_candidates(device, frontier, layout), layout,
+                    front_gates, extended, dist, config, decay,
+                )
+                assert got == want
+                layout.swap_logical(*rng.choice(want))
+
+
 class TestIncrementalCandidates:
-    """The vector scorer's memoised candidate lists must
-    match the router's from-scratch ``_swap_candidates`` — the order
-    that decides tie-breaks — after every SWAP the router could apply."""
+    """The memoised candidate lists must match a from-scratch rebuild
+    — the order that decides tie-breaks — after every SWAP the router
+    could apply."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_agrees_with_rebuild_under_random_swaps(self, seed):
         device = grid_device(4, 4)
         circuit = random_circuit(16, 50, seed=seed, two_qubit_fraction=0.9)
         layout = Layout.random(16, seed=seed)
-        router = SabreRouter(device, config=HeuristicConfig(scorer="vector"))
+        vdev = _vector_device(device)
         frontier = _front_of(circuit)
         rng = random.Random(seed)
         for _ in range(60):
             # Apply a random candidate SWAP, exactly like the router.
-            cands = router._vdev.front_candidates(
-                _front_homes(frontier, layout)
-            )
-            assert [c[:2] for c in cands] == router._swap_candidates(
-                frontier, layout
+            cands = vdev.front_candidates(_front_homes(frontier, layout))
+            assert [c[:2] for c in cands] == _rebuilt_candidates(
+                device, frontier, layout
             )
             pa, pb, _, _ = rng.choice(cands)
             layout.swap_logical(layout.logical(pa), layout.logical(pb))
@@ -321,7 +379,7 @@ class TestIncrementalCandidates:
     def test_matches_router_swap_candidates(self, tokyo):
         """Random layouts and random fronts (any vertex-disjoint set of
         two-qubit gates, home tuples in front order)."""
-        router = SabreRouter(tokyo, config=HeuristicConfig(scorer="vector"))
+        vdev = _vector_device(tokyo)
         rng = random.Random(7)
         for trial in range(100):
             qubits = rng.sample(range(20), 2 * rng.randint(1, 6))
@@ -330,11 +388,9 @@ class TestIncrementalCandidates:
                 circuit.cx(a, b)
             frontier = _front_of(circuit)
             layout = Layout.random(20, seed=trial)
-            cands = router._vdev.front_candidates(
-                _front_homes(frontier, layout)
-            )
+            cands = vdev.front_candidates(_front_homes(frontier, layout))
             assert [(pa, pb) for pa, pb, _, _ in cands] == (
-                router._swap_candidates(frontier, layout)
+                _rebuilt_candidates(tokyo, frontier, layout)
             )
 
 

@@ -6,7 +6,8 @@ Two guarantees anchor the pipeline refactor:
    ``compile_circuit``) produces bit-for-bit the same routed circuits,
    layouts, and trial statistics as the pre-refactor direct path (a
    plain :class:`SabreLayout` search, replicated inline here as the
-   reference), across heuristic modes, scorers, and seeds.
+   reference) and as the paper-literal :class:`LegacySabreLayout`
+   oracle, across heuristic modes and seeds.
 2. **Composition soundness** — extension combinations that previously
    required hand-rolled glue (noise-aware + directed + bridge) run
    end-to-end through a single pipeline, stay hardware-compliant
@@ -24,6 +25,7 @@ from repro.circuits.decompositions import needs_cx_decomposition
 from repro.core import (
     HeuristicConfig,
     Layout,
+    LegacySabreLayout,
     SabreLayout,
     compile_circuit,
 )
@@ -43,19 +45,25 @@ from repro.verify import (
 )
 
 MODES = ["basic", "lookahead", "decay"]
-SCORERS = ["vector", "reference"]
+
+#: The direct path's layout search: production or the legacy oracle.
+LAYOUTS = {"vector": SabreLayout, "reference": LegacySabreLayout}
 
 
-def reference_compile(circuit, coupling, config, seed, num_trials, num_traversals):
+def reference_compile(
+    circuit, coupling, config, seed, num_trials, num_traversals,
+    layout_cls=SabreLayout,
+):
     """The pre-pipeline direct path, replicated verbatim: decompose,
-    resolve the cached distance matrix, run one SabreLayout search."""
+    resolve the cached distance matrix, run one ``layout_cls``
+    search."""
     coupling.require_connected()
     working = (
         decompose_to_cx_basis(circuit)
         if needs_cx_decomposition(circuit)
         else circuit
     )
-    searcher = SabreLayout(
+    searcher = layout_cls(
         coupling,
         config=config,
         num_traversals=num_traversals,
@@ -68,15 +76,16 @@ def reference_compile(circuit, coupling, config, seed, num_trials, num_traversal
 
 class TestPaperDefaultByteIdentity:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("scorer", SCORERS)
+    @pytest.mark.parametrize("scorer", list(LAYOUTS))
     def test_identical_across_modes_and_scorers(self, tokyo, mode, scorer):
         circuit = random_circuit(8, 60, seed=23, two_qubit_fraction=0.6)
-        config = HeuristicConfig(mode=mode, scorer=scorer)
+        config = HeuristicConfig(mode=mode)
         result = Pipeline("paper_default").run(
             circuit, tokyo, config=config, seed=11, num_trials=3
         )
         working, best = reference_compile(
-            circuit, tokyo, config, seed=11, num_trials=3, num_traversals=3
+            circuit, tokyo, config, seed=11, num_trials=3, num_traversals=3,
+            layout_cls=LAYOUTS[scorer],
         )
         assert result.routing.circuit == best.routing.circuit
         assert result.routing.swap_positions == best.routing.swap_positions

@@ -213,25 +213,32 @@ class TestRenderTree:
 
 class TestLayoutTraversalSpans:
     """The layout search records one span per traversal below the
-    layout-search pass (every trial, both directions)."""
+    layout-search pass (every trial, both directions).  The kept
+    forward traversal's key is the compiled result's (``vector``) and
+    the legacy oracle's search over the same seeds (``reference``)."""
 
     @pytest.mark.parametrize("scorer", ["vector", "reference"])
     def test_traversals_nest_under_layout_pass(self, scorer):
         from repro import compile_circuit
         from repro.bench_circuits import build_benchmark
-        from repro.core import HeuristicConfig
+        from repro.circuits import decompose_to_cx_basis
+        from repro.core import LegacySabreLayout
         from repro.hardware import ibm_q20_tokyo
 
+        circuit = decompose_to_cx_basis(build_benchmark("4gt13_92"))
         tracer = Tracer()
         with tracing(tracer):
             result = compile_circuit(
-                build_benchmark("4gt13_92"),
+                circuit,
                 ibm_q20_tokyo(),
-                config=HeuristicConfig(scorer=scorer),
                 seed=0,
                 num_trials=2,
                 num_traversals=3,
             )
+        if scorer == "reference":
+            result = LegacySabreLayout(
+                ibm_q20_tokyo(), num_trials=2, num_traversals=3, seed=0
+            ).run(circuit)
         spans = tracer.export()
         by_id = {s["span_id"]: s for s in spans}
         traversals = [s for s in spans if s["name"] == "layout.traversal"]

@@ -73,15 +73,9 @@ class TestMapCommand:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("scorer", ["vector", "reference"])
-    def test_map_scorer_flag(self, qasm_file, capsys, scorer):
-        code = main(
-            ["map", qasm_file, "--trials", "1", "--scorer", scorer]
-        )
-        assert code == 0
-
     @pytest.mark.parametrize("scorer", ["auto", "fast"])
     def test_map_retired_scorer_names_rejected(self, qasm_file, scorer):
+        """``--scorer`` is retired: any value is a usage error."""
         with pytest.raises(SystemExit) as exc:
             main(["map", qasm_file, "--scorer", scorer])
         assert exc.value.code == 2
