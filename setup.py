@@ -16,6 +16,9 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The native search kernel's source: an installed repro compiles it
+    # on first import (repro.core.native) and routes in Python without it.
+    package_data={"repro.core": ["_search.c"]},
     # 3.10 floor: Gate is a dataclass(slots=True), a 3.10+ construct
     # (CI tests 3.10-3.12).
     python_requires=">=3.10",

@@ -124,6 +124,7 @@ class FlatDag:
         "_zero_bytes",
         "_zero_ints",
         "_fold",
+        "_native",
     )
 
     def __init__(self, circuit: QuantumCircuit) -> None:
@@ -218,12 +219,15 @@ class FlatDag:
         self._zero_bytes = bytes(num_nodes)
         self._zero_ints = [0] * num_nodes
         self._fold: Optional[FoldedTables] = None
+        #: The native search kernel's tables (repro.core.native.ir_tables).
+        self._native = None
 
     def __getstate__(self):
-        # The folded tables are a per-process cache, rebuilt on first
-        # search: keep them out of what pickles to pool workers.
+        # The folded and native tables are per-process caches, rebuilt
+        # on first search: keep them out of what pickles to pool workers.
         state = {name: getattr(self, name) for name in self.__slots__}
         state["_fold"] = None
+        state["_native"] = None
         return None, state
 
     def folded(self) -> FoldedTables:

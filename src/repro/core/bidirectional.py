@@ -204,8 +204,10 @@ class SabreLayout:
         Takes the circuit's IRs as :meth:`lower` returns them: every
         one of the ``num_trials x num_traversals`` routing passes
         shares those read-only IRs plus one resettable frontier per
-        direction.  Each frontier carries its direction's look-ahead
-        memo (:meth:`FrontierState.extended_pairs
+        direction.  The native search kernel (:mod:`repro.core.native`)
+        keeps its own state and ignores the frontiers.  On the Python
+        loop each frontier carries its direction's look-ahead memo
+        (:meth:`FrontierState.extended_pairs
         <repro.circuits.flatdag.FrontierState.extended_pairs>`) across
         resets, so the restarts, which revisit the same fronts, walk
         each front's extended set once per search.
@@ -221,7 +223,8 @@ class SabreLayout:
 
         With a tracer active (:mod:`repro.telemetry.trace`) each
         traversal records one ``layout.traversal`` span with attrs
-        ``trial``, ``dir``, ``swaps`` and ``depth``.
+        ``trial``, ``dir``, ``swaps``, ``depth`` and ``loop`` (which
+        search loop ran it: ``"native"`` or ``"python"``).
         """
         route = self.router.search
         forward_frontier = FrontierState(forward_ir, folded=True)
@@ -253,6 +256,7 @@ class SabreLayout:
                         traced.set("dir", "forward" if forward else "reverse")
                         traced.set("swaps", result.num_swaps)
                         traced.set("depth", result.depth)
+                        traced.set("loop", result.loop)
                 layout = result.final_layout
                 if traversal == 0:
                     first_pass_swaps = result.num_swaps

@@ -42,6 +42,24 @@ may execute ready gates in any order: at each SWAP decision the front,
 the layout, the per-wire depth counters, the RNG stream and the decay
 table are the same whatever order they ran in.
 
+The search loop also exists in C (``_search.c``, loaded by
+:mod:`repro.core.native`): one native call runs a whole traversal over
+flat copies of the IR and device tables, returns the same SWAP record,
+depth and final layout, and leaves the tie-break RNG in the same state.
+It is the production path.  The Python :meth:`SabreRouter._search`
+stays as its fallback and differential oracle, and runs a traversal
+only when no kernel could be built or loaded, when the distance matrix
+is asymmetric, while a :class:`~repro.telemetry.profile.RouterProfiler`
+is active (the kernel keeps no per-step counters) or when
+:attr:`SabreRouter.on_winner_set` is set.  The kernel is exact by
+construction: scores are summed in ``score_scalar``'s float order and
+compiled without FMA contraction or ``-ffast-math``, a tie-break is
+CPython's ``Random.choice`` on the same MT19937 state (read with
+``getstate`` and written back with ``setstate``), and the escape hatch
+walks the same BFS path.  It needs no look-ahead memo: walking ``E``
+afresh at every refresh costs less in C than a memo probe does in
+Python.  :attr:`SearchTrace.loop` records which loop ran.
+
 The paper-literal oracle is :class:`~repro.core.legacy.LegacyDagRouter`
 (and :class:`~repro.core.legacy.LegacySabreLayout` for whole layout
 searches): it regenerates the candidates from scratch, temporarily
@@ -73,6 +91,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.depth import circuit_depth
 from repro.circuits.flatdag import FlatDag, FrontierState
 from repro.circuits.gates import remap_gate, swap_gate
+from repro.core import native
 from repro.core.heuristic import HeuristicConfig
 from repro.core.layout import Layout
 from repro.core.scoring import FlatDistance, VectorBlock, VectorDevice
@@ -179,7 +198,9 @@ class SearchTrace:
     over the gates it *would* have emitted.  ``escapes`` marks spans of
     ``swaps`` applied by the livelock hatch back-to-back (the replay
     must not run its ready scan inside such a span, mirroring the
-    search loop's behaviour).
+    search loop's behaviour).  ``loop`` names the loop that made the
+    decisions: ``"native"`` (the C kernel, :mod:`repro.core.native`) or
+    ``"python"`` (:meth:`SabreRouter._search`).
     """
 
     initial_layout: Layout
@@ -189,6 +210,7 @@ class SearchTrace:
     swaps: List[Tuple[int, int]]
     escapes: List[Tuple[int, int]] = field(default_factory=list)
     num_forced_escapes: int = 0
+    loop: str = "python"
 
 
 class SabreRouter:
@@ -263,9 +285,12 @@ class SabreRouter:
         self._swap_cache: dict = {}
         #: Test seam: when set, called once per SWAP selection with the
         #: list of best-scoring (qa, qb) pairs *before* the tie-break.
+        #: Setting it runs every traversal on the Python loop.
         self.on_winner_set: Optional[
             Callable[[List[Tuple[int, int]]], None]
         ] = None
+        #: The native kernel's device tables (repro.core.native).
+        self._native_device = None
 
     @property
     def dist(self) -> List[List[float]]:
@@ -309,19 +334,25 @@ class SabreRouter:
         between runs, so concurrent trials routing through one router
         instance stay independent and deterministic.
 
-        A run is :meth:`search` on a folded frontier (sharing
-        ``frontier``'s look-ahead memo) followed by :meth:`_replay` of
-        its trace on ``frontier``.
+        A run is a search traversal (as :meth:`search` runs it; the
+        Python loop's folded frontier shares ``frontier``'s look-ahead
+        memo) followed by :meth:`_replay` of its trace on ``frontier``.
         """
-        ir, layout, rng, frontier = self._prepare(
+        ir, layout, rng = self._prepare(
             circuit, initial_layout, seed, frontier
         )
-        trace = self._search(
-            ir,
-            layout.copy(),
-            rng,
-            FrontierState(ir, ext_memo=frontier.ext_memo, folded=True),
-        )
+        if frontier is None:
+            frontier = FrontierState(ir)
+        else:
+            frontier.reset()
+        trace = self._native_search(ir, layout.copy(), rng)
+        if trace is None:
+            trace = self._search(
+                ir,
+                layout.copy(),
+                rng,
+                FrontierState(ir, ext_memo=frontier.ext_memo, folded=True),
+            )
         result = self._replay(ir, layout, frontier, trace)
         result._depth = trace.depth
         return result
@@ -341,12 +372,26 @@ class SabreRouter:
         a :class:`SearchTrace` instead of building a routed circuit.
         :meth:`_replay` turns the trace into the routed circuit, which
         is what :meth:`run` returns.  ``frontier``, when given, must be
-        folded.
+        folded; only the Python loop uses it.
+
+        The traversal runs in the native kernel when it is loaded
+        (:mod:`repro.core.native`), and on the Python loop
+        (:meth:`_search`) when the distance matrix is asymmetric, a
+        :class:`~repro.telemetry.profile.RouterProfiler` is active or
+        :attr:`on_winner_set` is set.  Both make the same decisions;
+        :attr:`SearchTrace.loop` says which one ran.
         """
-        ir, layout, rng, frontier = self._prepare(
+        ir, layout, rng = self._prepare(
             circuit, initial_layout, seed, frontier, folded=True
         )
-        return self._search(ir, layout, rng, frontier)
+        trace = self._native_search(ir, layout, rng)
+        if trace is None:
+            if frontier is None:
+                frontier = FrontierState(ir, folded=True)
+            else:
+                frontier.reset()
+            trace = self._search(ir, layout, rng, frontier)
+        return trace
 
     def _prepare(
         self,
@@ -355,10 +400,12 @@ class SabreRouter:
         seed: Optional[int],
         frontier: Optional[FrontierState],
         folded: bool = False,
-    ) -> Tuple[FlatDag, Layout, random.Random, FrontierState]:
+    ) -> Tuple[FlatDag, Layout, random.Random]:
         """Validate one traversal's inputs and build its private state:
-        the IR, a layout copy, the tie-break RNG, a reset frontier
-        (folded for :meth:`search`, unfolded for :meth:`run`)."""
+        the IR, a layout copy and the tie-break RNG.  A given
+        ``frontier`` must be built over the IR, folded for
+        :meth:`search` and unfolded for :meth:`run`; the caller resets
+        it when a loop uses it."""
         ir = circuit if isinstance(circuit, FlatDag) else FlatDag.from_circuit(circuit)
         n_physical = self.coupling.num_qubits
         if ir.num_qubits > n_physical:
@@ -380,9 +427,7 @@ class SabreRouter:
                 f"layout covers {layout.num_qubits} qubits, device has {n_physical}"
             )
         rng = random.Random(self.seed if seed is None else seed)
-        if frontier is None:
-            frontier = FrontierState(ir, folded=folded)
-        else:
+        if frontier is not None:
             if frontier.dag is not ir:
                 raise MappingError(
                     "frontier was built over a different circuit IR; "
@@ -394,12 +439,43 @@ class SabreRouter:
                     "one; build it with "
                     f"FrontierState(ir, folded={folded})"
                 )
-            frontier.reset()
-        return ir, layout, rng, frontier
+        return ir, layout, rng
 
     # ------------------------------------------------------------------
     # Search loop + replay
     # ------------------------------------------------------------------
+
+    def _native_search(
+        self, ir: FlatDag, layout: Layout, rng: random.Random
+    ) -> Optional[SearchTrace]:
+        """:meth:`_search` in the native kernel, or ``None`` (layout and
+        RNG untouched) when this traversal must run on the Python loop:
+        no loaded kernel, an asymmetric matrix (scored by
+        :meth:`~repro.core.scoring.VectorBlock.score_full`), an active
+        profiler or an :attr:`on_winner_set` hook (both observe the
+        Python loop's steps)."""
+        if (
+            native.kernel is None
+            or not self.flat_dist.symmetric
+            or self.on_winner_set is not None
+            or active_router_profiler() is not None
+        ):
+            return None
+        initial = layout.copy()
+        out = native.search(self, ir, layout, rng)
+        if out is None:
+            return None
+        swaps, escapes, depth = out
+        return SearchTrace(
+            initial_layout=initial,
+            final_layout=layout,
+            num_swaps=len(swaps),
+            depth=depth,
+            swaps=swaps,
+            escapes=escapes,
+            num_forced_escapes=len(escapes),
+            loop="native",
+        )
 
     def _search(
         self,

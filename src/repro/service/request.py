@@ -185,6 +185,27 @@ class CompileRequest:
         """The request's circuit, parsed fresh (QASM errors surface here)."""
         return parse_qasm(self.qasm)
 
+    def raw_digest(self) -> str:
+        """Digest of the request as submitted: the QASM text and every
+        field.  Equal digests imply equal :meth:`fingerprint` s, so the
+        scheduler can answer a byte-identical resubmission without
+        parsing it again."""
+        digest = hashlib.sha256(self.qasm.encode("utf-8"))
+        digest.update(
+            repr(
+                (
+                    self.device,
+                    self.pipeline,
+                    self.config,
+                    self.seed,
+                    self.num_trials,
+                    self.num_traversals,
+                    self.objective,
+                )
+            ).encode("utf-8")
+        )
+        return digest.hexdigest()
+
     def fingerprint(self, circuit: Optional[QuantumCircuit] = None) -> str:
         """Content address of this request (sha256 hex digest).
 

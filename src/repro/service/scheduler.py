@@ -101,6 +101,10 @@ EXECUTION_MODES = ("thread", "process")
 #: Completed/failed jobs retained for ``GET /jobs/<id>`` lookups.
 MAX_FINISHED_JOBS = 512
 
+#: Size bound of the raw-digest -> fingerprint table (dropped wholesale
+#: when full).
+_FINGERPRINTS_MAX = 4096
+
 #: ``Retry-After`` estimates are clamped into this range (seconds) —
 #: wide enough to be honest about a deep queue, narrow enough that a
 #: client is never told to go away for minutes on a hiccup.
@@ -391,6 +395,8 @@ class CoalescingScheduler:
         self._seq = itertools.count()
         self._job_ids = itertools.count(1)
         self._inflight: Dict[str, Job] = {}
+        #: Request raw digest -> fingerprint (see :meth:`submit`).
+        self._fingerprints: Dict[str, str] = {}
         self._jobs: Dict[str, Job] = {}
         self._finished_order: List[str] = []
         self._shutdown = False
@@ -506,9 +512,19 @@ class CoalescingScheduler:
         if self._shutdown:
             raise ReproError("scheduler is shut down")
         # Parse once: the fingerprint needs the gate list anyway, and
-        # the worker reuses the parsed circuit via the job.
-        circuit = request.parsed_circuit()
-        key = request.fingerprint(circuit)
+        # the worker reuses the parsed circuit via the job.  A
+        # byte-identical resubmission finds its fingerprint under the
+        # request's raw digest and is parsed only if it must be queued.
+        raw = request.raw_digest()
+        circuit = None
+        key = self._fingerprints.get(raw)
+        if key is None:
+            circuit = request.parsed_circuit()
+            key = request.fingerprint(circuit)
+            with self._lock:
+                if len(self._fingerprints) >= _FINGERPRINTS_MAX:
+                    self._fingerprints.clear()
+                self._fingerprints[raw] = key
         effective_timeout = timeout if timeout is not None else self.default_timeout
         with self._lock:
             self._submitted += 1
@@ -532,6 +548,8 @@ class CoalescingScheduler:
                 self._coalesce_onto(inflight, priority, effective_timeout)
                 return inflight
         entry = self.store.get(key)
+        if entry is None and circuit is None:
+            circuit = request.parsed_circuit()
         with self._lock:
             if entry is not None:
                 self._store_answered += 1

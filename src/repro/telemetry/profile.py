@@ -18,6 +18,12 @@ run:
   scorer's look-ahead lower bound rejected without walking their
   look-ahead partners (``bounded_total``, at most ``candidates_total``).
 
+The native search kernel (:mod:`repro.core.native`) keeps none of
+these counters, so an active profiler runs every traversal on the
+Python search loop, and :meth:`RouterProfiler.to_dict` labels its
+figures ``"loop": "python"``: they describe that loop, not the
+production one.
+
 Activation mirrors the tracer: thread-local, via
 :func:`profiled_routing`.  The router checks
 :func:`active_router_profiler` **once per run** and keeps the result
@@ -122,6 +128,7 @@ class RouterProfiler:
             "scalar_seconds": round(self.scalar_seconds, 6),
             "scalar_calls": self.scalar_calls,
             "bounded_total": self.bounded_total,
+            "loop": "python",
         }
         if self.steps:
             payload["candidates_mean"] = round(

@@ -14,6 +14,16 @@ from repro.hardware import (
 )
 
 
+@pytest.fixture
+def python_loop(monkeypatch):
+    """Run every search traversal on the Python loop
+    (:meth:`~repro.core.router.SabreRouter._search`) by unloading the
+    native kernel for the test."""
+    from repro.core import native
+
+    monkeypatch.setattr(native, "kernel", None)
+
+
 @pytest.fixture(scope="session")
 def tokyo():
     """The paper's evaluation device (Fig. 2)."""

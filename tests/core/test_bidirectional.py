@@ -150,11 +150,13 @@ class TestSearchMode:
         assert calls["remap"] == routed.circuit.num_gates - routed.num_swaps
 
 
+@pytest.mark.usefixtures("python_loop")
 class TestLookaheadMemo:
     def test_each_narrow_front_walked_once_per_search(self, monkeypatch):
         """The restarts of one ``paper_default`` layout search revisit
         the same fronts; each distinct narrow front's extended set is
-        walked exactly once per search, not once per traversal."""
+        walked exactly once per search, not once per traversal (on the
+        Python search loop, which owns the memo)."""
         from collections import Counter
 
         from repro.bench_circuits import build_benchmark
@@ -181,13 +183,15 @@ class TestLookaheadMemo:
 
 
 class TestFoldedSearch:
+    @pytest.mark.usefixtures("python_loop")
     def test_search_traversals_execute_no_single_qubit_node(
         self, monkeypatch
     ):
         """Every search traversal of a ``paper_default`` layout search
         runs on a folded frontier: single-qubit gates ride along with
         the node heading their chain and are executed one by one only
-        in the final replay, which emits them."""
+        in the final replay, which emits them.  (The frontier is the
+        Python search loop's; the native kernel keeps its own.)"""
         from collections import Counter
 
         from repro.bench_circuits import build_benchmark

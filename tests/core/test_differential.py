@@ -16,6 +16,14 @@ serial or parallel executor.
 Test ids keep the ``vector``/``reference`` labels: ``vector`` is the
 production class, ``reference`` the legacy oracle (:data:`ROUTERS`,
 :data:`LAYOUTS`).
+
+The production router searches in the native kernel when it is loaded
+(:mod:`repro.core.native`).  The ``...PythonLoop`` classes rerun the
+routing suites with the kernel unloaded, so both search loops are held
+to the oracle.  :class:`TestExecutorIdentity` runs once: it compares
+executors, which run the same search loop beneath (and pool workers
+started by spawn or forkserver load the kernel whatever the parent
+has).
 """
 
 import hashlib
@@ -562,11 +570,13 @@ def memo_audit(monkeypatch):
     return audit
 
 
+@pytest.mark.usefixtures("python_loop")
 class TestLookaheadMemo:
     """The router's front-keyed look-ahead memo (one per layout search
     and IR direction) must serve exactly the extended set a fresh walk
     finds at every refresh, and routing must stay byte-identical to the
-    unmemoised legacy oracle."""
+    unmemoised legacy oracle.  The memo belongs to the Python search
+    loop, so these tests run on it."""
 
     @staticmethod
     def _search(device, circuit, label, stall_limit=None, **kwargs):
@@ -789,3 +799,13 @@ class TestFoldedSearch:
                     ir, trace.initial_layout.copy(), FrontierState(ir), trace
                 )
                 assert trace.depth == circuit_depth(replayed.circuit)
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestIdenticalRoutingPythonLoop(TestIdenticalRouting):
+    """:class:`TestIdenticalRouting` on the Python search loop."""
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestFoldedSearchPythonLoop(TestFoldedSearch):
+    """:class:`TestFoldedSearch` on the Python search loop."""

@@ -13,7 +13,10 @@ The ``scorer`` ids name the router's scoring method: ``vector`` is the
 delta loop (``VectorBlock.score_scalar``), which a symmetric matrix
 selects; ``reference`` is the full Eq. 2 recomputation
 (``VectorBlock.score_full``), selected here by handing the router the
-same matrix flagged asymmetric (:func:`_distance`).
+same matrix flagged asymmetric (:func:`_distance`).  An asymmetric
+matrix always searches on the Python loop; a symmetric one in the native
+kernel when it is loaded (:mod:`repro.core.native`), and the
+``...PythonLoop`` classes rerun the suites with the kernel unloaded.
 """
 
 from array import array
@@ -199,6 +202,16 @@ class TestFrontierReuse:
         frontier = FrontierState(FlatDag.from_circuit(circ_a))
         with pytest.raises(MappingError, match="different circuit IR"):
             router.run(FlatDag.from_circuit(circ_b), frontier=frontier)
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestSharedIrVsFreshDagPythonLoop(TestSharedIrVsFreshDag):
+    """:class:`TestSharedIrVsFreshDag` on the Python search loop."""
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestFrontierReusePythonLoop(TestFrontierReuse):
+    """:class:`TestFrontierReuse` on the Python search loop."""
 
 
 class TestIrCacheNaming:

@@ -135,7 +135,8 @@ class TestShipOnce:
         worker entry point takes exactly (sweep_index, seeds) — and
         returns only the shard's search record and its seconds: a trace
         plus per-seed trial records, no circuit, no result, and no
-        replay on the worker side."""
+        replay on the worker side.  (The one string is the trace's
+        ``loop`` label.)"""
         def no_replay(*args, **kwargs):
             raise AssertionError("a shard worker replayed a trace")
 
@@ -158,7 +159,7 @@ class TestShipOnce:
         assert isinstance(record.best, SearchTrace)
         assert _payload_types(record) <= {
             ShardSearch, SearchTrace, TrialRecord, Layout,
-            list, tuple, int,
+            list, tuple, int, str,
         }
         serial = run_trials(workload, device, [0, 1], executor="serial")
         assert [t.best_swaps for t in record.trials] == serial.trial_swaps

@@ -8,7 +8,9 @@ candidate order, scoring, tie-breaking or emission order shows up here
 whatever oracle path the differential suites compare against.
 
 Rows of at most 1000 gates run in the quick tier; the deep rows are
-marked slow.
+marked slow.  Each row runs twice: on the production search loop (the
+native kernel when it is loaded, :mod:`repro.core.native`) and on the
+Python loop it ports.
 """
 
 import hashlib
@@ -68,20 +70,25 @@ def test_golden_covers_table_ii():
     assert [name for name, _, _ in GOLDEN] == [spec.name for spec in TABLE_II]
 
 
-@pytest.mark.parametrize(
-    "index",
-    [
-        pytest.param(
-            i,
-            id=name,
-            marks=() if gates <= QUICK_MAX_GATES else pytest.mark.slow,
-        )
-        for i, (name, gates, _) in enumerate(GOLDEN)
-    ],
-)
+ROWS = [
+    pytest.param(
+        i,
+        id=name,
+        marks=() if gates <= QUICK_MAX_GATES else pytest.mark.slow,
+    )
+    for i, (name, gates, _) in enumerate(GOLDEN)
+]
+
+
+@pytest.mark.parametrize("index", ROWS)
 def test_routing_matches_golden_digest(tokyo, index):
     name, gates, digest = GOLDEN[index]
     circuit = TABLE_II[index].build()
     assert len(circuit.gates) == gates
     result = compile_circuit(circuit, tokyo, seed=index)
     assert routing_digest(result.routing.circuit) == digest, name
+
+
+@pytest.mark.parametrize("index", ROWS)
+def test_routing_matches_golden_digest_python_loop(tokyo, index, python_loop):
+    test_routing_matches_golden_digest(tokyo, index)

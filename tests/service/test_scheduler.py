@@ -113,6 +113,41 @@ class TestCoalescing:
         finally:
             scheduler.shutdown()
 
+    def test_identical_resubmission_is_not_parsed_again(self, monkeypatch):
+        """A byte-identical resubmission finds its fingerprint by the
+        request's raw digest: a store hit parses nothing, and a store
+        miss parses once to hand the worker its circuit."""
+        parses = []
+        parse = CompileRequest.parsed_circuit
+
+        def counted(self):
+            parses.append(self.seed)
+            return parse(self)
+
+        monkeypatch.setattr(CompileRequest, "parsed_circuit", counted)
+        compiler = CountingCompiler()
+        store = ResultStore()
+        scheduler = CoalescingScheduler(
+            store=store, workers=1, compile_fn=compiler
+        )
+        try:
+            first = scheduler.wait(scheduler.submit(request()), timeout=10)
+            assert parses == [0]
+            second = scheduler.submit(request())
+            assert second.cached
+            assert second.result.key == first.result.key
+            assert parses == [0]
+            scheduler.submit(request(seed=1))
+            assert parses == [0, 1]
+            store.clear_memory()
+            third = scheduler.wait(scheduler.submit(request()), timeout=10)
+            assert not third.cached
+            assert third.result.key == first.result.key
+            assert parses == [0, 1, 0]
+            assert compiler.executions == 3
+        finally:
+            scheduler.shutdown()
+
     def test_different_seeds_do_not_coalesce(self):
         compiler = CountingCompiler()
         scheduler = CoalescingScheduler(
