@@ -1,8 +1,7 @@
-"""Legacy setup shim.
+"""Packaging metadata of the ``repro`` package.
 
-The project metadata lives in pyproject.toml; this file exists so that
-``pip install -e .`` works in offline environments that lack the
-``wheel`` package required for PEP 660 editable installs.
+This file is the project's only packaging metadata (there is no
+pyproject.toml); ``pip install -e .`` installs from it, also offline.
 """
 
 from setuptools import find_packages, setup

@@ -11,11 +11,17 @@ attribute chasing in the router's innermost loops.
 
 This module is the amortised alternative:
 
-- :class:`FlatDag` — an **immutable** lowering of a circuit, built in
-  one last-gate-per-wire pass: per-node successor and predecessor
-  tuples, per-node qubit operands, two-qubit flags, and the gate
-  handles needed to emit output — the views CPython walks fastest.
-  Paying that derivation **once per (circuit, direction)** is the
+- :class:`FlatDag` — an **immutable** lowering of a circuit.  Its
+  constructor keeps only what every consumer reads: the gate handles
+  needed to emit output, per-node operand tuples, the routability flag
+  and the counts.  The native kernel builds its own tables from those
+  operands (:func:`repro.core.native.ir_tables`), so a compile on the
+  kernel stops there.  The Python DAG views — per-node successor and
+  predecessor tuples, int operands, two-qubit flags, counts and roots,
+  the shapes CPython walks fastest — are built together, in one
+  last-gate-per-wire pass, the first time the Python search loop, its
+  replay or a test reads one; :meth:`FlatDag.folded` is lazy too.
+  Paying each derivation **once per (circuit, direction)** is the
   point: every trial, traversal, thread, and worker shares the result
   read-only.  The engine cache (:mod:`repro.engine.cache`) memoises
   instances by circuit fingerprint.
@@ -44,6 +50,7 @@ look-ahead refresh (same front, same extended set).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from operator import attrgetter
 from typing import List, NamedTuple, Optional, Set, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
@@ -72,6 +79,21 @@ class FoldedTables(NamedTuple):
     root_depth: Tuple[int, ...]
 
 
+class _DagViews(NamedTuple):
+    """The Python DAG views of a :class:`FlatDag`, built together on
+    first access (:meth:`FlatDag._build_views`)."""
+
+    qubit_a: List[int]
+    qubit_b: List[int]
+    two_qubit: bytes
+    indegree: List[int]
+    succs: Tuple[Tuple[int, ...], ...]
+    preds: Tuple[Tuple[int, ...], ...]
+    roots: Tuple[int, ...]
+    zero_bytes: bytes
+    zero_ints: List[int]
+
+
 class FlatDag:
     """Immutable flat lowering of a circuit's dependency DAG.
 
@@ -85,13 +107,21 @@ class FlatDag:
     engine cache, pool workers) shares one object per circuit, so
     mutating any buffer would corrupt all of them.
 
-    Attributes:
+    Eager attributes (set by the constructor):
         num_nodes: gate count (including directives).
         num_qubits / num_clbits / name: copied from the source circuit
             so the router never needs the circuit object itself.
         gates: the source gate tuple — handles for output emission.
         pairs: per-node operand tuples (``gates[i].qubits``, shared, not
-            copied) — what the scorer's ``set_front`` consumes.
+            copied) — what the scorer's ``set_front`` consumes, and the
+            operands the native kernel lowers from.
+        routable: False when some gate has >2 qubits and is not a
+            directive (the router rejects such IRs with a clear error).
+
+    Lazy attributes, built together on first access of any of them (the
+    Python search loop, its replay and the oracle tests read them; a
+    compile on the native kernel never does, as ``sabre_lower`` builds
+    its own tables from :attr:`pairs`):
         qubit_a / qubit_b: per-node int operands for two-qubit gates
             (``-1`` elsewhere) — the router's executability test reads
             these instead of touching gate objects.
@@ -102,8 +132,8 @@ class FlatDag:
             release loop.
         preds: per-node predecessor tuples, ascending.
         roots: nodes with indegree zero, ascending.
-        routable: False when some gate has >2 qubits and is not a
-            directive (the router rejects such IRs with a clear error).
+
+    :meth:`folded` is lazy too.  None of the lazy tables is pickled.
     """
 
     __slots__ = (
@@ -113,37 +143,49 @@ class FlatDag:
         "name",
         "gates",
         "pairs",
-        "qubit_a",
-        "qubit_b",
-        "two_qubit",
-        "indegree",
-        "succs",
-        "preds",
-        "roots",
         "routable",
-        "_zero_bytes",
-        "_zero_ints",
+        "_views",
         "_fold",
         "_native",
     )
 
     def __init__(self, circuit: QuantumCircuit) -> None:
-        """Lower ``circuit`` in one ``O(g)`` pass (last-gate-per-wire).
+        """Take the circuit's gates and operands (``O(g)``, all of it
+        C-level iteration); the DAG views wait for first use.
 
-        The expensive call — do it once and share the result.  The
-        engine cache (:func:`repro.engine.cache.get_flat_dag`) memoises
-        this by circuit fingerprint.
+        Do it once and share the result.  The engine cache
+        (:func:`repro.engine.cache.get_flat_dag`) memoises this by
+        circuit fingerprint.
         """
         gates = circuit.gates
-        num_nodes = len(gates)
-        self.num_nodes = num_nodes
+        self.num_nodes = len(gates)
         self.num_qubits = circuit.num_qubits
         self.num_clbits = circuit.num_clbits
         self.name = circuit.name
         self.gates = gates
-        self.pairs = tuple(gate.qubits for gate in gates)
+        self.pairs = pairs = tuple(map(attrgetter("qubits"), gates))
+        self.routable = max(map(len, pairs), default=0) <= 2 or all(
+            gate.name in _DIRECTIVE_NAMES
+            for gate, qs in zip(gates, pairs)
+            if len(qs) > 2
+        )
+        self._views: Optional[_DagViews] = None
+        self._fold: Optional[FoldedTables] = None
+        #: The native kernel's tables (repro.core.native.ir_tables).
+        self._native = None
 
-        last_on_wire = [-1] * circuit.num_qubits
+    def _dag_views(self) -> _DagViews:
+        views = self._views
+        if views is None:
+            views = self._views = self._build_views()
+        return views
+
+    def _build_views(self) -> _DagViews:
+        """Lower the Python DAG views in one ``O(g)`` last-gate-per-wire
+        pass (racing first calls build equal views; either is kept)."""
+        gates = self.gates
+        num_nodes = self.num_nodes
+        last_on_wire = [-1] * self.num_qubits
         succ_lists: List[List[int]] = [[] for _ in range(num_nodes)]
         preds: List[Tuple[int, ...]] = [()] * num_nodes
         indegree = [0] * num_nodes
@@ -151,11 +193,9 @@ class FlatDag:
         qubit_a = [-1] * num_nodes
         qubit_b = [-1] * num_nodes
         two_qubit = bytearray(num_nodes)
-        routable = True
         # Node ids arrive ascending, so every successor list comes out
         # ascending — the same order CircuitDag appends successors in.
-        for index, gate in enumerate(gates):
-            qs = gate.qubits
+        for index, qs in enumerate(self.pairs):
             if len(qs) == 1:
                 q = qs[0]
                 p = last_on_wire[q]
@@ -186,7 +226,7 @@ class FlatDag:
                     indegree[index] = 1
                 else:
                     roots.append(index)
-                if gate.name not in _DIRECTIVE_NAMES:
+                if gates[index].name not in _DIRECTIVE_NAMES:
                     two_qubit[index] = 1
                     qubit_a[index] = a
                     qubit_b[index] = b
@@ -202,30 +242,53 @@ class FlatDag:
             indegree[index] = len(ordered)
             if not ordered:
                 roots.append(index)
-            if gate.name not in _DIRECTIVE_NAMES:
-                routable = False
-
-        self.qubit_a = qubit_a
-        self.qubit_b = qubit_b
-        self.two_qubit = bytes(two_qubit)
-        self.indegree = indegree
-        self.routable = routable
-        self.succs = tuple(map(tuple, succ_lists))
-        self.preds = tuple(preds)
-        self.roots = tuple(roots)
-
-        # Shared zero-fill sources for O(n) frontier resets: slice
+        # The zero-fill sources are for O(n) frontier resets: slice
         # assignment from these never allocates per reset.
-        self._zero_bytes = bytes(num_nodes)
-        self._zero_ints = [0] * num_nodes
-        self._fold: Optional[FoldedTables] = None
-        #: The native search kernel's tables (repro.core.native.ir_tables).
-        self._native = None
+        return _DagViews(
+            qubit_a,
+            qubit_b,
+            bytes(two_qubit),
+            indegree,
+            tuple(map(tuple, succ_lists)),
+            tuple(preds),
+            tuple(roots),
+            bytes(num_nodes),
+            [0] * num_nodes,
+        )
+
+    @property
+    def qubit_a(self) -> List[int]:
+        return self._dag_views().qubit_a
+
+    @property
+    def qubit_b(self) -> List[int]:
+        return self._dag_views().qubit_b
+
+    @property
+    def two_qubit(self) -> bytes:
+        return self._dag_views().two_qubit
+
+    @property
+    def indegree(self) -> List[int]:
+        return self._dag_views().indegree
+
+    @property
+    def succs(self) -> Tuple[Tuple[int, ...], ...]:
+        return self._dag_views().succs
+
+    @property
+    def preds(self) -> Tuple[Tuple[int, ...], ...]:
+        return self._dag_views().preds
+
+    @property
+    def roots(self) -> Tuple[int, ...]:
+        return self._dag_views().roots
 
     def __getstate__(self):
-        # The folded and native tables are per-process caches, rebuilt
-        # on first search: keep them out of what pickles to pool workers.
+        # The lazy views and tables are per-process caches, rebuilt on
+        # first use: keep them out of what pickles to pool workers.
         state = {name: getattr(self, name) for name in self.__slots__}
+        state["_views"] = None
         state["_fold"] = None
         state["_native"] = None
         return None, state
@@ -348,6 +411,7 @@ class FrontierState:
     __slots__ = (
         "dag",
         "fold",
+        "_views",
         "_succs",
         "_total",
         "remaining",
@@ -376,9 +440,10 @@ class FrontierState:
         n = dag.num_nodes
         #: The folded tables, or None for an unfolded frontier.
         self.fold: Optional[FoldedTables] = dag.folded() if folded else None
-        self._succs = self.fold.succs if folded else dag.succs
+        self._views = views = dag._dag_views()
+        self._succs = self.fold.succs if folded else views.succs
         self._total = self.fold.total if folded else n
-        self.remaining = list(self.fold.fill if folded else dag.indegree)
+        self.remaining = list(self.fold.fill if folded else views.indegree)
         self.executed = bytearray(n)
         self.front: Set[int] = set()
         self._front_sorted: List[int] = []
@@ -406,26 +471,26 @@ class FrontierState:
         point: ``route -> reset -> route`` must behave exactly like two
         fresh frontiers (a property test pins this down).
         """
-        dag = self.dag
+        views = self._views
         fold = self.fold
-        self.remaining[:] = dag.indegree if fold is None else fold.fill
-        self.executed[:] = dag._zero_bytes
+        self.remaining[:] = views.indegree if fold is None else fold.fill
+        self.executed[:] = views.zero_bytes
         self.front.clear()
         self._front_sorted.clear()
         self._ready_other.clear()
         self._ro_head = 0
         self.num_executed = 0
         self._epoch = 0
-        self._virt_epoch[:] = dag._zero_ints
+        self._virt_epoch[:] = views.zero_ints
         self.front_log.clear()
         self._seed_roots()
 
     def _seed_roots(self) -> None:
-        for index in self.dag.roots if self.fold is None else self.fold.roots:
+        for index in self._views.roots if self.fold is None else self.fold.roots:
             self._classify(index)
 
     def _classify(self, index: int) -> None:
-        if self.dag.two_qubit[index]:
+        if self._views.two_qubit[index]:
             self.front.add(index)
             insort(self._front_sorted, index)
             if self.track_front_log:
@@ -546,9 +611,9 @@ class FrontierState:
         virt = self._virt
         stamps = self._virt_epoch
         remaining = self.remaining
-        dag = self.dag
-        succs = dag.succs
-        two_qubit = dag.two_qubit
+        views = self._views
+        succs = views.succs
+        two_qubit = views.two_qubit
         queue = self._queue
         tail = 0
         for index in self._front_sorted:

@@ -257,9 +257,19 @@ def remap_gate(gate: Gate, mapping) -> Gate:
         mapped = tuple(mapping[q] for q in qubits)
     if mapped == qubits:
         return gate
-    new = object.__new__(Gate)
-    object.__setattr__(new, "name", gate.name)
-    object.__setattr__(new, "qubits", mapped)
-    object.__setattr__(new, "params", gate.params)
-    object.__setattr__(new, "clbit", gate.clbit)
+    new = _new_object(Gate)
+    _set_name(new, gate.name)
+    _set_qubits(new, mapped)
+    _set_params(new, gate.params)
+    _set_clbit(new, gate.clbit)
     return new
+
+
+# remap_gate fills a new Gate through its slot descriptors: the frozen
+# dataclass's __setattr__ guard is what object.__setattr__ would route
+# around, at about twice the cost per field.
+_new_object = object.__new__
+_set_name = Gate.__dict__["name"].__set__
+_set_qubits = Gate.__dict__["qubits"].__set__
+_set_params = Gate.__dict__["params"].__set__
+_set_clbit = Gate.__dict__["clbit"].__set__

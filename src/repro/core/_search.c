@@ -1,12 +1,22 @@
 /*
- * Native search kernel: one SABRE search-mode traversal per call.
+ * Native search kernel: SABRE's per-compile work on flat tables, in C.
  *
- * A line-for-line port of SabreRouter._search (repro/core/router.py)
- * with VectorBlock.score_scalar (repro/core/scoring.py) and
- * FrontierState.extended_nodes (repro/circuits/flatdag.py) inlined.
- * The Python loop stays the oracle: for equal inputs both make the same
+ * Three entry points, loaded with ctypes by repro/core/native.py:
+ *  - sabre_lower builds every per-IR table the other two read (full and
+ *    folded successor CSR, counts, roots, depth tails) from one flat
+ *    operand array, per-gate arities and directive flags, as
+ *    FlatDag's Python views and FlatDag.folded (repro/circuits/
+ *    flatdag.py) build them;
+ *  - sabre_search runs one SABRE search-mode traversal per call: a
+ *    line-for-line port of SabreRouter._search (repro/core/router.py)
+ *    with VectorBlock.score_scalar (repro/core/scoring.py) and
+ *    FrontierState.extended_nodes inlined;
+ *  - sabre_replay walks a recorded traversal over the unfolded DAG as
+ *    SabreRouter._replay does and writes the emission order: node ids,
+ *    with a SABRE_SWAP marker where each SWAP goes.
+ * The Python code stays the oracle: for equal inputs both make the same
  * SWAP decisions, draw the same tie-breaks from the same MT19937
- * stream, and leave the same layout, depth and SWAP record.
+ * stream, and leave the same layout, depth, SWAP record and gate order.
  *
  * Exactness rests on three rules:
  *  - scores are IEEE doubles combined in score_scalar's order; the file
@@ -20,8 +30,7 @@
  *
  * The kernel keeps no global state: all working memory is allocated
  * per call, and the caller's layout and RNG state are written back only
- * when the call succeeds.  Plain C99, no Python headers: the caller
- * loads it with ctypes.
+ * when the call succeeds.  Plain C99, no Python headers.
  */
 
 #include <math.h>
@@ -37,6 +46,10 @@
 #define SABRE_ESCAPES_FULL 2
 #define SABRE_NO_WINNER 3
 #define SABRE_NO_MEMORY 4
+#define SABRE_BAD_INPUT 5
+
+/* The SWAP marker of sabre_replay's emission order. */
+#define SABRE_SWAP (-1)
 
 /* Device tables: built once per router. */
 typedef struct {
@@ -61,25 +74,31 @@ typedef struct {
     double decay_delta;
 } sabre_config;
 
-/* Per-IR tables: built once per FlatDag (repro.core.native.ir_tables). */
+/* Per-IR tables: filled once per FlatDag by sabre_lower, read-only
+ * after.  The caller allocates every array (sizes in brackets: N nodes,
+ * M operands, Q logical qubits) and sets num_nodes, num_qubits and pair;
+ * sabre_lower fills the rest. */
 typedef struct {
     int num_nodes;
     int num_qubits;             /* logical qubits of the circuit */
-    const int *qubit_a;
-    const int *qubit_b;
-    const unsigned char *two_qubit;
-    const int *succ_off;        /* full-DAG successors (look-ahead walk) */
-    const int *succ;
-    const int *fsucc_off;       /* folded successors (execution) */
-    const int *fsucc;
-    const int *fill;            /* folded initial remaining counts */
-    const int *roots;           /* folded roots, ascending */
+    int num_two;                /* two-qubit (routable) gates */
+    int *qubit_a;               /* [N] operands of two-qubit gates, else -1 */
+    int *qubit_b;               /* [N] */
+    unsigned char *two_qubit;   /* [N] */
+    int *indegree;              /* [N] full-DAG predecessor counts */
+    int *uroots;                /* [N] full-DAG roots, ascending */
+    int num_uroots;
+    int *succ_off;              /* [N+1] full-DAG successors, ascending */
+    int *succ;                  /* [M] */
+    int *fsucc_off;             /* [N+1] folded successors (execution) */
+    int *fsucc;                 /* [M] */
+    int *fill;                  /* [N] folded initial remaining counts */
+    int *roots;                 /* [N] folded roots, ascending */
     int num_roots;
-    const int *pair_off;        /* operands of every node */
-    const int *pair;
-    const int *tail_off;        /* folded depth tails, one per operand */
-    const int *tail;
-    const int *root_depth;      /* per logical qubit */
+    int *pair_off;              /* [N+1] operands of every node */
+    const int *pair;            /* [M] (the caller's operand array) */
+    int *tail;                  /* [M] folded depth tails, one per operand */
+    int *root_depth;            /* [Q] per logical qubit */
 } sabre_ir;
 
 /* ------------------------------------------------------------------ */
@@ -406,7 +425,7 @@ int sabre_search(const sabre_device *dev, const sabre_config *cfg,
                 wa = t.wire[pa];
                 wb = t.wire[pb];
                 end = (wa >= wb ? wa : wb) + 1;
-                off = ir->tail_off[index];
+                off = ir->pair_off[index];
                 t.wire[pa] = end + ir->tail[off];
                 t.wire[pb] = end + ir->tail[off + 1];
                 for (k = ir->fsucc_off[index]; k < ir->fsucc_off[index + 1]; k++) {
@@ -428,11 +447,11 @@ int sabre_search(const sabre_device *dev, const sabre_config *cfg,
             /* Barriers add their operands' tails; the two-qubit gates
              * they release enter the front and the worklist. */
             while (rh < nready) {
-                int index = ready[rh++], off = ir->tail_off[index];
-                for (k = 0; k < ir->pair_off[index + 1] - ir->pair_off[index]; k++) {
-                    int tl = ir->tail[off + k];
+                int index = ready[rh++];
+                for (k = ir->pair_off[index]; k < ir->pair_off[index + 1]; k++) {
+                    int tl = ir->tail[k];
                     if (tl)
-                        t.wire[t.l2p[ir->pair[ir->pair_off[index] + k]]] += tl;
+                        t.wire[t.l2p[ir->pair[k]]] += tl;
                 }
                 for (k = ir->fsucc_off[index]; k < ir->fsucc_off[index + 1]; k++) {
                     int s = ir->fsucc[k];
@@ -707,5 +726,313 @@ done:
     free(pe);
     free(decay);
     free(t.work.data);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* Lowering: FlatDag's Python views and FlatDag.folded, as CSR tables. */
+
+int sabre_lower(sabre_ir *ir, const int *arity, const unsigned char *directive)
+{
+    const int nodes = ir->num_nodes;
+    const int nq = ir->num_qubits;
+    const int *ops = ir->pair;
+    int *pair_off = ir->pair_off;
+    int *last = NULL, *pred = NULL, *pos = NULL, *end = NULL, *depth = NULL;
+    int rc = SABRE_OK, m, i, j, k, nf;
+
+    pair_off[0] = 0;
+    for (i = 0; i < nodes; i++) {
+        if (arity[i] < 1) /* every gate has an operand */
+            return SABRE_BAD_INPUT;
+        pair_off[i + 1] = pair_off[i] + arity[i];
+    }
+    m = pair_off[nodes];
+    for (k = 0; k < m; k++)
+        if (ops[k] < 0 || ops[k] >= nq)
+            return SABRE_BAD_INPUT;
+    last = malloc((size_t)nq * sizeof(int) + 1);
+    pred = malloc((size_t)m * sizeof(int) + 1);
+    pos = malloc((size_t)nodes * sizeof(int) + 1);
+    end = malloc((size_t)nodes * sizeof(int) + 1);
+    depth = malloc((size_t)nodes * sizeof(int) + 1);
+    if (!last || !pred || !pos || !end || !depth) {
+        rc = SABRE_NO_MEMORY;
+        goto done;
+    }
+
+    /* The full DAG, in FlatDag's last-gate-per-wire pass: node i's
+     * predecessors (deduplicated, ascending) go to pred[pair_off[i]..],
+     * and succ_off[p + 1] counts p's successors. */
+    for (i = 0; i < nq; i++)
+        last[i] = -1;
+    memset(ir->succ_off, 0, ((size_t)nodes + 1) * sizeof(int));
+    ir->num_uroots = 0;
+    ir->num_two = 0;
+    for (i = 0; i < nodes; i++) {
+        int off = pair_off[i], cnt = 0;
+        for (k = 0; k < arity[i]; k++) {
+            int q = ops[off + k], p = last[q];
+            last[q] = i;
+            if (p < 0)
+                continue;
+            for (j = 0; j < cnt && pred[off + j] < p; j++)
+                ;
+            if (j < cnt && pred[off + j] == p)
+                continue;
+            memmove(pred + off + j + 1, pred + off + j,
+                    (size_t)(cnt - j) * sizeof(int));
+            pred[off + j] = p;
+            cnt++;
+        }
+        ir->indegree[i] = cnt;
+        for (j = 0; j < cnt; j++)
+            ir->succ_off[pred[off + j] + 1]++;
+        if (cnt == 0)
+            ir->uroots[ir->num_uroots++] = i;
+        if (arity[i] == 2 && !directive[i]) {
+            ir->two_qubit[i] = 1;
+            ir->qubit_a[i] = ops[off];
+            ir->qubit_b[i] = ops[off + 1];
+            ir->num_two++;
+        } else {
+            ir->two_qubit[i] = 0;
+            ir->qubit_a[i] = -1;
+            ir->qubit_b[i] = -1;
+        }
+    }
+    for (i = 0; i < nodes; i++) {
+        ir->succ_off[i + 1] += ir->succ_off[i];
+        pos[i] = ir->succ_off[i];
+    }
+    /* Nodes arrive ascending, so every successor row comes out ascending. */
+    for (i = 0; i < nodes; i++)
+        for (j = 0; j < ir->indegree[i]; j++)
+            ir->succ[pos[pred[pair_off[i] + j]]++] = i;
+
+    /* Folding: end[i] is the multi-qubit node a dependency on i resolves
+     * to (i itself, or the node ending its single-qubit chain; -1 at the
+     * wire's end); depth[i] counts the depth-counted gates from a
+     * single-qubit i to the end of its chain. */
+    for (i = nodes - 1; i >= 0; i--) {
+        end[i] = arity[i] >= 2 ? i : -1;
+        depth[i] = 0;
+        if (arity[i] < 2) {
+            depth[i] = !directive[i];
+            for (k = ir->succ_off[i]; k < ir->succ_off[i + 1]; k++) {
+                end[i] = end[ir->succ[k]];
+                depth[i] += depth[ir->succ[k]];
+            }
+        }
+    }
+    memcpy(ir->fill, ir->indegree, (size_t)nodes * sizeof(int));
+    for (i = 0; i < nq; i++)
+        ir->root_depth[i] = 0;
+    ir->fsucc_off[0] = 0;
+    nf = 0;
+    for (i = 0; i < nodes; i++) {
+        int off = pair_off[i];
+        for (k = off; k < pair_off[i + 1]; k++)
+            ir->tail[k] = 0;
+        if (arity[i] >= 2) {
+            for (k = ir->succ_off[i]; k < ir->succ_off[i + 1]; k++) {
+                int s = ir->succ[k];
+                if (end[s] >= 0)
+                    ir->fsucc[nf++] = end[s];
+                if (depth[s]) {
+                    /* s heads the single-qubit chain on one wire of i */
+                    int q = ops[pair_off[s]];
+                    for (j = off; j < pair_off[i + 1]; j++)
+                        if (ops[j] == q)
+                            ir->tail[j] = depth[s];
+                }
+            }
+        } else if (!ir->fill[i]) { /* the head of a root chain */
+            ir->root_depth[ops[off]] = depth[i];
+            if (end[i] >= 0)
+                ir->fill[end[i]]--;
+        }
+        ir->fsucc_off[i + 1] = nf;
+    }
+    ir->num_roots = 0;
+    for (i = 0; i < nodes; i++)
+        if (arity[i] >= 2 && !ir->fill[i])
+            ir->roots[ir->num_roots++] = i;
+
+done:
+    free(last);
+    free(pred);
+    free(pos);
+    free(end);
+    free(depth);
+    return rc;
+}
+
+/* ------------------------------------------------------------------ */
+/* Replay: SabreRouter._replay's gate order over the unfolded DAG.     */
+
+/* Execute node index: count it, write it to the order, and release its
+ * successors (two-qubit gates into log, the rest into the ready queue). */
+static int replay_execute(const sabre_ir *ir, int index, int *remaining,
+                          int *order, int *npos, int *ready, int *nready,
+                          int_stack *log)
+{
+    int k;
+    order[(*npos)++] = index;
+    for (k = ir->succ_off[index]; k < ir->succ_off[index + 1]; k++) {
+        int s = ir->succ[k];
+        if (--remaining[s] == 0) {
+            if (ir->two_qubit[s]) {
+                if (stack_push(log, s))
+                    return SABRE_NO_MEMORY;
+            } else {
+                ready[(*nready)++] = s;
+            }
+        }
+    }
+    return SABRE_OK;
+}
+
+/* Execute the ready queue in FIFO order, including what it releases
+ * (FrontierState.drain_nonrouting). */
+static int replay_drain(const sabre_ir *ir, int *remaining, int *order,
+                        int *npos, int *ready, int *nready, int_stack *log)
+{
+    int head = 0, rc;
+    while (head < *nready) {
+        rc = replay_execute(ir, ready[head++], remaining, order, npos,
+                            ready, nready, log);
+        if (rc)
+            return rc;
+    }
+    *nready = 0;
+    return SABRE_OK;
+}
+
+int sabre_replay(const sabre_device *dev, const sabre_ir *ir,
+                 const int *l2p_in, const int *swaps, int nswaps,
+                 const int *escapes, int nesc, int *order, int *out)
+{
+    const int n = dev->n;
+    const int nodes = ir->num_nodes;
+    const unsigned char *adj = dev->adj;
+    const int *qubit_a = ir->qubit_a;
+    const int *qubit_b = ir->qubit_b;
+    int *remaining = NULL, *ready = NULL, *batch = NULL, *ints = NULL;
+    int *l2p, *fgate;
+    int_stack log = {NULL, 0, 0}, check = {NULL, 0, 0};
+    int npos = 0, nready = 0, si = 0, ei = 0, rc = SABRE_OK, i, k;
+
+    remaining = malloc((size_t)nodes * sizeof(int) + 1);
+    ready = malloc((size_t)nodes * sizeof(int) + 1);
+    batch = malloc((size_t)nodes * sizeof(int) + 1);
+    ints = malloc((size_t)n * 2 * sizeof(int) + 1);
+    if (!remaining || !ready || !batch || !ints) {
+        rc = SABRE_NO_MEMORY;
+        goto done;
+    }
+    l2p = ints;
+    fgate = ints + n;           /* front gate of each logical qubit */
+    memcpy(l2p, l2p_in, (size_t)n * sizeof(int));
+    memcpy(remaining, ir->indegree, (size_t)nodes * sizeof(int));
+    for (i = 0; i < n; i++)
+        fgate[i] = -1;
+    for (i = 0; i < ir->num_uroots; i++) {
+        int r = ir->uroots[i];
+        if (ir->two_qubit[r]) {
+            if (stack_push(&log, r)) {
+                rc = SABRE_NO_MEMORY;
+                goto done;
+            }
+        } else {
+            ready[nready++] = r;
+        }
+    }
+    rc = replay_drain(ir, remaining, order, &npos, ready, &nready, &log);
+    if (rc)
+        goto done;
+
+    for (;;) {
+        int nbatch = 0, span = 1;
+        /* Released two-qubit gates join the front and the ready check. */
+        for (i = 0; i < log.len; i++) {
+            int g = log.data[i];
+            fgate[qubit_a[g]] = g;
+            fgate[qubit_b[g]] = g;
+            if (stack_push(&check, g)) {
+                rc = SABRE_NO_MEMORY;
+                goto done;
+            }
+        }
+        log.len = 0;
+        if (npos - si == nodes)
+            break;
+        /* The ready scan: checked gates, deduplicated, ascending. */
+        if (check.len > 1) {
+            qsort(check.data, (size_t)check.len, sizeof(int), cmp_int);
+            for (i = 0, k = 0; i < check.len; i++)
+                if (k == 0 || check.data[k - 1] != check.data[i])
+                    check.data[k++] = check.data[i];
+            check.len = k;
+        }
+        for (i = 0; i < check.len; i++) {
+            int g = check.data[i];
+            if (adj[l2p[qubit_a[g]] * n + l2p[qubit_b[g]]])
+                batch[nbatch++] = g;
+        }
+        check.len = 0;
+        if (nbatch) {
+            /* The batch ascending, then the cascade it released. */
+            for (i = 0; i < nbatch; i++) {
+                int g = batch[i];
+                fgate[qubit_a[g]] = -1;
+                fgate[qubit_b[g]] = -1;
+                rc = replay_execute(ir, g, remaining, order, &npos, ready,
+                                    &nready, &log);
+                if (rc)
+                    goto done;
+            }
+            rc = replay_drain(ir, remaining, order, &npos, ready, &nready,
+                              &log);
+            if (rc)
+                goto done;
+            continue;
+        }
+        /* No gate is ready: the next SWAP, or a whole escape span (the
+         * search applied those back to back, without a ready scan). */
+        while (ei < nesc && escapes[2 * ei] < si)
+            ei++;
+        while (ei < nesc && escapes[2 * ei] == si) {
+            span = escapes[2 * ei + 1];
+            ei++;
+        }
+        if (span < 1)
+            span = 1;
+        if (si + span > nswaps) {
+            rc = SABRE_BAD_INPUT;
+            goto done;
+        }
+        for (k = 0; k < span; k++, si++) {
+            int qa = swaps[2 * si], qb = swaps[2 * si + 1];
+            int pa = l2p[qa], g1 = fgate[qa], g2 = fgate[qb];
+            order[npos++] = SABRE_SWAP;
+            l2p[qa] = l2p[qb];
+            l2p[qb] = pa;
+            if ((g1 >= 0 && stack_push(&check, g1))
+                || (g2 >= 0 && g2 != g1 && stack_push(&check, g2))) {
+                rc = SABRE_NO_MEMORY;
+                goto done;
+            }
+        }
+    }
+    out[0] = si;
+
+done:
+    free(remaining);
+    free(ready);
+    free(batch);
+    free(ints);
+    free(log.data);
+    free(check.data);
     return rc;
 }

@@ -37,6 +37,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.flatdag import FlatDag, FrontierState
+from repro.core import native
 from repro.core.heuristic import HeuristicConfig
 from repro.core.layout import Layout
 from repro.core.router import RoutingResult, SabreRouter, SearchTrace
@@ -180,10 +181,13 @@ class SabreLayout:
         reverse IRs, through the engine cache.
 
         Each is lowered at most once per circuit content and process,
-        so a repeat compilation of the same circuit pays nothing.  Both
-        IRs' folded tables are built too, so a caller that lowers
-        before forking a worker pool hands the workers everything a
-        search reads.
+        so a repeat compilation of the same circuit pays nothing.  The
+        tables a search reads are built too — the native kernel's
+        (:func:`repro.core.native.ir_tables`) when it is loaded, else
+        the folded ones (:meth:`FlatDag.folded
+        <repro.circuits.flatdag.FlatDag.folded>`) — so a caller that
+        lowers before forking a worker pool hands the workers everything
+        a search reads.
         """
         from repro.engine.cache import get_flat_dag
 
@@ -191,9 +195,11 @@ class SabreLayout:
         reverse_ir = None
         if self.num_traversals > 1:
             reverse_ir = get_flat_dag(circuit, direction="reverse")
-        forward_ir.folded()
-        if reverse_ir is not None:
-            reverse_ir.folded()
+        for ir in (forward_ir, reverse_ir):
+            if ir is None:
+                continue
+            if native.kernel is None or native.ir_tables(ir) is None:
+                ir.folded()
         return forward_ir, reverse_ir
 
     def search(
@@ -203,10 +209,13 @@ class SabreLayout:
 
         Takes the circuit's IRs as :meth:`lower` returns them: every
         one of the ``num_trials x num_traversals`` routing passes
-        shares those read-only IRs plus one resettable frontier per
-        direction.  The native search kernel (:mod:`repro.core.native`)
-        keeps its own state and ignores the frontiers.  On the Python
-        loop each frontier carries its direction's look-ahead memo
+        shares those read-only IRs.  The native search kernel
+        (:mod:`repro.core.native`) keeps its own per-call state.  The
+        Python loop gets one resettable folded frontier per direction,
+        built only when its traversals run there
+        (:meth:`SabreRouter._kernel_searches
+        <repro.core.router.SabreRouter._kernel_searches>` is false).
+        Each frontier carries its direction's look-ahead memo
         (:meth:`FrontierState.extended_pairs
         <repro.circuits.flatdag.FrontierState.extended_pairs>`) across
         resets, so the restarts, which revisit the same fronts, walk
@@ -216,8 +225,7 @@ class SabreLayout:
         (:meth:`SabreRouter.search`): no routed circuit is built and no
         depth recomputed during the sweep, because
         :class:`~repro.core.router.SearchTrace` carries the selection
-        key, and both frontiers are folded, so no single-qubit gate is
-        executed one by one.  The returned :class:`ShardSearch` holds
+        key, and the search executes no single-qubit gate one by one.  The returned :class:`ShardSearch` holds
         the best trace and the per-seed :class:`TrialRecord` s, and
         :meth:`merge` turns it into a circuit.
 
@@ -227,10 +235,11 @@ class SabreLayout:
         search loop ran it: ``"native"`` or ``"python"``).
         """
         route = self.router.search
-        forward_frontier = FrontierState(forward_ir, folded=True)
-        reverse_frontier = None
-        if reverse_ir is not None:
-            reverse_frontier = FrontierState(reverse_ir, folded=True)
+        forward_frontier = reverse_frontier = None
+        if not self.router._kernel_searches():
+            forward_frontier = FrontierState(forward_ir, folded=True)
+            if reverse_ir is not None:
+                reverse_frontier = FrontierState(reverse_ir, folded=True)
         best = BestForward()
         trials: List[TrialRecord] = []
         for trial, trial_seed in enumerate(self.seeds):
@@ -345,17 +354,15 @@ class BestForward:
         forward_ir: FlatDag,
         trials: List[TrialRecord],
     ) -> BidirectionalResult:
-        """The winner as a search result, its trace replayed.  The
-        replay emits every single-qubit gate in its drain order, so it
-        runs on a fresh unfolded frontier over ``forward_ir``."""
+        """The winner as a search result, its trace replayed over
+        ``forward_ir`` (:meth:`SabreRouter._replay
+        <repro.core.router.SabreRouter._replay>`, which emits every
+        single-qubit gate in its drain order)."""
         trace = self.best
         if trace is None:
             raise MappingError("no forward traversal was offered")
         routing = router._replay(
-            forward_ir,
-            trace.initial_layout.copy(),
-            FrontierState(forward_ir),
-            trace,
+            forward_ir, trace.initial_layout.copy(), None, trace
         )
         # The trace already carries the replayed circuit's depth, so
         # ranking this winner against another never recomputes it.

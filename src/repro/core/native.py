@@ -1,11 +1,24 @@
-"""Loader and glue of the native search kernel (``_search.c``).
+"""Loader and glue of the native kernel (``_search.c``).
 
-:meth:`SabreRouter._search <repro.core.router.SabreRouter._search>` is
-SABRE's hot loop.  ``_search.c`` is a port of it to plain C — the
-worklist cascade over the folded frontier, the look-ahead walk, the
-bounded delta scorer, decay, stall and the escape hatch — that runs one
-whole traversal per call.  Python hands it flat tables and reads the
-SWAP record back (:func:`search`).
+``_search.c`` holds SABRE's per-compile work in plain C, in three entry
+points that share one source, one shared object and one loader:
+
+- ``sabre_lower`` builds every per-IR table the other two read — the
+  full and folded successor CSR, counts, roots and depth tails — from
+  one flat operand array of a :class:`~repro.circuits.flatdag.FlatDag`
+  (:func:`ir_tables`), so a compile on the kernel never builds the
+  IR's Python DAG views or :meth:`~repro.circuits.flatdag.FlatDag.folded`.
+- ``sabre_search`` is a port of :meth:`SabreRouter._search
+  <repro.core.router.SabreRouter._search>`, SABRE's hot loop — the
+  worklist cascade over the folded frontier, the look-ahead walk, the
+  bounded delta scorer, decay, stall and the escape hatch — that runs
+  one whole traversal per call and hands back the SWAP record
+  (:func:`search`).
+- ``sabre_replay`` walks a recorded traversal over the unfolded DAG as
+  :meth:`SabreRouter._replay <repro.core.router.SabreRouter._replay>`
+  does and returns the emission order, node ids with SWAP markers
+  between them (:func:`replay`); Python only turns that order into
+  gates.
 
 Build and load happen once, on import:
 
@@ -21,8 +34,9 @@ Build and load happen once, on import:
 - The directory must be owned by the current user and writable by no
   one else; so must the file.  Anything else — a refused directory, no
   compiler, a failed build, a file that does not load — leaves
-  :data:`kernel` at ``None`` and the router on its Python loop.  Loading
-  never raises.
+  :data:`kernel` at ``None`` and the router on its Python loop and
+  replay.  So does a shared object that lacks one of the entry points.
+  Loading never raises.
 
 Exactness is the C file's contract (its header comment): scores in
 ``score_scalar``'s float order, compiled with ``-ffp-contract=off`` and
@@ -44,7 +58,10 @@ import tempfile
 import zlib
 from array import array
 from itertools import accumulate, chain
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import List, Optional, Sequence
+
+from repro.circuits.depth import _DIRECTIVE_NAMES
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_search.c")
 
@@ -52,10 +69,13 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_search.c")
 #: multiply-adds (its default on aarch64), which would change rounding.
 FLAGS = ("-O2", "-ffp-contract=off", "-std=c99", "-shared", "-fPIC")
 
-# Return codes of sabre_search (see _search.c).
+# Return codes of the entry points (see _search.c).
 _OK = 0
 _SWAPS_FULL = 1
 _ESCAPES_FULL = 2
+
+#: The SWAP marker in :func:`replay`'s emission order.
+SWAP = -1
 
 
 class _Device(ctypes.Structure):
@@ -87,9 +107,13 @@ class _Ir(ctypes.Structure):
     _fields_ = [
         ("num_nodes", ctypes.c_int),
         ("num_qubits", ctypes.c_int),
+        ("num_two", ctypes.c_int),
         ("qubit_a", ctypes.c_void_p),
         ("qubit_b", ctypes.c_void_p),
         ("two_qubit", ctypes.c_void_p),
+        ("indegree", ctypes.c_void_p),
+        ("uroots", ctypes.c_void_p),
+        ("num_uroots", ctypes.c_int),
         ("succ_off", ctypes.c_void_p),
         ("succ", ctypes.c_void_p),
         ("fsucc_off", ctypes.c_void_p),
@@ -99,7 +123,6 @@ class _Ir(ctypes.Structure):
         ("num_roots", ctypes.c_int),
         ("pair_off", ctypes.c_void_p),
         ("pair", ctypes.c_void_p),
-        ("tail_off", ctypes.c_void_p),
         ("tail", ctypes.c_void_p),
         ("root_depth", ctypes.c_void_p),
     ]
@@ -120,6 +143,11 @@ def _addr(buf: array) -> int:
     return buf.buffer_info()[0]
 
 
+def _ints(count: int) -> array:
+    """``count`` zeroed C ints."""
+    return array("i", bytes(4 * count))
+
+
 def _csr(rows: Sequence[Sequence[int]]):
     """Offsets and flat entries of a list of int rows, built in C."""
     return (
@@ -131,44 +159,57 @@ def _csr(rows: Sequence[Sequence[int]]):
 class _Tables:
     """A ctypes struct plus the arrays its pointers point into."""
 
-    __slots__ = ("struct", "keep", "num_two")
+    __slots__ = ("struct", "arrays")
 
-    def __init__(self, struct, keep, num_two=0):
+    def __init__(self, struct, arrays):
         self.struct = struct
-        self.keep = keep
-        self.num_two = num_two
+        self.arrays = arrays
 
 
-def ir_tables(ir) -> _Tables:
+def ir_tables(ir) -> Optional[_Tables]:
     """The kernel's tables of one :class:`~repro.circuits.flatdag.FlatDag`,
-    built on first use and kept on the IR (dropped from its pickles,
-    like the folded tables).  Racing first calls build equal tables;
-    either one is kept."""
+    built by ``sabre_lower`` on first use and kept on the IR (dropped
+    from its pickles, like the folded tables).  Racing first calls build
+    equal tables; either one is kept.
+
+    Reads only the IR's eager fields: the operands of every gate go to
+    the kernel as one flat array, with each gate's arity and a flag for
+    directives (``measure``, ``reset``, ``barrier``).  The kernel fills
+    arrays allocated here, sized by node, operand and qubit counts (no
+    node has more successors, folded or not, than operands).  Needs a
+    loaded :data:`kernel`; returns ``None`` when the kernel refuses the
+    IR (an operand out of range, or no memory), and the Python loop
+    then runs on the IR's own views.
+    """
     tables = ir._native
     if tables is not None:
         return tables
-    fold = ir.folded()
+    pairs = ir.pairs
+    n = ir.num_nodes
+    pair = array("i", chain.from_iterable(pairs))
     arrays = {
-        "qubit_a": array("i", ir.qubit_a),
-        "qubit_b": array("i", ir.qubit_b),
-        "two_qubit": array("B", ir.two_qubit),
-        "fill": array("i", fold.fill),
-        "roots": array("i", fold.roots),
-        "root_depth": array("i", fold.root_depth),
+        "pair": pair,
+        "two_qubit": array("B", bytes(n)),
+        "root_depth": _ints(ir.num_qubits),
     }
-    for name, rows in (
-        ("succ", ir.succs), ("fsucc", fold.succs),
-        ("pair", ir.pairs), ("tail", fold.tails),
-    ):
-        arrays[name + "_off"], arrays[name] = _csr(rows)
+    for name in ("qubit_a", "qubit_b", "indegree", "uroots", "fill", "roots"):
+        arrays[name] = _ints(n)
+    for name in ("succ_off", "fsucc_off", "pair_off"):
+        arrays[name] = _ints(n + 1)
+    for name in ("succ", "fsucc", "tail"):
+        arrays[name] = _ints(len(pair))
+    arity = array("i", map(len, pairs))
+    directive = bytes(
+        map(_DIRECTIVE_NAMES.__contains__, map(attrgetter("name"), ir.gates))
+    )
     struct = _Ir(
         num_nodes=ir.num_nodes,
         num_qubits=ir.num_qubits,
-        num_roots=len(fold.roots),
         **{name: _addr(buf) for name, buf in arrays.items()},
     )
-    keep = list(arrays.values())
-    tables = _Tables(struct, keep, num_two=sum(ir.two_qubit))
+    if kernel.sabre_lower(ctypes.byref(struct), _addr(arity), directive) != _OK:
+        return None
+    tables = _Tables(struct, arrays)
     ir._native = tables
     return tables
 
@@ -205,9 +246,10 @@ def search(router, ir, layout, rng):
     escape path, no memory); the Python loop then runs it and raises
     whatever it raises.
     """
-    fn = kernel
-    dev = device_tables(router)
     irt = ir_tables(ir)
+    if irt is None:
+        return None
+    dev = device_tables(router)
     config = router.config
     conf = _Config(
         config.mode == "basic",
@@ -227,12 +269,12 @@ def search(router, ir, layout, rng):
     out = array("i", bytes(12))
     # The SWAP and escape buffers grow and the call reruns on overflow;
     # the kernel writes the layout and RNG state back only on success.
-    swap_cap = 2 * irt.num_two + 64
+    swap_cap = 2 * irt.struct.num_two + 64
     escape_cap = 16
     while True:
         swaps = array("i", bytes(8 * swap_cap))
         escapes = array("i", bytes(8 * escape_cap))
-        rc = fn(
+        rc = kernel.sabre_search(
             dev.struct, conf, irt.struct, _addr(l2p), _addr(p2l), _addr(mt),
             _addr(swaps), swap_cap, _addr(escapes), escape_cap, _addr(out),
         )
@@ -252,6 +294,39 @@ def search(router, ir, layout, rng):
     rec = list(zip(it, it))
     it = iter(escapes[: 2 * num_escapes].tolist())
     return rec, list(zip(it, it)), depth
+
+
+def replay(router, ir, layout, trace) -> Optional[List[int]]:
+    """The gate order of ``trace`` replayed over ``ir`` from ``layout``.
+
+    The order :meth:`SabreRouter._replay
+    <repro.core.router.SabreRouter._replay>` emits in: node ids, and
+    :data:`SWAP` wherever the next SWAP of ``trace.swaps`` goes.  Each
+    ready batch runs ascending, then the non-routing cascade it
+    released; the front gates released since are checked after the
+    next SWAP or batch; an escape span's SWAPs go back to back.  Leaves
+    ``layout`` untouched.  Needs a loaded :data:`kernel`; returns
+    ``None`` when the kernel declines (no memory, or a trace that runs
+    out of SWAPs before every gate is out).
+    """
+    irt = ir_tables(ir)
+    if irt is None:
+        return None
+    dev = device_tables(router)
+    swaps = array("i", chain.from_iterable(trace.swaps))
+    escapes = array("i", chain.from_iterable(trace.escapes))
+    num_swaps = len(trace.swaps)
+    l2p = array("i", layout.l2p)
+    order = _ints(ir.num_nodes + num_swaps)
+    out = _ints(1)
+    rc = kernel.sabre_replay(
+        dev.struct, irt.struct, _addr(l2p),
+        _addr(swaps), num_swaps, _addr(escapes), len(trace.escapes),
+        _addr(order), _addr(out),
+    )
+    if rc != _OK:
+        return None
+    return order[: ir.num_nodes + out[0]].tolist()
 
 
 # ----------------------------------------------------------------------
@@ -283,21 +358,29 @@ def _private(path: str) -> bool:
 
 
 def _open(path: str):
-    """``sabre_search`` from the shared object at ``path``, or None."""
+    """The shared object at ``path`` with its entry points' signatures
+    set, or None."""
     try:
         if not _private(path):
             return None
-        fn = ctypes.CDLL(path).sabre_search
+        lib = ctypes.CDLL(path)
+        search, lower, replay = (
+            lib.sabre_search, lib.sabre_lower, lib.sabre_replay
+        )
     except (OSError, AttributeError):
         return None
-    fn.restype = ctypes.c_int
-    fn.argtypes = [
+    ptr = ctypes.c_void_p
+    search.restype = lower.restype = replay.restype = ctypes.c_int
+    search.argtypes = [
         ctypes.POINTER(_Device), ctypes.POINTER(_Config), ctypes.POINTER(_Ir),
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_int, ctypes.c_void_p, ctypes.c_int,
-        ctypes.c_void_p,
+        ptr, ptr, ptr, ptr, ctypes.c_int, ptr, ctypes.c_int, ptr,
     ]
-    return fn
+    lower.argtypes = [ctypes.POINTER(_Ir), ptr, ctypes.c_char_p]
+    replay.argtypes = [
+        ctypes.POINTER(_Device), ctypes.POINTER(_Ir),
+        ptr, ptr, ctypes.c_int, ptr, ctypes.c_int, ptr, ptr,
+    ]
+    return lib
 
 
 def _build(path: str, directory: str) -> None:
@@ -338,7 +421,7 @@ def library_path(directory: Optional[str] = None) -> str:
 
 
 def load(directory: Optional[str] = None):
-    """The kernel function, built into ``directory`` (default
+    """The kernel library, built into ``directory`` (default
     :func:`cache_dir`) on a miss; ``None`` on any failure."""
     try:
         if array("i").itemsize != 4 or array("I").itemsize != 4:
@@ -357,6 +440,7 @@ def load(directory: Optional[str] = None):
         return None
 
 
-#: The loaded kernel, or ``None`` when traversals run the Python loop.
-#: Tests set it to ``None`` to pin a traversal to the Python loop.
+#: The loaded kernel library (``sabre_lower``, ``sabre_search`` and
+#: ``sabre_replay``), or ``None`` when the router runs its Python loop
+#: and replay.  Tests set it to ``None`` to pin a compile to those.
 kernel = load()

@@ -36,22 +36,33 @@ single-qubit gate — and adds each single-qubit chain to the depth
 counters as one precomputed tail
 (:meth:`~repro.circuits.flatdag.FlatDag.folded`).  It executes ready
 gates in one inlined cascade over a worklist, touching the frontier's
-buffers directly.  The replay keeps the unfolded frontier and its
-batch order, which fixes the order of the emitted gates.  The search
-may execute ready gates in any order: at each SWAP decision the front,
-the layout, the per-wire depth counters, the RNG stream and the decay
-table are the same whatever order they ran in.
+buffers directly.  The search may execute ready gates in any order: at
+each SWAP decision the front, the layout, the per-wire depth counters,
+the RNG stream and the decay table are the same whatever order they
+ran in.
 
-The search loop also exists in C (``_search.c``, loaded by
-:mod:`repro.core.native`): one native call runs a whole traversal over
-flat copies of the IR and device tables, returns the same SWAP record,
-depth and final layout, and leaves the tie-break RNG in the same state.
-It is the production path.  The Python :meth:`SabreRouter._search`
-stays as its fallback and differential oracle, and runs a traversal
-only when no kernel could be built or loaded, when the distance matrix
-is asymmetric, while a :class:`~repro.telemetry.profile.RouterProfiler`
-is active (the kernel keeps no per-step counters) or when
-:attr:`SabreRouter.on_winner_set` is set.  The kernel is exact by
+The replay walks the unfolded DAG instead, and its batch order fixes
+the order of the emitted gates: each ready batch ascending, then the
+single-qubit gates and directives it released, with the recorded SWAPs
+in between.  The walk yields that emission order as node ids with SWAP
+markers; :meth:`SabreRouter._replay` then only builds the gates,
+remapping each through the current layout.
+
+The search loop and the replay walk also exist in C (``_search.c``,
+loaded by :mod:`repro.core.native`), together with the lowering that
+builds their tables from the IR's flat operands: one native call runs
+a whole traversal, returns the same SWAP record, depth and final
+layout, and leaves the tie-break RNG in the same state, and one more
+returns a winner's emission order.  They are the production path, and
+a compile on them never builds the IR's Python DAG views.  The Python
+:meth:`SabreRouter._search` stays as the fallback and differential
+oracle of the search, and runs a traversal only when no kernel could
+be built or loaded, when the distance matrix is asymmetric, while a
+:class:`~repro.telemetry.profile.RouterProfiler` is active (the kernel
+keeps no per-step counters) or when :attr:`SabreRouter.on_winner_set`
+is set.  :meth:`SabreRouter._replay_order` is the replay walk's
+fallback and oracle; it runs only when no kernel is loaded.  The
+kernel is exact by
 construction: scores are summed in ``score_scalar``'s float order and
 compiled without FMA contraction or ``-ffast-math``, a tie-break is
 CPython's ``Random.choice`` on the same MT19937 state (read with
@@ -336,17 +347,18 @@ class SabreRouter:
 
         A run is a search traversal (as :meth:`search` runs it; the
         Python loop's folded frontier shares ``frontier``'s look-ahead
-        memo) followed by :meth:`_replay` of its trace on ``frontier``.
+        memo) followed by :meth:`_replay` of its trace (on ``frontier``
+        when the replay runs in Python).
         """
         ir, layout, rng = self._prepare(
             circuit, initial_layout, seed, frontier
         )
-        if frontier is None:
-            frontier = FrontierState(ir)
-        else:
+        if frontier is not None:
             frontier.reset()
         trace = self._native_search(ir, layout.copy(), rng)
         if trace is None:
+            if frontier is None:
+                frontier = FrontierState(ir)
             trace = self._search(
                 ir,
                 layout.copy(),
@@ -445,21 +457,27 @@ class SabreRouter:
     # Search loop + replay
     # ------------------------------------------------------------------
 
+    def _kernel_searches(self) -> bool:
+        """True when this router's traversals run in the native kernel:
+        it is loaded, the distance matrix is symmetric (an asymmetric
+        one is scored by
+        :meth:`~repro.core.scoring.VectorBlock.score_full`), and no
+        profiler or :attr:`on_winner_set` hook observes the Python
+        loop's steps."""
+        return (
+            native.kernel is not None
+            and self.flat_dist.symmetric
+            and self.on_winner_set is None
+            and active_router_profiler() is None
+        )
+
     def _native_search(
         self, ir: FlatDag, layout: Layout, rng: random.Random
     ) -> Optional[SearchTrace]:
         """:meth:`_search` in the native kernel, or ``None`` (layout and
-        RNG untouched) when this traversal must run on the Python loop:
-        no loaded kernel, an asymmetric matrix (scored by
-        :meth:`~repro.core.scoring.VectorBlock.score_full`), an active
-        profiler or an :attr:`on_winner_set` hook (both observe the
-        Python loop's steps)."""
-        if (
-            native.kernel is None
-            or not self.flat_dist.symmetric
-            or self.on_winner_set is not None
-            or active_router_profiler() is not None
-        ):
+        RNG untouched) when this traversal must run on the Python loop
+        (see :meth:`_kernel_searches`) or the kernel declines it."""
+        if not self._kernel_searches():
             return None
         initial = layout.copy()
         out = native.search(self, ir, layout, rng)
@@ -708,7 +726,7 @@ class SabreRouter:
         self,
         ir: FlatDag,
         layout: Layout,
-        frontier: FrontierState,
+        frontier: Optional[FrontierState],
         trace: SearchTrace,
     ) -> RoutingResult:
         """Re-emit a recorded search traversal as a real circuit.
@@ -721,34 +739,47 @@ class SabreRouter:
         and directives it released — defines the emitted gate sequence,
         which the legacy oracle's emitting loop
         (:class:`~repro.core.legacy.LegacyDagRouter`) matches gate for
-        gate.  ``frontier`` must be unfolded and freshly reset over
-        ``ir``; ``layout`` must equal ``trace.initial_layout`` (pass a
-        copy).
+        gate.  ``layout`` must equal ``trace.initial_layout`` (pass a
+        copy); it ends as the final layout.
+
+        The walk yields the emission order, node ids with
+        :data:`repro.core.native.SWAP` markers between them.  The native
+        kernel walks it whenever it is loaded
+        (:func:`repro.core.native.replay`); otherwise, or if it
+        declines, :meth:`_replay_order` walks it on ``frontier``, which
+        must then be unfolded and freshly reset over ``ir`` (``None``
+        builds one).  Either way this method then only builds the
+        gates: each node's gate remapped through the current layout,
+        each SWAP on the physical pair it exchanges.
         """
+        order = None
+        if native.kernel is not None:
+            order = native.replay(self, ir, layout, trace)
+        if order is None:
+            if frontier is None:
+                frontier = FrontierState(ir)
+            order = self._replay_order(ir, layout.copy(), frontier, trace)
         out = QuantumCircuit(
             self.coupling.num_qubits, f"{ir.name}_routed", max(ir.num_clbits, 1)
         )
+        emit = out.append_unchecked
         swap_positions: List[int] = []
         initial = layout.copy()
         l2p = layout.l2p
         p2l = layout.p2l
-        emit = out.append_unchecked
         gates = ir.gates
-        qubit_a = ir.qubit_a
-        qubit_b = ir.qubit_b
-        adjacency = self._adjacency
+        remap = remap_gate
         swap_cache = self._swap_cache
         nd = self.coupling.num_qubits
-        swaps = trace.swaps
-        esc = dict(trace.escapes)
-        drain_nonrouting = frontier.drain_nonrouting
-        fgate: dict = {}
-        check: List[int] = []
-
-        def apply_swap(qa: int, qb: int) -> None:
+        swaps = iter(trace.swaps)
+        for position, index in enumerate(order):
+            if index >= 0:
+                emit(remap(gates[index], l2p))
+                continue
+            qa, qb = next(swaps)
             pa = l2p[qa]
             pb = l2p[qb]
-            swap_positions.append(out.num_gates)
+            swap_positions.append(position)
             key = pa * nd + pb
             g = swap_cache.get(key)
             if g is None:
@@ -758,6 +789,42 @@ class SabreRouter:
             l2p[qb] = pa
             p2l[pa] = qb
             p2l[pb] = qa
+        return RoutingResult(
+            circuit=out,
+            initial_layout=initial,
+            final_layout=layout,
+            num_swaps=len(swap_positions),
+            swap_positions=swap_positions,
+            num_forced_escapes=trace.num_forced_escapes,
+        )
+
+    def _replay_order(
+        self,
+        ir: FlatDag,
+        layout: Layout,
+        frontier: FrontierState,
+        trace: SearchTrace,
+    ) -> List[int]:
+        """The emission order of :meth:`_replay`, walked in Python on a
+        reset unfolded ``frontier`` (mutates ``layout``): the fallback
+        and oracle of :func:`repro.core.native.replay`."""
+        order: List[int] = []
+        record = order.append
+        l2p = layout.l2p
+        qubit_a = ir.qubit_a
+        qubit_b = ir.qubit_b
+        adjacency = self._adjacency
+        swaps = trace.swaps
+        esc = dict(trace.escapes)
+        drain_nonrouting = frontier.drain_nonrouting
+        fgate: dict = {}
+        check: List[int] = []
+
+        def apply_swap(qa: int, qb: int) -> None:
+            record(native.SWAP)
+            pa = l2p[qa]
+            l2p[qa] = l2p[qb]
+            l2p[qb] = pa
             g1 = fgate.get(qa)
             if g1 is not None:
                 check.append(g1)
@@ -765,8 +832,7 @@ class SabreRouter:
             if g2 is not None and g2 is not g1:
                 check.append(g2)
 
-        for index in drain_nonrouting():
-            emit(remap_gate(gates[index], l2p))
+        order.extend(drain_nonrouting())
         frontier.track_front_log = True
         frontier.front_log.clear()
         for index in frontier.front_list():
@@ -794,12 +860,11 @@ class SabreRouter:
                 ready = []
             if ready:
                 frontier.execute_front_batch(ready)
+                order.extend(ready)
                 for index in ready:
-                    emit(remap_gate(gates[index], l2p))
                     del fgate[qubit_a[index]]
                     del fgate[qubit_b[index]]
-                for index in drain_nonrouting():
-                    emit(remap_gate(gates[index], l2p))
+                order.extend(drain_nonrouting())
                 released = frontier.drain_front_log()
                 for index in released:
                     fgate[qubit_a[index]] = index
@@ -820,14 +885,7 @@ class SabreRouter:
                 si += 1
                 apply_swap(qa, qb)
         frontier.track_front_log = False
-        return RoutingResult(
-            circuit=out,
-            initial_layout=initial,
-            final_layout=layout,
-            num_swaps=len(swap_positions),
-            swap_positions=swap_positions,
-            num_forced_escapes=trace.num_forced_escapes,
-        )
+        return order
 
     def _escape(
         self,

@@ -36,6 +36,7 @@ many jobs it executes.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 import time
@@ -142,7 +143,8 @@ def _signal_ready(event) -> None:
     :class:`LaneStartupError`) never reaches this, which is exactly
     how the lane watchdog detects it.  Also arms ``SIGUSR1`` to dump
     the worker's Python stack to stderr — the operator's (and test
-    harness's) window into a wedged worker.
+    harness's) window into a wedged worker — and ties the worker's life
+    to the server's (:func:`_exit_with_parent`).
     """
     try:
         import faulthandler
@@ -151,7 +153,33 @@ def _signal_ready(event) -> None:
         faulthandler.register(_signal.SIGUSR1, all_threads=True)
     except (ImportError, AttributeError, ValueError, OSError):
         pass  # platform without SIGUSR1 / closed stderr: diagnostics only
+    _exit_with_parent()
     event.set()
+
+
+def _exit_with_parent() -> None:
+    """Exit this worker as soon as the process that started it dies.
+
+    A server killed with ``SIGKILL`` runs no cleanup, and its lane
+    workers would live on as orphans.  A forked one also holds every
+    descriptor the server had, the listening socket included, so a
+    client that connects after the kill is queued on a socket nobody
+    serves and waits out its whole timeout instead of failing fast.  A
+    daemon thread waits on the parent's sentinel (readable once the
+    parent is gone) and ends the process with ``os._exit``.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+    sentinel = parent.sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="repro-lane-parent-watch", daemon=True
+    ).start()
 
 
 def _fail_pending_futures(pool: ProcessPoolExecutor, reason: str) -> None:

@@ -286,5 +286,31 @@ class TestFoldedTables:
         assert ir.folded() is fold
         clone = pickle.loads(pickle.dumps(ir))
         assert clone._fold is None
+        assert clone._views is None
         assert ir.folded() is fold
         assert clone.folded() == fold
+
+
+class TestLazyViews:
+    def test_constructor_builds_no_dag_view(self):
+        """The constructor keeps only gates, operands and counts; the
+        first read of any DAG view builds them all, once."""
+        ir = FlatDag.from_circuit(_fold_circuit())
+        assert ir._views is None and ir._fold is None
+        assert ir.num_nodes == 9 and ir.num_qubits == 3 and ir.routable
+        assert ir.pairs[2] == (0, 1)
+        succs = ir.succs
+        views = ir._views
+        assert views is not None
+        assert ir.succs is succs and ir.roots is views.roots
+        assert ir.two_qubit == bytes([0, 0, 1, 0, 1, 0, 0, 0, 0])
+        assert ir._views is views
+
+    def test_routable_flag(self):
+        circ = QuantumCircuit(3)
+        circ.barrier(0, 1, 2)
+        circ.cx(0, 1)
+        assert FlatDag.from_circuit(circ).routable
+        circ.ccx(0, 1, 2)
+        assert not FlatDag.from_circuit(circ).routable
+        assert FlatDag.from_circuit(QuantumCircuit(2)).routable

@@ -170,14 +170,30 @@ FUZZ_CASES = 120
 FUZZ_SEED = 2024
 
 
-def _run_case(case):
-    """Yield :func:`_both_loops` of a fuzz case's forward traversal, then
-    of its reverse traversal from the forward one's final layout."""
+def _case_circuit(case):
+    """A fuzz case's device, circuit and the RNG that drew them."""
     rng = random.Random(case["seed"])
     device = DEVICES[case["device"]]()
     n = device.num_qubits
     width = n if rng.random() < 0.5 else n - 1
-    circuit = _circuit(case["kind"], width, case["seed"], rng)
+    return device, _circuit(case["kind"], width, case["seed"], rng), rng
+
+
+def _case_irs(case):
+    """A fuzz case's forward and reverse IRs, freshly lowered."""
+    _, circuit, _ = _case_circuit(case)
+    return (
+        FlatDag.from_circuit(circuit),
+        FlatDag.from_circuit(reversed_circuit(circuit)),
+    )
+
+
+def _run_case(case):
+    """Yield :func:`_both_loops` of a fuzz case's forward traversal, then
+    of its reverse traversal from the forward one's final layout, with
+    the router and IR that ran them."""
+    device, circuit, rng = _case_circuit(case)
+    n = device.num_qubits
     router = SabreRouter(
         device,
         config=HeuristicConfig(
@@ -194,8 +210,76 @@ def _run_case(case):
         FlatDag.from_circuit(reversed_circuit(circuit)),
     ):
         runs = _both_loops(router, ir, layout, case["seed"] + 1)
-        yield runs
+        yield runs, router, ir
         layout = runs["native"][0].final_layout
+
+
+def _lowered(ir):
+    """``sabre_lower``'s tables of a fresh ``ir`` as Python lists, read
+    before anything builds the IR's Python views."""
+    assert ir._views is None and ir._native is None
+    tables = native.ir_tables(ir)
+    assert ir._views is None and ir._fold is None
+    lists = {name: buf.tolist() for name, buf in tables.arrays.items()}
+    struct = tables.struct
+    lists["uroots"] = lists["uroots"][: struct.num_uroots]
+    lists["roots"] = lists["roots"][: struct.num_roots]
+    lists["succ"] = lists["succ"][: lists["succ_off"][-1]]
+    lists["fsucc"] = lists["fsucc"][: lists["fsucc_off"][-1]]
+    lists["num_two"] = struct.num_two
+    return lists
+
+
+def _csr(rows):
+    offsets, flat = native._csr(rows)
+    return offsets.tolist(), flat.tolist()
+
+
+def _assert_lowering_matches_views(ir):
+    """``sabre_lower`` builds, field by field, the CSR-flattened Python
+    views of ``ir`` and its :class:`FoldedTables`."""
+    tables = _lowered(ir)
+    fold = ir.folded()
+    assert tables["qubit_a"] == ir.qubit_a
+    assert tables["qubit_b"] == ir.qubit_b
+    assert bytes(tables["two_qubit"]) == ir.two_qubit
+    assert tables["num_two"] == sum(ir.two_qubit)
+    assert tables["indegree"] == ir.indegree
+    assert tables["uroots"] == list(ir.roots)
+    assert (tables["succ_off"], tables["succ"]) == _csr(ir.succs)
+    assert (tables["fsucc_off"], tables["fsucc"]) == _csr(fold.succs)
+    assert tables["fill"] == fold.fill
+    assert tables["roots"] == list(fold.roots)
+    assert tables["root_depth"] == list(fold.root_depth)
+    assert (tables["pair_off"], tables["pair"]) == _csr(ir.pairs)
+    # One tail per operand, aligned with the operands; single-qubit
+    # nodes have none in the folded tables and zeros in the kernel's.
+    off = tables["pair_off"]
+    for i, tail in enumerate(fold.tails):
+        row = tuple(tables["tail"][off[i] : off[i + 1]])
+        assert row == (tail or (0,) * len(ir.pairs[i]))
+
+
+def _assert_same_replay(router, ir, trace):
+    """The kernel's replay of ``trace`` and the Python one emit the same
+    gate order, circuit, SWAP positions and final layout."""
+    layout = trace.initial_layout
+    order = native.replay(router, ir, layout, trace)
+    assert order is not None
+    assert order == router._replay_order(
+        ir, layout.copy(), FrontierState(ir), trace
+    )
+    assert order.count(native.SWAP) == trace.num_swaps
+    kernel = native.kernel
+    fast = router._replay(ir, layout.copy(), None, trace)
+    native.kernel = None
+    try:
+        slow = router._replay(ir, layout.copy(), None, trace)
+    finally:
+        native.kernel = kernel
+    assert fast.circuit == slow.circuit
+    assert fast.swap_positions == slow.swap_positions
+    assert fast.final_layout == slow.final_layout == trace.final_layout
 
 
 @requires_kernel
@@ -204,8 +288,20 @@ class TestNativeEqualsPython:
     def test_fuzz_case(self, case):
         """A forward and a reverse traversal (the second from the first's
         final layout) leave the same traces and RNG states."""
-        for runs in _run_case(case):
+        for runs, _, _ in _run_case(case):
             _assert_same(runs)
+
+    @pytest.mark.parametrize("case", _fuzz_cases(FUZZ_CASES, FUZZ_SEED))
+    def test_fuzz_lowering(self, case):
+        for ir in _case_irs(case):
+            _assert_lowering_matches_views(ir)
+
+    @pytest.mark.parametrize("case", _fuzz_cases(FUZZ_CASES, FUZZ_SEED))
+    def test_fuzz_replay(self, case):
+        """Both traversals' traces, escape spans included, replay to the
+        same circuit in the kernel and in Python."""
+        for runs, router, ir in _run_case(case):
+            _assert_same_replay(router, ir, runs["native"][0])
 
     def test_fuzz_reaches_every_path(self):
         """The fuzz cases draw tie-breaks, fire the escape hatch and
@@ -213,7 +309,7 @@ class TestNativeEqualsPython:
         escapes = draws = wide = 0
         for param in _fuzz_cases(FUZZ_CASES, FUZZ_SEED):
             case = param.values[0]
-            for runs in _run_case(case):
+            for runs, _, _ in _run_case(case):
                 trace, state = runs["native"]
                 escapes += trace.num_forced_escapes
                 draws += state != random.Random(case["seed"] + 1).getstate()
@@ -230,6 +326,7 @@ class TestNativeEqualsPython:
         for seed in range(3):
             runs = _both_loops(router, ir, Layout.random(20, seed=seed), seed)
             _assert_same(runs)
+            _assert_same_replay(router, ir, runs["native"][0])
             escapes += runs["native"][0].num_forced_escapes
         assert escapes > 0
 
@@ -267,6 +364,7 @@ class TestNativeEqualsPython:
         assert trace.num_swaps > 2 * 20 + 64
         assert trace.num_forced_escapes > 16
         _assert_same(runs)
+        _assert_same_replay(router, ir, trace)
 
     def test_layout_search_runs_native(self, tokyo):
         """Every traversal of a production layout search runs in the
@@ -284,6 +382,115 @@ class TestNativeEqualsPython:
             if s["name"] == "layout.traversal"
         ]
         assert loops and set(loops) == {"native"}
+
+
+def _table_ii_circuits():
+    from repro.bench_circuits import TABLE_II
+
+    return [
+        pytest.param(spec, id=spec.name) for spec in TABLE_II
+    ]
+
+
+def _awkward_circuits():
+    empty = QuantumCircuit(4, "empty")
+    singles = random_circuit(5, 30, seed=1, two_qubit_fraction=0.0)
+    directives = QuantumCircuit(4, "directives", 4)
+    directives.h(0)
+    directives.measure(0, 0)
+    directives.cx(0, 1)
+    directives.barrier()
+    directives.measure(1, 1)
+    directives.append(Gate("reset", (2,)))
+    directives.barrier(2, 3)
+    directives.cx(2, 3)
+    directives.measure(3, 3)
+    wide_barrier = random_circuit(6, 40, seed=2, two_qubit_fraction=0.6)
+    wide_barrier.barrier(0, 2, 4)
+    wide_barrier.cx(4, 5)
+    wide_barrier.barrier(5, 1, 3, 0)
+    wide_barrier.h(5)
+    return {
+        "empty": empty, "1q-only": singles, "directives": directives,
+        "wide-barrier": wide_barrier,
+    }
+
+
+@requires_kernel
+class TestLowering:
+    """``sabre_lower`` against the IR's Python views and folded tables."""
+
+    @pytest.mark.parametrize("spec", _table_ii_circuits())
+    def test_table_ii_row(self, spec):
+        circuit = decompose_to_cx_basis(spec.build())
+        _assert_lowering_matches_views(FlatDag.from_circuit(circuit))
+        _assert_lowering_matches_views(
+            FlatDag.from_circuit(reversed_circuit(circuit))
+        )
+
+    @pytest.mark.parametrize("kind", sorted(_awkward_circuits()))
+    def test_awkward_circuit(self, kind, tokyo):
+        circuit = _awkward_circuits()[kind]
+        _assert_lowering_matches_views(FlatDag.from_circuit(circuit))
+        result = compile_circuit(circuit, tokyo, seed=3)
+        ir = FlatDag.from_circuit(decompose_to_cx_basis(circuit))
+        router = SabreRouter(tokyo)
+        _assert_same_replay(
+            router, ir, router.search(ir, result.initial_layout, seed=3)
+        )
+
+
+def _compile_row(monkeypatch, name="rd84_142"):
+    """Compile a Table II row on tokyo with a cold engine cache; returns
+    the result and every IR the compile lowered."""
+    from repro.bench_circuits import build_benchmark
+    from repro.engine.cache import clear_cache
+
+    lowered = []
+    init = FlatDag.__init__
+
+    def recording(self, circuit):
+        init(self, circuit)
+        lowered.append(self)
+
+    monkeypatch.setattr(FlatDag, "__init__", recording)
+    clear_cache()
+    result = compile_circuit(build_benchmark(name), ibm_q20_tokyo(), seed=0)
+    monkeypatch.setattr(FlatDag, "__init__", init)
+    return result, lowered
+
+
+class TestNoPythonDagOnTheKernelPath:
+    @requires_kernel
+    def test_kernel_compile_builds_no_python_view(self, monkeypatch):
+        """A compile on the kernel lowers both directions natively and
+        never builds an IR's Python views or folded tables."""
+        built = []
+        monkeypatch.setattr(
+            FlatDag, "_build_views", lambda self: built.append(self)
+        )
+        _, lowered = _compile_row(monkeypatch)
+        assert len(lowered) == 2
+        for ir in lowered:
+            assert ir._views is None and ir._fold is None
+            assert ir._native is not None
+        assert built == []
+
+    def test_python_loop_builds_views_and_routes_identically(
+        self, monkeypatch
+    ):
+        kernel_result, _ = _compile_row(monkeypatch)
+        monkeypatch.setattr(native, "kernel", None)
+        python_result, lowered = _compile_row(monkeypatch)
+        assert len(lowered) == 2
+        for ir in lowered:
+            assert ir._views is not None and ir._fold is not None
+            assert ir._native is None
+        assert python_result.routing.circuit == kernel_result.routing.circuit
+        assert (
+            python_result.routing.swap_positions
+            == kernel_result.routing.swap_positions
+        )
 
 
 class TestPythonLoopSelection:
